@@ -23,11 +23,18 @@ triple (c1, c2, c3) over all support assignments (each form is bounded by
 its pair count, so the table is tiny) and then evaluating the four sines
 per distinct cell. The histogram depends only on the neighborhood, not on
 gamma, so angle scans reuse it.
+
+Neighborhoods are built in two steps. The sign-free topology (support, pair
+positions with the neighbor clause of each pair, cancelled clauses) depends
+only on the triples and is built once per triple collection; attaching an
+instance's signs to it yields the neighborhoods, which a scan builds once
+and evaluates at every angle of its grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -113,68 +120,95 @@ class MomentReport:
         return max(self.combo_second_moments)
 
 
-def clause_adjacency(instance: Instance) -> tuple[tuple[int, ...], ...]:
-    """For each variable, the indices of clauses containing it."""
-    touching: list[list[int]] = [[] for _ in range(instance.n)]
-    for j, cl in enumerate(instance.clauses):
-        for v in cl.triple:
+@dataclass(frozen=True)
+class ClauseTopology:
+    """The sign-free part of one clause's neighborhood.
+
+    ``pairs[i]`` lists the pairs of form ``c_{i+1}`` as ``(a, b, k)``: the
+    support positions of the pair, as in :class:`Neighborhood`, and the
+    index ``k`` of the neighbor clause whose sign the pair carries.
+    ``support`` and ``cancelled`` are those of the neighborhood itself.
+    """
+
+    triple: tuple[int, int, int]
+    support: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
+    cancelled: tuple[int, ...]
+
+
+def neighborhood_topology(instance: Instance) -> tuple[ClauseTopology, ...]:
+    """Partition the other clauses by overlap with each focal triple.
+
+    Overlap-1 clauses populate the form keyed by the shared focal variable,
+    overlap-2 clauses are recorded as cancelled, overlap-0 clauses are
+    ignored. Only the triples are read, so one topology serves every angle
+    and every sign vector over the same collection.
+    """
+    triples = instance.triples()
+    touching: defaultdict[int, list[int]] = defaultdict(list)
+    for j, triple in enumerate(triples):
+        for v in triple:
             touching[v].append(j)
-    return tuple(tuple(t) for t in touching)
+    topology = []
+    for j, focal in enumerate(triples):
+        near: set[int] = set()
+        for v in focal:
+            near.update(touching[v])
+        near.discard(j)
+        raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
+        cancelled: list[int] = []
+        support_vars: set[int] = set()
+        for k in sorted(near):
+            other = triples[k]
+            shared = [v for v in other if v in focal]
+            if len(shared) == 1:
+                pair = tuple(v for v in other if v != shared[0])
+                raw_pairs[focal.index(shared[0])].append((pair[0], pair[1], k))
+                support_vars.update(pair)
+            elif len(shared) == 2:
+                cancelled.append(k)
+        support = tuple(sorted(support_vars))
+        pos = {v: i for i, v in enumerate(support)}
+        pairs = tuple(tuple((pos[a], pos[b], k) for a, b, k in form) for form in raw_pairs)
+        topology.append(ClauseTopology(focal, support, pairs, tuple(cancelled)))
+    return tuple(topology)
 
 
 def build_neighborhood(
     instance: Instance,
     clause_index: int,
-    adjacency: Sequence[Sequence[int]] | None = None,
+    topology: Sequence[ClauseTopology] | None = None,
 ) -> Neighborhood:
-    """Partition the other clauses by overlap with the focal triple.
+    """Attach the instance's clause signs to one clause's topology.
 
-    Overlap-1 clauses populate the form keyed by the shared focal variable,
-    overlap-2 clauses are recorded as cancelled, overlap-0 clauses are
-    ignored.
+    ``topology`` is :func:`neighborhood_topology` of any instance with the
+    same triples, built here when omitted; pass it in to build many
+    neighborhoods from one topology. A topology whose triples differ from
+    the instance's, at the focal clause or at any clause it lists, raises
+    ``ValueError``.
     """
     if not 0 <= clause_index < instance.m:
         raise IndexError(f"clause_index {clause_index} out of range for m={instance.m}")
-    focal = instance.clauses[clause_index]
-    focal_vars = focal.triple
-
-    if adjacency is None:
-        candidates = sorted(
-            {j for j in range(instance.m) if j != clause_index
-             and set(instance.clauses[j].triple) & set(focal_vars)}
-        )
-    else:
-        near: set[int] = set()
-        for v in focal_vars:
-            near.update(adjacency[v])
-        near.discard(clause_index)
-        candidates = sorted(near)
-
-    raw_forms: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
-    cancelled: list[int] = []
-    support_vars: set[int] = set()
-    for j in candidates:
-        other = instance.clauses[j]
-        shared = [v for v in other.triple if v in focal_vars]
-        if len(shared) == 1:
-            slot = focal_vars.index(shared[0])
-            pair = tuple(v for v in other.triple if v != shared[0])
-            raw_forms[slot].append((pair[0], pair[1], other.sign))
-            support_vars.update(pair)
-        elif len(shared) == 2:
-            cancelled.append(j)
-
-    support = tuple(sorted(support_vars))
-    pos = {v: i for i, v in enumerate(support)}
-    forms = tuple(
-        tuple((pos[a], pos[b], s) for (a, b, s) in form) for form in raw_forms
-    )
+    if topology is None:
+        topology = neighborhood_topology(instance)
+    elif len(topology) != instance.m:
+        raise ValueError(f"topology covers {len(topology)} clauses, instance has m={instance.m}")
+    clauses = instance.clauses
+    topo = topology[clause_index]
+    listed = [k for form in topo.pairs for _, _, k in form]
+    for k in (clause_index, *topo.cancelled, *listed):
+        if topology[k].triple != clauses[k].triple:
+            raise ValueError(
+                f"topology does not match the instance at clause {k}: "
+                f"{topology[k].triple} != {clauses[k].triple}"
+            )
+    forms = tuple(tuple((a, b, clauses[k].sign) for a, b, k in form) for form in topo.pairs)
     return Neighborhood(
         focal_index=clause_index,
-        focal=focal,
-        support=support,
+        focal=clauses[clause_index],
+        support=topo.support,
         forms=forms,
-        cancelled=tuple(cancelled),
+        cancelled=topo.cancelled,
     )
 
 
@@ -318,6 +352,7 @@ def objective_expectation(
     q_max: int | None = None,
     mc_samples: int = 100_000,
     seed: int = 0,
+    neighborhoods: Sequence[Neighborhood] | None = None,
 ) -> ExpectationReport:
     """W(gamma): the sum of all clause terms at mixing angle pi/4.
 
@@ -326,14 +361,25 @@ def objective_expectation(
     factorizes through disjoint pairs, Monte Carlo elsewhere) or ``mc``
     (Monte Carlo everywhere). Monte Carlo draws are seeded per clause from
     ``(seed, clause_index)``.
+
+    ``neighborhoods``, one per clause in order, are the instance's own
+    :func:`build_neighborhood` results, built once and shared by the angles
+    of a scan; they are built here when omitted. A sequence whose focal
+    clauses differ from the instance's clauses raises ``ValueError``.
     """
     if mode not in ("exact", "auto", "mc"):
         raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
     q_cap = _caps.default_q_max() if q_max is None else q_max
-    adjacency = clause_adjacency(instance)
+    if neighborhoods is None:
+        topology = neighborhood_topology(instance)
+        neighborhoods = (build_neighborhood(instance, j, topology) for j in range(instance.m))
+    elif len(neighborhoods) != instance.m or any(
+        nbhd.focal_index != j or nbhd.focal != clause
+        for j, (nbhd, clause) in enumerate(zip(neighborhoods, instance.clauses))
+    ):
+        raise ValueError("neighborhoods do not match the instance's clauses")
     terms: list[ClauseTerm] = []
-    for j in range(instance.m):
-        nbhd = build_neighborhood(instance, j, adjacency=adjacency)
+    for j, nbhd in enumerate(neighborhoods):
         if mode == "mc":
             terms.append(clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, j]))
         elif mode == "exact":
@@ -358,6 +404,15 @@ def objective_expectation(
     )
 
 
+def _cell_weights(nbhd: Neighborhood, q_max: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram cells of the forms and their probabilities under uniform spins."""
+    q_max = _caps.default_q_max() if q_max is None else q_max
+    if nbhd.q_size > q_max:
+        raise SupportTooLargeError(f"q={nbhd.q_size} exceeds enumeration cap {q_max}")
+    values, counts = combo_histogram(nbhd)
+    return values, counts.astype(np.float64) / float(1 << nbhd.q_size)
+
+
 def moment_checks(nbhd: Neighborhood, q_max: int | None = None) -> MomentReport:
     """Exact first and second moments of the forms under uniform spins.
 
@@ -365,11 +420,7 @@ def moment_checks(nbhd: Neighborhood, q_max: int | None = None) -> MomentReport:
     signed combinations d + s1 c1 + s2 c2 + s3 c3 therefore have second
     moment 1 + E[(s1 c1 + s2 c2 + s3 c3)^2].
     """
-    q_max = _caps.default_q_max() if q_max is None else q_max
-    if nbhd.q_size > q_max:
-        raise SupportTooLargeError(f"q={nbhd.q_size} exceeds enumeration cap {q_max}")
-    values, counts = combo_histogram(nbhd)
-    weights = counts.astype(np.float64) / float(1 << nbhd.q_size)
+    values, weights = _cell_weights(nbhd, q_max)
     means = tuple(float(np.dot(weights, values[:, i])) for i in range(3))
     seconds = tuple(float(np.dot(weights, values[:, i] ** 2)) for i in range(3))
     d = nbhd.focal.sign
@@ -394,11 +445,7 @@ def cosine_product_mean(
     leaves exactly (1/2) sin(gamma) times this quantity; averaging over the
     neighbor signs as well turns it into cos(gamma)^(p1+p2+p3).
     """
-    q_max = _caps.default_q_max() if q_max is None else q_max
-    if nbhd.q_size > q_max:
-        raise SupportTooLargeError(f"q={nbhd.q_size} exceeds enumeration cap {q_max}")
-    values, counts = combo_histogram(nbhd)
-    weights = counts.astype(np.float64) / float(1 << nbhd.q_size)
+    values, weights = _cell_weights(nbhd, q_max)
     prod = (
         np.cos(gamma * values[:, 0])
         * np.cos(gamma * values[:, 1])
@@ -414,11 +461,7 @@ def combo_abs_moment(
     q_max: int | None = None,
 ) -> float:
     """Exact E[|d + s1 c1 + s2 c2 + s3 c3|^power] for one sign pattern."""
-    q_max = _caps.default_q_max() if q_max is None else q_max
-    if nbhd.q_size > q_max:
-        raise SupportTooLargeError(f"q={nbhd.q_size} exceeds enumeration cap {q_max}")
-    values, counts = combo_histogram(nbhd)
-    weights = counts.astype(np.float64) / float(1 << nbhd.q_size)
+    values, weights = _cell_weights(nbhd, q_max)
     s1, s2, s3 = pattern
     combo = nbhd.focal.sign + s1 * values[:, 0] + s2 * values[:, 1] + s3 * values[:, 2]
     return float(np.dot(weights, np.abs(combo.astype(np.float64)) ** power))

@@ -45,14 +45,10 @@ OUTPUT_DIGITS = 12
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared output/determinism knobs for one command invocation."""
+    """Output knobs for one command invocation."""
 
-    command: str
     fmt: str = "json"
     out: str | None = None
-    seed: int = 0
-    q_max: int | None = None
-    n_max: int | None = None
 
 
 def _clean(obj):
@@ -230,7 +226,7 @@ def cmd_eval(
     instance_path, gamma, mode, mc_samples, seed, q_max, compare_statevector, n_max, fmt, out
 ):
     """Per-clause and total objective expectation W(gamma)."""
-    cfg = RunConfig(command="eval", fmt=fmt, out=out, seed=seed, q_max=q_max, n_max=n_max)
+    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     report = analytic.objective_expectation(
         inst, gamma, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
@@ -288,7 +284,7 @@ def cmd_eval(
 @_friendly
 def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     """Evaluate the full gamma grid and report the best node plus bounds."""
-    cfg = RunConfig(command="scan", fmt=fmt, out=out, seed=seed, q_max=q_max)
+    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     result = schedule.scan(
         inst, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
@@ -357,7 +353,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
 @_friendly
 def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     """Measure shots and score satisfied equations per string."""
-    cfg = RunConfig(command="sample", fmt=fmt, out=out, seed=seed, n_max=n_max)
+    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     count = sampler.recommended_samples(inst.m) if samples == "auto" else int(samples)
     rep = sampler.run(inst, gamma=-gamma, beta=beta, samples=count, seed=seed, n_max=n_max)
@@ -423,7 +419,7 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
 @_friendly
 def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
     """Sign-ensemble mean of W over the instance's triple collection."""
-    cfg = RunConfig(command="typical", fmt=fmt, out=out, seed=seed, q_max=q_max)
+    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     g = (
         typical.optimal_gamma_typical(max(1, inst.d_bound))
@@ -493,7 +489,7 @@ def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
 @_friendly
 def cmd_bounds(m, d_bound, fmt, out):
     """Worst-case and sign-ensemble guarantees for an (m, D) family."""
-    cfg = RunConfig(command="bounds", fmt=fmt, out=out)
+    cfg = RunConfig(fmt=fmt, out=out)
     report = schedule.guarantee(m, d_bound)
     t_gamma = typical.optimal_gamma_typical(d_bound)
     advantage = typical.typical_guarantee(m, d_bound)

@@ -24,7 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import ExpectationReport, objective_expectation
+from .analytic import (
+    ExpectationReport,
+    build_neighborhood,
+    neighborhood_topology,
+    objective_expectation,
+)
 from .instance import Instance
 
 #: Slack allowed when checking the Chebyshev node inequality numerically.
@@ -187,15 +192,26 @@ def scan(
     """Evaluate W on the grid and return the best sign-corrected node.
 
     The default schedule uses the instance's derived occurrence bound
-    (floored at 1 so isolated-clause instances still get a grid).
+    (floored at 1 so isolated-clause instances still get a grid). The
+    neighborhoods do not depend on gamma, so they are built once and shared
+    by every angle of the grid.
     """
     if schedule is None:
         schedule = make_schedule(max(1, instance.d_bound))
+    topology = neighborhood_topology(instance)
+    neighborhoods = tuple(build_neighborhood(instance, j, topology) for j in range(instance.m))
+    del topology
     points: list[ScanPoint] = []
     best: tuple[int, int, float] | None = None
     for r, gamma in enumerate(schedule.gammas):
         report: ExpectationReport = objective_expectation(
-            instance, gamma, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
+            instance,
+            gamma,
+            mode=mode,
+            q_max=q_max,
+            mc_samples=mc_samples,
+            seed=seed,
+            neighborhoods=neighborhoods,
         )
         points.append(ScanPoint(r=r, gamma=gamma, value=report.total, stderr=report.stderr))
         sign = 1 if report.total >= 0 else -1

@@ -28,7 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import build_neighborhood, clause_adjacency, objective_expectation
+from .analytic import (
+    ClauseTopology,
+    build_neighborhood,
+    neighborhood_topology,
+    objective_expectation,
+)
 from .instance import Clause, Instance, resample_signs, with_signs
 
 EXHAUSTIVE_MAX_M = 20
@@ -85,9 +90,9 @@ def clause_mean_closed_form(nbhd, gamma: float) -> float:
 
 def collection_closed_form(instance: Instance, gamma: float) -> float:
     """Sum of the per-clause closed forms over the whole collection."""
-    adjacency = clause_adjacency(instance)
+    topology = neighborhood_topology(instance)
     return math.fsum(
-        clause_mean_closed_form(build_neighborhood(instance, j, adjacency=adjacency), gamma)
+        clause_mean_closed_form(build_neighborhood(instance, j, topology), gamma)
         for j in range(instance.m)
     )
 
@@ -131,6 +136,21 @@ def _assemble(
     )
 
 
+def _signed_w(
+    instance: Instance,
+    topology: Sequence[ClauseTopology],
+    gamma: float,
+    mode: str,
+    q_max: int | None,
+) -> float:
+    """W(gamma) for one sign vector, its neighborhoods built on the shared topology."""
+    neighborhoods = [build_neighborhood(instance, j, topology) for j in range(instance.m)]
+    report = objective_expectation(
+        instance, gamma, mode=mode, q_max=q_max, neighborhoods=neighborhoods
+    )
+    return report.total
+
+
 def ensemble_mean_exhaustive(
     triples: Sequence[tuple[int, int, int]],
     gamma: float,
@@ -146,11 +166,11 @@ def ensemble_mean_exhaustive(
     m = base.m
     if m > EXHAUSTIVE_MAX_M:
         raise ValueError(f"m={m} too large for exhaustive ensemble (max {EXHAUSTIVE_MAX_M})")
+    topology = neighborhood_topology(base)
     values = []
     for code in range(1 << m):
         rhs = [(code >> j) & 1 for j in range(m)]
-        report = objective_expectation(with_signs(base, rhs), gamma, mode="exact", q_max=q_max)
-        values.append(report.total)
+        values.append(_signed_w(with_signs(base, rhs), topology, gamma, "exact", q_max))
     size = float(1 << m)
     mean = math.fsum(values) / size
     variance = math.fsum((v - mean) ** 2 for v in values) / size
@@ -169,10 +189,11 @@ def ensemble_mean_mc(
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     base = base_instance(triples, n=n)
+    topology = neighborhood_topology(base)
     values = np.empty(trials, dtype=np.float64)
     for t in range(trials):
         inst = resample_signs(base, seed=[seed, t])
-        values[t] = objective_expectation(inst, gamma, mode="auto", q_max=q_max).total
+        values[t] = _signed_w(inst, topology, gamma, "auto", q_max)
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)

@@ -11,7 +11,6 @@ from qaoa_e3lin2.analytic import (
     Neighborhood,
     SupportTooLargeError,
     build_neighborhood,
-    clause_adjacency,
     clause_term_exact,
     clause_term_mc,
     combo_abs_moment,
@@ -19,6 +18,7 @@ from qaoa_e3lin2.analytic import (
     cosine_product_mean,
     form_value_table,
     moment_checks,
+    neighborhood_topology,
     objective_expectation,
 )
 from qaoa_e3lin2.instance import Clause, Instance, generate_random
@@ -41,10 +41,10 @@ class TestBuildNeighborhood:
         assert nb.forms[2] == ((2, 3, -1),)
 
     def test_adjacency_shortcut_is_equivalent(self, tiny_instance):
-        adjacency = clause_adjacency(tiny_instance)
+        topology = neighborhood_topology(tiny_instance)
         for j in range(tiny_instance.m):
             assert build_neighborhood(tiny_instance, j) == build_neighborhood(
-                tiny_instance, j, adjacency=adjacency
+                tiny_instance, j, topology
             )
 
     def test_index_out_of_range(self, tiny_instance):
