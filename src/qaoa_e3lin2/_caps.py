@@ -2,7 +2,9 @@
 
 Defaults are desk-scale and can be raised through environment variables:
 ``E3LIN2_NMAX`` caps the statevector qubit count, ``E3LIN2_QMAX`` caps the
-support size for exact neighborhood enumeration.
+support size for exact neighborhood enumeration. Whatever the caps, a dense
+allocation whose estimated peak exceeds physical memory is refused before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -12,6 +14,19 @@ import os
 N_MAX_DEFAULT = 24
 Q_MAX_DEFAULT = 26
 BRUTE_FORCE_N_MAX_DEFAULT = 28
+
+
+class MemoryCapError(ValueError):
+    """A run's estimated peak memory exceeds the machine's physical memory."""
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, a run estimated to hold ``nbytes`` at its peak."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise MemoryCapError(
+            f"{what} needs about {nbytes} bytes at its peak, more than the {physical} bytes of physical memory"
+        )
 
 
 def _env_int(name: str, fallback: int) -> int:

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -41,14 +40,6 @@ from .statevector import prepare as sv_prepare
 
 #: Significant digits kept in every emitted float.
 OUTPUT_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Output knobs for one command invocation."""
-
-    fmt: str = "json"
-    out: str | None = None
 
 
 def _clean(obj):
@@ -85,6 +76,12 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _csv_row(payload: dict, skip: int) -> str:
+    """One-row CSV of a flat payload: its keys after the first ``skip`` and their values."""
+    header = list(payload)[skip:]
+    return _csv_text(header, [[payload[k] for k in header]])
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -100,14 +97,14 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_body: str | None = None) -> None:
-    if cfg.fmt == "csv" and csv_body is not None:
+def _emit(fmt: str, out: str | None, payload: dict, csv_body: str | None = None) -> None:
+    if fmt == "csv" and csv_body is not None:
         text = csv_body
     else:
         text = json.dumps(_clean(payload), indent=2) + "\n"
-    if cfg.out:
-        _write_atomic(cfg.out, text)
-        click.echo(f"wrote {cfg.out}")
+    if out:
+        _write_atomic(out, text)
+        click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
 
@@ -226,7 +223,6 @@ def cmd_eval(
     instance_path, gamma, mode, mc_samples, seed, q_max, compare_statevector, n_max, fmt, out
 ):
     """Per-clause and total objective expectation W(gamma)."""
-    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     report = analytic.objective_expectation(
         inst, gamma, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
@@ -266,7 +262,7 @@ def cmd_eval(
         ("clause_index", "value", "method", "stderr"),
         [(t.clause_index, t.value, t.method, t.stderr) for t in report.terms],
     )
-    _emit(cfg, payload, body)
+    _emit(fmt, out, payload, body)
 
 
 @main.command(name="scan")
@@ -284,7 +280,6 @@ def cmd_eval(
 @_friendly
 def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     """Evaluate the full gamma grid and report the best node plus bounds."""
-    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     result = schedule.scan(
         inst, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
@@ -329,7 +324,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
         ("r", "gamma", "value", "stderr"),
         [(p.r, p.gamma, p.value, p.stderr) for p in result.points],
     )
-    _emit(cfg, payload, body)
+    _emit(fmt, out, payload, body)
 
 
 @main.command(name="sample")
@@ -353,7 +348,6 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
 @_friendly
 def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     """Measure shots and score satisfied equations per string."""
-    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     count = sampler.recommended_samples(inst.m) if samples == "auto" else int(samples)
     rep = sampler.run(inst, gamma=-gamma, beta=beta, samples=count, seed=seed, n_max=n_max)
@@ -373,29 +367,7 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
         "best_string": rep.best_string.to_string(),
         "predicted_mean": rep.predicted_mean,
     }
-    header = (
-        "gamma",
-        "state_gamma",
-        "beta",
-        "samples",
-        "seed",
-        "mean_satisfied",
-        "best_satisfied",
-        "best_string",
-        "predicted_mean",
-    )
-    row = (
-        gamma,
-        rep.gamma,
-        rep.beta,
-        rep.samples,
-        rep.seed,
-        rep.mean_satisfied,
-        rep.best_satisfied,
-        rep.best_string.to_string(),
-        rep.predicted_mean,
-    )
-    _emit(cfg, payload, _csv_text(header, [row]))
+    _emit(fmt, out, payload, _csv_row(payload, skip=5))
 
 
 @main.command(name="typical")
@@ -419,7 +391,6 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
 @_friendly
 def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
     """Sign-ensemble mean of W over the instance's triple collection."""
-    cfg = RunConfig(fmt=fmt, out=out)
     inst = _load_instance(instance_path)
     g = (
         typical.optimal_gamma_typical(max(1, inst.d_bound))
@@ -449,37 +420,7 @@ def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
         "upper_bound": rep.upper_bound,
         "variance_bound": rep.variance_bound,
     }
-    header = (
-        "m",
-        "d_bound",
-        "gamma",
-        "method",
-        "trials",
-        "seed",
-        "mean_w",
-        "stderr",
-        "variance",
-        "closed_form_mean",
-        "lower_bound",
-        "upper_bound",
-        "variance_bound",
-    )
-    row = (
-        rep.m,
-        rep.d_bound,
-        rep.gamma,
-        rep.method,
-        rep.trials,
-        seed,
-        rep.mean_w,
-        rep.stderr,
-        rep.variance,
-        rep.closed_form_mean,
-        rep.lower_bound,
-        rep.upper_bound,
-        rep.variance_bound,
-    )
-    _emit(cfg, payload, _csv_text(header, [row]))
+    _emit(fmt, out, payload, _csv_row(payload, skip=2))
 
 
 @main.command(name="bounds")
@@ -489,7 +430,6 @@ def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
 @_friendly
 def cmd_bounds(m, d_bound, fmt, out):
     """Worst-case and sign-ensemble guarantees for an (m, D) family."""
-    cfg = RunConfig(fmt=fmt, out=out)
     report = schedule.guarantee(m, d_bound)
     t_gamma = typical.optimal_gamma_typical(d_bound)
     advantage = typical.typical_guarantee(m, d_bound)
@@ -537,7 +477,7 @@ def cmd_bounds(m, d_bound, fmt, out):
         advantage,
         m / 2.0 + advantage,
     )
-    _emit(cfg, payload, _csv_text(header, [row]))
+    _emit(fmt, out, payload, _csv_text(header, [row]))
 
 
 if __name__ == "__main__":

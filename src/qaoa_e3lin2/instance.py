@@ -124,13 +124,24 @@ class Instance:
         return len(self.clauses)
 
     @cached_property
+    def triple_array(self) -> np.ndarray:
+        """The clause triples as a read-only (m, 3) index array."""
+        out = np.array(self.triples(), dtype=np.intp).reshape(self.m, 3)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def rhs_array(self) -> np.ndarray:
+        """The clause right-hand sides as a read-only (m,) uint8 array."""
+        out = np.array([cl.rhs for cl in self.clauses], dtype=np.uint8)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def occurrence(self) -> np.ndarray:
         """Per-variable clause membership counts (length n)."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for cl in self.clauses:
-            for v in cl.triple:
-                if 0 <= v < self.n:
-                    counts[v] += 1
+        inside = [v for t in self.triples() for v in t if 0 <= v < self.n]
+        counts = np.bincount(inside, minlength=self.n)
         counts.setflags(write=False)
         return counts
 
@@ -174,25 +185,46 @@ def _require_valid_assignment(instance: Instance, assignment: Assignment) -> Non
         raise ValueError(f"assignment length {assignment.n} != instance n {instance.n}")
 
 
+def clause_parity(instance: Instance, bits: np.ndarray) -> np.ndarray:
+    """Parity x_a ^ x_b ^ x_c of every clause on every row of a (..., n) bit array.
+
+    The one parity kernel of the package: returns a (..., m) array in the
+    dtype of ``bits``; a clause holds on a row where its parity equals its rhs.
+    """
+    cols = np.asarray(bits)[..., instance.triple_array]
+    return cols[..., 0] ^ cols[..., 1] ^ cols[..., 2]
+
+
+def code_bits(codes: np.ndarray, n: int) -> np.ndarray:
+    """(len(codes), n) uint8 matrix whose row i holds bit v of codes[i] in column v."""
+    return ((np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def objective_grid(instance: Instance, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The objective on every code ``high[i] | low[j]``, as a float64 grid.
+
+    ``high`` and ``low`` must use disjoint bits. A clause's parity on
+    ``high | low`` is then the XOR of its parities on the two parts, so its
+    +-1 sign is a product and twice the objective is one product of two +-1
+    matrices with m columns. Every partial sum is an integer of size at most
+    m, so the float64 product is exact whatever order BLAS adds in.
+    """
+    hi = 1.0 - 2.0 * (clause_parity(instance, code_bits(high, instance.n)) ^ instance.rhs_array)
+    lo = 1.0 - 2.0 * clause_parity(instance, code_bits(low, instance.n))
+    grid = hi @ lo.T
+    grid *= 0.5
+    return grid
+
+
 def satisfied_count(instance: Instance, assignment: Assignment) -> int:
     """Number of clauses with bits[a]+bits[b]+bits[c] = rhs (mod 2)."""
     _require_valid_assignment(instance, assignment)
-    bits = assignment.bits
-    hits = 0
-    for cl in instance.clauses:
-        if (int(bits[cl.a]) + int(bits[cl.b]) + int(bits[cl.c])) % 2 == cl.rhs:
-            hits += 1
-    return hits
+    return int(np.count_nonzero(clause_parity(instance, assignment.bits) == instance.rhs_array))
 
 
 def objective_value(instance: Instance, assignment: Assignment) -> float:
     """(1/2) sum over clauses of sign * z_a z_b z_c; half-integer in [-m/2, m/2]."""
-    _require_valid_assignment(instance, assignment)
-    spins = assignment.spins
-    total = 0
-    for cl in instance.clauses:
-        total += cl.sign * int(spins[cl.a]) * int(spins[cl.b]) * int(spins[cl.c])
-    return total / 2.0
+    return (2 * satisfied_count(instance, assignment) - instance.m) / 2.0
 
 
 def generate_random(

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _caps
-from .instance import Assignment, Instance
-from .statevector import AngleParams, expectation, prepare, sample
+from .instance import Assignment, Instance, clause_parity, objective_grid
+from .statevector import AngleParams, expectation, prepare, sample_bits
 
 _CHUNK = 1 << 22
 
@@ -49,11 +49,10 @@ class SampleReport:
 
 def satisfied_count_batch(instance: Instance, bits: np.ndarray) -> np.ndarray:
     """Satisfied-equation counts for a (batch, n) bit matrix."""
-    counts = np.zeros(bits.shape[0], dtype=np.int64)
-    for cl in instance.clauses:
-        parity = bits[:, cl.a] ^ bits[:, cl.b] ^ bits[:, cl.c]
-        counts += parity == cl.rhs
-    return counts
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != instance.n:
+        raise ValueError(f"bit matrix shape {bits.shape} is not (batch, {instance.n})")
+    return np.count_nonzero(clause_parity(instance, bits) == instance.rhs_array, axis=1)
 
 
 def run(
@@ -69,8 +68,7 @@ def run(
         raise ValueError(f"samples must be >= 1, got {samples}")
     state = prepare(instance, AngleParams(gamma=gamma, beta=beta), n_max=n_max)
     predicted = instance.m / 2.0 + expectation(state, instance)
-    draws = sample(state, samples, seed=seed)
-    bits = np.stack([a.bits for a in draws])
+    bits = sample_bits(state, samples, seed=seed)
     counts = satisfied_count_batch(instance, bits)
     best_idx = int(np.argmax(counts))
     return SampleReport(
@@ -80,7 +78,7 @@ def run(
         samples=samples,
         mean_satisfied=float(np.mean(counts)),
         best_satisfied=int(counts[best_idx]),
-        best_string=draws[best_idx],
+        best_string=Assignment(bits[best_idx].copy()),
         predicted_mean=predicted,
         seed=seed,
     )
@@ -98,18 +96,19 @@ def brute_force_max(instance: Instance, n_max: int | None = None) -> tuple[int, 
     n_max = _caps.default_brute_force_n_max() if n_max is None else n_max
     if instance.n > n_max:
         raise ValueError(f"n={instance.n} exceeds brute-force cap {n_max}")
-    best_count = -1
+    # codes are scanned as (high, low) grids in increasing code order, so
+    # the first maximum seen has the lowest index; a grid and each of its
+    # two (codes, m) sign matrices hold at most _CHUNK entries
+    codes = max(_CHUNK // max(instance.m, 1), 1)
+    low = min(instance.n // 2, codes.bit_length() - 1)
+    rows = min(_CHUNK >> low, codes)
+    highs = np.arange(1 << (instance.n - low)) << low
+    best_value = -math.inf
     best_code = 0
-    size = 1 << instance.n
-    for start in range(0, size, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        counts = np.zeros(codes.size, dtype=np.int64)
-        for cl in instance.clauses:
-            parity = ((codes >> cl.a) ^ (codes >> cl.b) ^ (codes >> cl.c)) & 1
-            counts += parity == cl.rhs
-        idx = int(np.argmax(counts))
-        if counts[idx] > best_count:
-            best_count = int(counts[idx])
-            best_code = int(codes[idx])
+    for start in range(0, highs.size, rows):
+        grid = objective_grid(instance, highs[start : start + rows], np.arange(1 << low))
+        idx = int(np.argmax(grid))
+        if grid.flat[idx] > best_value:
+            best_value, best_code = float(grid.flat[idx]), (start << low) + idx
     bits = [(best_code >> v) & 1 for v in range(instance.n)]
-    return best_count, Assignment(bits)
+    return int(instance.m / 2.0 + best_value), Assignment(bits)

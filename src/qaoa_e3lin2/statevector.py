@@ -8,6 +8,14 @@ checked against.
 
 Bit order: variable v is bit v of the basis-state integer index
 (little-endian), so index ``sum_v x_v 2^v`` encodes assignment x.
+
+The cost diagonal splits the register into a high and a low half. A
+clause's parity on an index is the XOR of its parities on the two halves, so
+``cost_values`` runs the parity kernel on the 2^(n/2) codes of each half and
+gets the (2^h, 2^l) grid of C as one exact product of their +-1 clause-sign
+matrices (``instance.objective_grid``). C takes at most 2m+1 half-integer
+levels: ``apply_cost_phase`` evaluates ``exp(-i gamma C)`` once per level
+and gathers the 2^n phases from that table.
 """
 
 from __future__ import annotations
@@ -18,9 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _caps
-from .instance import Assignment, Instance
+from .instance import Assignment, Instance, code_bits, objective_grid
 
 NORM_TOL = 1e-12
+
+#: Bytes per amplitude that ``prepare`` plus ``expectation`` hold at their
+#: peak, the mixer's: four complex128 vectors (tracemalloc measures 56.5).
+PEAK_BYTES_PER_AMPLITUDE = 64
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,8 @@ def cost_values(instance: Instance, n: int) -> np.ndarray:
     """Spin objective C(z) for every basis index of an n-qubit register."""
     if n < instance.n:
         raise ValueError(f"register n={n} smaller than instance n={instance.n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    total = np.zeros(1 << n, dtype=np.float64)
-    for cl in instance.clauses:
-        parity = ((idx >> cl.a) ^ (idx >> cl.b) ^ (idx >> cl.c)) & 1
-        total += cl.sign * (1.0 - 2.0 * parity)
-    total *= 0.5
-    return total
+    low = n // 2
+    return objective_grid(instance, np.arange(1 << (n - low)) << low, np.arange(1 << low)).ravel()
 
 
 def uniform_state(n: int, n_max: int | None = None) -> QuantumState:
@@ -80,6 +87,7 @@ def uniform_state(n: int, n_max: int | None = None) -> QuantumState:
     n_max = _caps.default_n_max() if n_max is None else n_max
     if not 1 <= n <= n_max:
         raise ValueError(f"n must be in [1, {n_max}], got {n}")
+    _caps.require_memory(PEAK_BYTES_PER_AMPLITUDE << n, f"a {n}-qubit statevector")
     amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     return QuantumState(n=n, amplitudes=amp)
 
@@ -88,8 +96,11 @@ def apply_cost_phase(state: QuantumState, instance: Instance, gamma: float) -> Q
     """Multiply amplitude[z] by exp(-i gamma C(z)); diagonal, norm preserving."""
     if state.n < instance.n:
         raise ValueError(f"state has {state.n} qubits, instance needs {instance.n}")
-    amp = state.amplitudes * np.exp(-1j * gamma * cost_values(instance, state.n))
-    return QuantumState(n=state.n, amplitudes=amp)
+    levels = np.arange(-instance.m, instance.m + 1) * 0.5
+    table = np.exp(-1j * gamma * levels)
+    index = (2 * cost_values(instance, state.n)).astype(np.intp)
+    index += instance.m
+    return QuantumState(n=state.n, amplitudes=state.amplitudes * table[index])
 
 
 def apply_mixer(state: QuantumState, beta: float) -> QuantumState:
@@ -119,16 +130,19 @@ def expectation(state: QuantumState, instance: Instance) -> float:
     return float(np.dot(probs, cost_values(instance, state.n)))
 
 
-def sample(state: QuantumState, count: int, seed: int = 0) -> list[Assignment]:
-    """Draw i.i.d. computational-basis measurements; deterministic per seed."""
+def sample_bits(state: QuantumState, count: int, seed: int = 0) -> np.ndarray:
+    """Draw i.i.d. computational-basis measurements as a (count, n) uint8 bit matrix.
+
+    Deterministic per seed; row i holds the bits of the i-th measured index.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     probs = state.probabilities()
     probs = probs / probs.sum()
-    draws = rng.choice(probs.size, size=count, p=probs)
-    out = []
-    for z in draws:
-        bits = (int(z) >> np.arange(state.n, dtype=np.int64)) & 1
-        out.append(Assignment(bits.astype(np.uint8)))
-    return out
+    return code_bits(rng.choice(probs.size, size=count, p=probs), state.n)
+
+
+def sample(state: QuantumState, count: int, seed: int = 0) -> list[Assignment]:
+    """``sample_bits`` with every row wrapped in an ``Assignment``."""
+    return [Assignment(row) for row in sample_bits(state, count, seed)]
