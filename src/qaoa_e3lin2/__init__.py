@@ -29,12 +29,17 @@ from .instance import (
     ParseError,
     RetryExhaustedError,
     Violation,
+    clause_parity,
+    code_bits,
     generate_random,
+    objective_grid,
     objective_value,
+    parity_grid,
     parse,
     resample_signs,
     satisfied_count,
     serialize,
+    term_parity,
     validate,
     with_signs,
 )
@@ -51,7 +56,15 @@ from .schedule import (
     remainder_bound,
     scan,
 )
-from .statevector import AngleParams, QuantumState, expectation, prepare, sample, uniform_state
+from .statevector import (
+    AngleParams,
+    QuantumState,
+    expectation,
+    prepare,
+    sample,
+    sample_bits,
+    uniform_state,
+)
 from .typical import (
     EnsembleReport,
     clause_mean_closed_form,
@@ -87,8 +100,10 @@ __all__ = [
     "build_neighborhood",
     "chebyshev_node_property",
     "clause_mean_closed_form",
+    "clause_parity",
     "clause_term_exact",
     "clause_term_mc",
+    "code_bits",
     "ensemble_mean_exhaustive",
     "ensemble_mean_mc",
     "expectation",
@@ -98,8 +113,10 @@ __all__ = [
     "make_schedule",
     "moment_checks",
     "objective_expectation",
+    "objective_grid",
     "objective_value",
     "optimal_gamma_typical",
+    "parity_grid",
     "parse",
     "prepare",
     "recommended_samples",
@@ -107,9 +124,11 @@ __all__ = [
     "resample_signs",
     "run",
     "sample",
+    "sample_bits",
     "satisfied_count",
     "scan",
     "serialize",
+    "term_parity",
     "typical_guarantee",
     "uniform_state",
     "validate",

@@ -21,8 +21,12 @@ D instead of the instance size n.
 Enumeration works by tabulating the joint distribution of the integer
 triple (c1, c2, c3) over all support assignments (each form is bounded by
 its pair count, so the table is tiny) and then evaluating the four sines
-per distinct cell. The histogram depends only on the neighborhood, not on
-gamma, so angle scans reuse it.
+per distinct cell. A cell's key is linear in the pair signs, so the keys of
+a block of assignments are one exact parity grid (``instance.parity_grid``):
+the support splits into a high and a low half, and the keys on every code
+``high | low`` of a block are one float64 product of two +-1 pair-sign
+matrices, counted with one ``np.bincount``. The histogram depends only on
+the neighborhood, not on gamma, so angle scans reuse it.
 
 Neighborhoods are built in two steps. The sign-free topology (support, pair
 positions with the neighbor clause of each pair, cancelled clauses) depends
@@ -42,12 +46,17 @@ from typing import Sequence
 import numpy as np
 
 from . import _caps
-from .instance import Clause, Instance
+from .instance import Clause, Instance, code_blocks, parity_grid
 
 #: The four sign patterns applied to (c1, c2, c3) in the clause term.
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 _CHUNK = 1 << 20
+
+#: Peak bytes a Monte Carlo clause term holds per sample beyond the q bytes
+#: of its spin row (the int64 forms, their pair temporaries and the float64
+#: sines; tracemalloc measures q + 56 at q = 9 to 18).
+MC_PEAK_BYTES_PER_SAMPLE = 56
 
 EXACT_METHOD = "exact-enumeration"
 MC_METHOD = "monte-carlo"
@@ -212,25 +221,31 @@ def build_neighborhood(
     )
 
 
-def _eval_forms(
-    forms: tuple[tuple[tuple[int, int, int], ...], ...], codes: np.ndarray
-) -> np.ndarray:
-    """Evaluate (c1, c2, c3) on assignment bitmasks; bit j set = spin -1."""
-    out = np.zeros((3, codes.size), dtype=np.int64)
-    for i, form in enumerate(forms):
-        acc = out[i]
-        for a, b, s in form:
-            parity = ((codes >> a) ^ (codes >> b)) & 1
-            acc += s * (1 - 2 * parity)
-    return out
+def _pair_terms(forms, scales) -> tuple[np.ndarray, np.ndarray]:
+    """(t, 2) support positions of the forms' pairs, each weighted by sign * its form's scale."""
+    terms = np.array([(a, b) for form in forms for a, b, _ in form], dtype=np.intp).reshape(-1, 2)
+    weights = np.array(
+        [s * scale for form, scale in zip(forms, scales) for _, _, s in form], dtype=np.float64
+    )
+    return terms, weights
 
 
 def form_value_table(nbhd: Neighborhood, max_q: int = 22) -> np.ndarray:
-    """Full (3, 2^q) table of form values over every support assignment."""
+    """Full (3, 2^q) table of form values over every support assignment.
+
+    Column j holds the forms on the assignment with spin -1 exactly at the
+    set bits of j.
+    """
     if nbhd.q_size > max_q:
         raise SupportTooLargeError(f"q={nbhd.q_size} exceeds table cap {max_q}")
-    codes = np.arange(1 << nbhd.q_size, dtype=np.int64)
-    return _eval_forms(nbhd.forms, codes)
+    table = np.empty((3, 1 << nbhd.q_size), dtype=np.int64)
+    for row, form in zip(table, nbhd.forms):
+        terms, weights = _pair_terms((form,), (1,))
+        blocks = code_blocks(nbhd.q_size, len(terms), _CHUNK)
+        row[:] = np.concatenate(
+            [parity_grid(terms, weights, nbhd.q_size, high, low).ravel() for high, low in blocks]
+        )
+    return table
 
 
 def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
@@ -252,13 +267,16 @@ def _histogram_cached(
     p1, p2, p3 = pairs
     dims = (2 * p1 + 1, 2 * p2 + 1, 2 * p3 + 1)
     total_cells = dims[0] * dims[1] * dims[2]
+    # the cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3) is the offset below
+    # plus c1*d2*d3 + c2*d3 + c3, a parity grid of the pairs weighted by
+    # their signs times their form's scale; its integers are exact in float64
+    offset = (p1 * dims[1] + p2) * dims[2] + p3
+    terms, weights = _pair_terms(forms, (dims[1] * dims[2], dims[2], 1))
     hist = np.zeros(total_cells, dtype=np.int64)
-    size = 1 << q_size
-    for start in range(0, size, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        c = _eval_forms(forms, codes)
-        keys = ((c[0] + p1) * dims[1] + (c[1] + p2)) * dims[2] + (c[2] + p3)
-        hist += np.bincount(keys, minlength=total_cells)
+    for high, low in code_blocks(q_size, len(terms), _CHUNK):
+        grid = parity_grid(terms, weights, q_size, high, low)
+        grid += offset
+        hist += np.bincount(grid.astype(np.intp).ravel(), minlength=total_cells)
     occupied = np.nonzero(hist)[0]
     counts = hist[occupied]
     v1, rem = np.divmod(occupied, dims[1] * dims[2])
@@ -327,6 +345,10 @@ def clause_term_mc(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _caps.require_memory(
+        samples * (nbhd.q_size + MC_PEAK_BYTES_PER_SAMPLE),
+        f"{samples} Monte Carlo samples on a q={nbhd.q_size} support",
+    )
     d = nbhd.focal.sign
     rng = np.random.default_rng(seed)
     spins = 1 - 2 * rng.integers(0, 2, size=(samples, nbhd.q_size), dtype=np.int8)

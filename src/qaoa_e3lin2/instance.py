@@ -185,14 +185,23 @@ def _require_valid_assignment(instance: Instance, assignment: Assignment) -> Non
         raise ValueError(f"assignment length {assignment.n} != instance n {instance.n}")
 
 
+def term_parity(bits: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """XOR of the columns of a (..., width) bit array at each row of a (t, k) index array.
+
+    The one parity kernel of the package: returns a (..., t) array in the
+    dtype of ``bits``, whose entry t is the parity of the k bits that row t
+    of ``terms`` names.
+    """
+    return np.bitwise_xor.reduce(np.asarray(bits)[..., terms], axis=-1)
+
+
 def clause_parity(instance: Instance, bits: np.ndarray) -> np.ndarray:
     """Parity x_a ^ x_b ^ x_c of every clause on every row of a (..., n) bit array.
 
-    The one parity kernel of the package: returns a (..., m) array in the
-    dtype of ``bits``; a clause holds on a row where its parity equals its rhs.
+    Returns a (..., m) array in the dtype of ``bits``; a clause holds on a
+    row where its parity equals its rhs.
     """
-    cols = np.asarray(bits)[..., instance.triple_array]
-    return cols[..., 0] ^ cols[..., 1] ^ cols[..., 2]
+    return term_parity(bits, instance.triple_array)
 
 
 def code_bits(codes: np.ndarray, n: int) -> np.ndarray:
@@ -200,18 +209,49 @@ def code_bits(codes: np.ndarray, n: int) -> np.ndarray:
     return ((np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
+def parity_grid(
+    terms: np.ndarray, weights: np.ndarray, width: int, high: np.ndarray, low: np.ndarray
+) -> np.ndarray:
+    """The sum over t of w_t (-1)^parity_t on every code ``high[i] | low[j]``.
+
+    ``terms`` is a (t, k) array of bit positions below ``width`` and
+    ``weights`` its (t,) weights; ``high`` and ``low`` must use disjoint
+    bits. A term's parity on ``high | low`` is then the XOR of its parities
+    on the two parts, so its +-1 sign is a product and the grid is one
+    product of a weighted +-1 matrix and a +-1 matrix with t columns. With
+    integer weights every partial sum is an integer, so the float64 product
+    is exact whatever order BLAS adds in (while the sums stay below 2^53).
+    """
+    hi = (1.0 - 2.0 * term_parity(code_bits(high, width), terms)) * weights
+    lo = 1.0 - 2.0 * term_parity(code_bits(low, width), terms)
+    return hi @ lo.T
+
+
+def code_blocks(width: int, columns: int, chunk: int):
+    """Yield ``(high, low)`` code arrays covering all 2^width codes, in increasing order.
+
+    Every code is ``high[i] | low[j]`` of exactly one block, and the codes
+    of a block, read row by row, are consecutive from ``high[0]``. A block's
+    :func:`parity_grid` and each of its two (codes, columns) sign matrices
+    hold at most ``chunk`` entries.
+    """
+    codes = max(chunk // max(columns, 1), 1)
+    low = min(width // 2, codes.bit_length() - 1)
+    rows = min(chunk >> low, codes)
+    highs = np.arange(1 << (width - low)) << low
+    lows = np.arange(1 << low)
+    for start in range(0, highs.size, rows):
+        yield highs[start : start + rows], lows
+
+
 def objective_grid(instance: Instance, high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """The objective on every code ``high[i] | low[j]``, as a float64 grid.
 
-    ``high`` and ``low`` must use disjoint bits. A clause's parity on
-    ``high | low`` is then the XOR of its parities on the two parts, so its
-    +-1 sign is a product and twice the objective is one product of two +-1
-    matrices with m columns. Every partial sum is an integer of size at most
-    m, so the float64 product is exact whatever order BLAS adds in.
+    ``high`` and ``low`` must use disjoint bits. Twice the objective is the
+    :func:`parity_grid` of the clause triples weighted by their signs, a sum
+    of at most m integers, so the grid is exact.
     """
-    hi = 1.0 - 2.0 * (clause_parity(instance, code_bits(high, instance.n)) ^ instance.rhs_array)
-    lo = 1.0 - 2.0 * clause_parity(instance, code_bits(low, instance.n))
-    grid = hi @ lo.T
+    grid = parity_grid(instance.triple_array, 1.0 - 2.0 * instance.rhs_array, instance.n, high, low)
     grid *= 0.5
     return grid
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _caps
-from .instance import Assignment, Instance, clause_parity, objective_grid
+from .instance import Assignment, Instance, clause_parity, code_blocks, objective_grid
 from .statevector import AngleParams, expectation, prepare, sample_bits
 
 _CHUNK = 1 << 22
@@ -96,19 +96,14 @@ def brute_force_max(instance: Instance, n_max: int | None = None) -> tuple[int, 
     n_max = _caps.default_brute_force_n_max() if n_max is None else n_max
     if instance.n > n_max:
         raise ValueError(f"n={instance.n} exceeds brute-force cap {n_max}")
-    # codes are scanned as (high, low) grids in increasing code order, so
-    # the first maximum seen has the lowest index; a grid and each of its
-    # two (codes, m) sign matrices hold at most _CHUNK entries
-    codes = max(_CHUNK // max(instance.m, 1), 1)
-    low = min(instance.n // 2, codes.bit_length() - 1)
-    rows = min(_CHUNK >> low, codes)
-    highs = np.arange(1 << (instance.n - low)) << low
+    # blocks come in increasing code order, so the first maximum seen has
+    # the lowest index
     best_value = -math.inf
     best_code = 0
-    for start in range(0, highs.size, rows):
-        grid = objective_grid(instance, highs[start : start + rows], np.arange(1 << low))
+    for high, low in code_blocks(instance.n, instance.m, _CHUNK):
+        grid = objective_grid(instance, high, low)
         idx = int(np.argmax(grid))
         if grid.flat[idx] > best_value:
-            best_value, best_code = float(grid.flat[idx]), (start << low) + idx
+            best_value, best_code = float(grid.flat[idx]), int(high[0]) + idx
     bits = [(best_code >> v) & 1 for v in range(instance.n)]
     return int(instance.m / 2.0 + best_value), Assignment(bits)

@@ -88,6 +88,18 @@ def dumb_clause_term(instance, clause_index, gamma):
     return (d / 8.0) * total / (1 << q)
 
 
+def dumb_combo_histogram(q_size, forms):
+    """{(c1, c2, c3): count} over every support assignment, one at a time."""
+    counts = {}
+    for code in range(1 << q_size):
+        key = tuple(
+            sum(s * (1 - 2 * (((code >> a) ^ (code >> b)) & 1)) for a, b, s in form)
+            for form in forms
+        )
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def dumb_objective(instance, gamma):
     return math.fsum(
         dumb_clause_term(instance, j, gamma) for j in range(instance.m)

@@ -23,7 +23,7 @@ from qaoa_e3lin2.analytic import (
 )
 from qaoa_e3lin2.instance import Clause, Instance, generate_random
 
-from conftest import dumb_clause_term, dumb_objective, instances
+from conftest import dumb_clause_term, dumb_combo_histogram, dumb_objective, instances
 
 
 class TestBuildNeighborhood:
@@ -80,6 +80,17 @@ class TestHistogram:
                 tuple(int(x) for x in values[i]): int(counts[i])
                 for i in range(len(counts))
             }
+
+    @given(inst=instances(max_n=9, max_m=7))
+    @settings(max_examples=30)
+    def test_matches_spin_loop(self, inst):
+        # a reference that shares no code with the parity grid both
+        # form_value_table and combo_histogram now enumerate through
+        for j in range(inst.m):
+            nb = build_neighborhood(inst, j)
+            values, counts = combo_histogram(nb)
+            got = {tuple(int(x) for x in v): int(c) for v, c in zip(values, counts)}
+            assert got == dumb_combo_histogram(nb.q_size, nb.forms)
 
     def test_results_are_read_only(self, tiny_instance):
         values, counts = combo_histogram(build_neighborhood(tiny_instance, 0))

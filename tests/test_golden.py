@@ -1,11 +1,14 @@
-"""Byte-exact CLI outputs on a small committed instance.
+"""Byte-exact CLI outputs on two small committed instances.
 
-The files in ``tests/golden`` were written by the CLI on
-``tests/golden/demo.e3lin2`` (n=12, m=14) before the parity kernel replaced
-the per-clause loops, with ``tests/golden`` as the working directory so the
-echoed instance path is the relative ``demo.e3lin2``. A change that moves any
-emitted digit, including the 1e-16 ``difference`` of the statevector
-comparison, fails here.
+The files in ``tests/golden`` were written by the CLI with ``tests/golden``
+as the working directory, so the echoed instance path is relative. The
+``eval_sv*`` and ``sample*`` files come from ``demo.e3lin2`` (n=12, m=14,
+supports up to q=9), written before the parity kernel replaced the
+per-clause loops; the ``entangled_*`` files come from ``entangled.e3lin2``
+(``gen -n 24 -m 36 -D 5 --seed 1``: every clause's support entangled, up to
+q=18), written before the neighborhood histograms moved onto the parity
+grid. A change that moves any emitted digit, including the 1e-16
+``difference`` of the statevector comparison, fails here.
 """
 
 from pathlib import Path
@@ -17,6 +20,7 @@ from qaoa_e3lin2.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLE = ["sample", "demo.e3lin2", "--gamma", "0.2", "--samples", "200"]
+ENTANGLED_EVAL = ["eval", "entangled.e3lin2", "--gamma", "0.2"]
 
 CASES = {
     "eval_sv.json": ["eval", "demo.e3lin2", "--gamma", "0.2", "--compare-statevector"],
@@ -25,6 +29,12 @@ CASES = {
     "sample_seed0.csv": SAMPLE + ["--seed", "0", "--format", "csv"],
     "sample_seed5.json": SAMPLE + ["--seed", "5"],
     "sample_seed5.csv": SAMPLE + ["--seed", "5", "--format", "csv"],
+    "entangled_eval.json": ENTANGLED_EVAL,
+    "entangled_eval.csv": ENTANGLED_EVAL + ["--format", "csv"],
+    "entangled_eval_mc.json": [
+        "eval", "entangled.e3lin2", "--gamma", "-0.45", "--mode", "mc", "--mc-samples", "2000", "--seed", "3",
+    ],
+    "entangled_scan.json": ["scan", "entangled.e3lin2", "--mode", "exact"],
 }
 
 
