@@ -31,8 +31,23 @@ the neighborhood, not on gamma, so angle scans reuse it.
 Neighborhoods are built in two steps. The sign-free topology (support, pair
 positions with the neighbor clause of each pair, cancelled clauses) depends
 only on the triples and is built once per triple collection; attaching an
-instance's signs to it yields the neighborhoods, which a scan builds once
-and evaluates at every angle of its grid.
+instance's signs to it yields a clause's neighborhood.
+
+A clause term depends on a small key only: a factorized clause's on its
+pair total P, an enumerated clause's on its q, its (c1, c2, c3) histogram
+and its focal sign d. Flipping one support spin negates the pairs that meet
+it and permutes the assignments, so the histogram is unchanged; fixing the
+signs of a spanning forest of the pair graph to +1 (the forest read from
+the pair positions alone) therefore gives gauge-canonical forms that stand
+for the histogram, and the histogram cache is keyed on them.
+:func:`compile_plan` routes every clause once, keys each non-Monte-Carlo
+clause by P or by (q, canonical forms, d), and evaluates each distinct key
+once per angle; ``math.fsum`` is correctly rounded, so W expanded from the
+distinct values is bitwise the per-clause sum. Scans compile one plan and
+evaluate it at every angle; the sign ensembles compile one plan per sign
+vector on a shared topology and evaluate each distinct key once per
+ensemble. Monte Carlo clauses keep their own neighborhood and their
+``(seed, clause_index)`` stream.
 """
 
 from __future__ import annotations
@@ -211,7 +226,7 @@ def build_neighborhood(
                 f"topology does not match the instance at clause {k}: "
                 f"{topology[k].triple} != {clauses[k].triple}"
             )
-    forms = tuple(tuple((a, b, clauses[k].sign) for a, b, k in form) for form in topo.pairs)
+    forms = tuple(tuple([(a, b, clauses[k].sign) for a, b, k in form]) for form in topo.pairs)
     return Neighborhood(
         focal_index=clause_index,
         focal=clauses[clause_index],
@@ -248,15 +263,42 @@ def form_value_table(nbhd: Neighborhood, max_q: int = 22) -> np.ndarray:
     return table
 
 
+def _gauge_fixed(q_size: int, forms) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The forms with the pairs of a spanning forest of their pair graph at sign +1.
+
+    The forest is a breadth-first search from each unvisited support
+    position in order, read from the pair positions alone, so forms that
+    differ by flips of support spins come out equal.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(q_size)]
+    for form in forms:
+        for a, b, s in form:
+            adjacency[a].append((b, s))
+            adjacency[b].append((a, s))
+    flip = [0] * q_size
+    for root in range(q_size):
+        if flip[root]:
+            continue
+        flip[root] = 1
+        queue = [root]
+        for v in queue:
+            sign = flip[v]
+            for w, s in adjacency[v]:
+                if not flip[w]:
+                    flip[w] = sign * s
+                    queue.append(w)
+    return tuple(tuple([(a, b, s * flip[a] * flip[b]) for a, b, s in form]) for form in forms)
+
+
 def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
     """Joint counts of the integer triple (c1, c2, c3) over all assignments.
 
     Returns ``(values, counts)`` where ``values`` has shape (K, 3). Counts
-    sum to 2^q. Cached on the form structure alone: the histogram does not
-    depend on gamma, the focal sign, or which clause is focal, so angle
-    scans and sign-ensemble sweeps reuse it.
+    sum to 2^q. Cached on the gauge-canonical forms: the histogram does not
+    depend on gamma, the focal sign, which clause is focal, or flips of
+    support spins, so angle scans and sign-ensemble sweeps reuse it.
     """
-    return _histogram_cached(nbhd.q_size, nbhd.forms)
+    return _histogram_cached(nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms))
 
 
 @lru_cache(maxsize=4096)
@@ -295,6 +337,27 @@ def _four_sine_bracket(gamma: float, d: int, c1, c2, c3):
     return total
 
 
+def _factorized_value(pairs_total: int, gamma: float) -> float:
+    """(1/2) sin(gamma) cos(gamma)^P: the term of a clause whose pairs are disjoint."""
+    return 0.5 * math.sin(gamma) * math.cos(gamma) ** pairs_total
+
+
+def _require_enumerable(q_size: int, q_max: int) -> None:
+    if q_size > q_max:
+        raise SupportTooLargeError(
+            f"q={q_size} exceeds exact-enumeration cap {q_max}; use clause_term_mc"
+        )
+
+
+def _enumerated_value(nbhd: Neighborhood, gamma: float) -> float:
+    """(d/8) times the four-sine bracket averaged over the support's histogram."""
+    d = nbhd.focal.sign
+    values, counts = combo_histogram(nbhd)
+    bracket = _four_sine_bracket(gamma, d, values[:, 0], values[:, 1], values[:, 2])
+    mean = float(np.dot(counts.astype(np.float64), bracket)) / float(1 << nbhd.q_size)
+    return d / 8.0 * mean
+
+
 def clause_term_exact(
     nbhd: Neighborhood, gamma: float, q_max: int | None = None
 ) -> ClauseTerm:
@@ -308,28 +371,11 @@ def clause_term_exact(
     """
     pairs_total = sum(nbhd.pair_counts)
     if nbhd.q_size == 2 * pairs_total:
-        value = 0.5 * math.sin(gamma) * math.cos(gamma) ** pairs_total
-        return ClauseTerm(
-            clause_index=nbhd.focal_index,
-            value=value,
-            method=EXACT_METHOD,
-            stderr=0.0,
-        )
-    q_max = _caps.default_q_max() if q_max is None else q_max
-    if nbhd.q_size > q_max:
-        raise SupportTooLargeError(
-            f"q={nbhd.q_size} exceeds exact-enumeration cap {q_max}; use clause_term_mc"
-        )
-    d = nbhd.focal.sign
-    values, counts = combo_histogram(nbhd)
-    bracket = _four_sine_bracket(gamma, d, values[:, 0], values[:, 1], values[:, 2])
-    mean = float(np.dot(counts.astype(np.float64), bracket)) / float(1 << nbhd.q_size)
-    return ClauseTerm(
-        clause_index=nbhd.focal_index,
-        value=d / 8.0 * mean,
-        method=EXACT_METHOD,
-        stderr=0.0,
-    )
+        value = _factorized_value(pairs_total, gamma)
+    else:
+        _require_enumerable(nbhd.q_size, _caps.default_q_max() if q_max is None else q_max)
+        value = _enumerated_value(nbhd, gamma)
+    return ClauseTerm(clause_index=nbhd.focal_index, value=value, method=EXACT_METHOD, stderr=0.0)
 
 
 def clause_term_mc(
@@ -367,6 +413,130 @@ def clause_term_mc(
     )
 
 
+@dataclass(frozen=True)
+class EvaluationPlan:
+    """Each clause's route, and the distinct clause terms W is assembled from.
+
+    ``keys`` are the distinct keys of the exact clause terms: the pair
+    total ``P`` of a factorized clause, ``(q, gauge-canonical forms, d)`` of
+    an enumerated one. ``terms[i]`` evaluates ``keys[i]``: ``P`` itself, or
+    the neighborhood of the first clause with that key. ``key_of[j]`` is
+    clause j's index into ``keys``, or -1 when the clause takes Monte Carlo;
+    ``mc`` holds those clauses' own neighborhoods in clause order.
+    """
+
+    instance: Instance
+    mode: str
+    keys: tuple
+    terms: tuple[int | Neighborhood, ...]
+    key_of: tuple[int, ...]
+    mc: tuple[Neighborhood, ...]
+
+    def key_value(self, i: int, gamma: float) -> float:
+        """The clause term of ``keys[i]`` at ``gamma``."""
+        term = self.terms[i]
+        if isinstance(term, int):
+            return _factorized_value(term, gamma)
+        return _enumerated_value(term, gamma)
+
+    def _key_values(self, gamma: float, memo: dict) -> list[float]:
+        for i, key in enumerate(self.keys):
+            if key not in memo:
+                memo[key] = self.key_value(i, gamma)
+        return [memo[key] for key in self.keys]
+
+    def _mc_terms(self, gamma: float, mc_samples: int, seed: int) -> list[ClauseTerm]:
+        return [
+            clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, nbhd.focal_index])
+            for nbhd in self.mc
+        ]
+
+    def total(
+        self,
+        gamma: float,
+        mc_samples: int = 100_000,
+        seed: int = 0,
+        memo: dict | None = None,
+    ) -> tuple[float, float]:
+        """(W(gamma), its standard error) without per-clause terms.
+
+        ``memo`` maps keys to their values at this same ``gamma``; keys it
+        lacks are evaluated and added, so plans of one triple collection
+        share their values through it.
+        """
+        values = self._key_values(gamma, {} if memo is None else memo)
+        mc = self._mc_terms(gamma, mc_samples, seed)
+        exact = [values[i] for i in self.key_of if i >= 0]
+        total = math.fsum(exact + [t.value for t in mc])
+        return total, math.sqrt(math.fsum(t.stderr**2 for t in mc))
+
+    def evaluate(self, gamma: float, mc_samples: int = 100_000, seed: int = 0) -> ExpectationReport:
+        """The full report: one :class:`ClauseTerm` per clause, in order."""
+        values = self._key_values(gamma, {})
+        mc = iter(self._mc_terms(gamma, mc_samples, seed))
+        terms = tuple(
+            next(mc) if i < 0 else ClauseTerm(j, values[i], EXACT_METHOD)
+            for j, i in enumerate(self.key_of)
+        )
+        return ExpectationReport(
+            n=self.instance.n,
+            m=self.instance.m,
+            d_bound=self.instance.d_bound,
+            gamma=gamma,
+            mode=self.mode,
+            total=math.fsum(t.value for t in terms),
+            stderr=math.sqrt(math.fsum(t.stderr**2 for t in terms)),
+            terms=terms,
+        )
+
+
+def compile_plan(
+    instance: Instance,
+    mode: str = "auto",
+    q_max: int | None = None,
+    topology: Sequence[ClauseTopology] | None = None,
+) -> EvaluationPlan:
+    """Route every clause and key its term, once for all angles.
+
+    ``mode`` is one of ``exact`` (fail when a support is too large),
+    ``auto`` (exact where the support fits under ``q_max`` or the term
+    factorizes through disjoint pairs, Monte Carlo elsewhere) or ``mc``
+    (Monte Carlo everywhere). A factorized clause (q = 2P) needs no
+    neighborhood. ``topology`` is :func:`neighborhood_topology` of any
+    instance with the same triples, built here when omitted; one of other
+    triples or of another length raises ``ValueError``.
+    """
+    if mode not in ("exact", "auto", "mc"):
+        raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
+    q_cap = _caps.default_q_max() if q_max is None else q_max
+    if topology is None:
+        topology = neighborhood_topology(instance)
+    elif tuple(topo.triple for topo in topology) != instance.triples():
+        raise ValueError("topology does not match the instance's triples")
+    index: dict = {}
+    terms: list[int | Neighborhood] = []
+    key_of: list[int] = []
+    mc: list[Neighborhood] = []
+    for j, topo in enumerate(topology):
+        pairs_total = sum(map(len, topo.pairs))
+        if mode != "mc" and len(topo.support) == 2 * pairs_total:
+            key = term = pairs_total
+        else:
+            term = build_neighborhood(instance, j, topology)
+            q_size = term.q_size
+            if mode == "mc" or (mode == "auto" and q_size > q_cap):
+                mc.append(term)
+                key_of.append(-1)
+                continue
+            _require_enumerable(q_size, q_cap)
+            key = (q_size, _gauge_fixed(q_size, term.forms), term.focal.sign)
+        i = index.setdefault(key, len(terms))
+        if i == len(terms):
+            terms.append(term)
+        key_of.append(i)
+    return EvaluationPlan(instance, mode, tuple(index), tuple(terms), tuple(key_of), tuple(mc))
+
+
 def objective_expectation(
     instance: Instance,
     gamma: float,
@@ -374,56 +544,13 @@ def objective_expectation(
     q_max: int | None = None,
     mc_samples: int = 100_000,
     seed: int = 0,
-    neighborhoods: Sequence[Neighborhood] | None = None,
 ) -> ExpectationReport:
     """W(gamma): the sum of all clause terms at mixing angle pi/4.
 
-    ``mode`` is one of ``exact`` (fail when a support is too large),
-    ``auto`` (exact where the support fits under ``q_max`` or the term
-    factorizes through disjoint pairs, Monte Carlo elsewhere) or ``mc``
-    (Monte Carlo everywhere). Monte Carlo draws are seeded per clause from
-    ``(seed, clause_index)``.
-
-    ``neighborhoods``, one per clause in order, are the instance's own
-    :func:`build_neighborhood` results, built once and shared by the angles
-    of a scan; they are built here when omitted. A sequence whose focal
-    clauses differ from the instance's clauses raises ``ValueError``.
+    ``mode`` and ``q_max`` route the clauses as in :func:`compile_plan`.
+    Monte Carlo draws are seeded per clause from ``(seed, clause_index)``.
     """
-    if mode not in ("exact", "auto", "mc"):
-        raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
-    q_cap = _caps.default_q_max() if q_max is None else q_max
-    if neighborhoods is None:
-        topology = neighborhood_topology(instance)
-        neighborhoods = (build_neighborhood(instance, j, topology) for j in range(instance.m))
-    elif len(neighborhoods) != instance.m or any(
-        nbhd.focal_index != j or nbhd.focal != clause
-        for j, (nbhd, clause) in enumerate(zip(neighborhoods, instance.clauses))
-    ):
-        raise ValueError("neighborhoods do not match the instance's clauses")
-    terms: list[ClauseTerm] = []
-    for j, nbhd in enumerate(neighborhoods):
-        if mode == "mc":
-            terms.append(clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, j]))
-        elif mode == "exact":
-            terms.append(clause_term_exact(nbhd, gamma, q_max=q_cap))
-        else:
-            factorizes = nbhd.q_size == 2 * sum(nbhd.pair_counts)
-            if factorizes or nbhd.q_size <= q_cap:
-                terms.append(clause_term_exact(nbhd, gamma, q_max=q_cap))
-            else:
-                terms.append(clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, j]))
-    total = math.fsum(t.value for t in terms)
-    stderr = math.sqrt(math.fsum(t.stderr**2 for t in terms))
-    return ExpectationReport(
-        n=instance.n,
-        m=instance.m,
-        d_bound=instance.d_bound,
-        gamma=gamma,
-        mode=mode,
-        total=total,
-        stderr=stderr,
-        terms=tuple(terms),
-    )
+    return compile_plan(instance, mode, q_max).evaluate(gamma, mc_samples, seed)
 
 
 def _cell_weights(nbhd: Neighborhood, q_max: int | None) -> tuple[np.ndarray, np.ndarray]:

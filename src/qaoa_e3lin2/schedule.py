@@ -24,12 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    ExpectationReport,
-    build_neighborhood,
-    neighborhood_topology,
-    objective_expectation,
-)
+from .analytic import compile_plan
 from .instance import Instance
 
 #: Slack allowed when checking the Chebyshev node inequality numerically.
@@ -193,30 +188,20 @@ def scan(
 
     The default schedule uses the instance's derived occurrence bound
     (floored at 1 so isolated-clause instances still get a grid). The
-    neighborhoods do not depend on gamma, so they are built once and shared
-    by every angle of the grid.
+    clause routes and term keys do not depend on gamma, so one plan is
+    compiled and each angle evaluates its distinct terms once.
     """
     if schedule is None:
         schedule = make_schedule(max(1, instance.d_bound))
-    topology = neighborhood_topology(instance)
-    neighborhoods = tuple(build_neighborhood(instance, j, topology) for j in range(instance.m))
-    del topology
+    plan = compile_plan(instance, mode=mode, q_max=q_max)
     points: list[ScanPoint] = []
     best: tuple[int, int, float] | None = None
     for r, gamma in enumerate(schedule.gammas):
-        report: ExpectationReport = objective_expectation(
-            instance,
-            gamma,
-            mode=mode,
-            q_max=q_max,
-            mc_samples=mc_samples,
-            seed=seed,
-            neighborhoods=neighborhoods,
-        )
-        points.append(ScanPoint(r=r, gamma=gamma, value=report.total, stderr=report.stderr))
-        sign = 1 if report.total >= 0 else -1
-        if best is None or abs(report.total) > best[2]:
-            best = (r, sign, abs(report.total))
+        total, stderr = plan.total(gamma, mc_samples=mc_samples, seed=seed)
+        points.append(ScanPoint(r=r, gamma=gamma, value=total, stderr=stderr))
+        sign = 1 if total >= 0 else -1
+        if best is None or abs(total) > best[2]:
+            best = (r, sign, abs(total))
     best_r, best_sign, best_value = best
     return ScanResult(
         schedule=schedule,

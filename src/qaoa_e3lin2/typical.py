@@ -28,12 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    ClauseTopology,
-    build_neighborhood,
-    neighborhood_topology,
-    objective_expectation,
-)
+from .analytic import build_neighborhood, compile_plan, neighborhood_topology
 from .instance import Clause, Instance, resample_signs, with_signs
 
 EXHAUSTIVE_MAX_M = 20
@@ -136,21 +131,6 @@ def _assemble(
     )
 
 
-def _signed_w(
-    instance: Instance,
-    topology: Sequence[ClauseTopology],
-    gamma: float,
-    mode: str,
-    q_max: int | None,
-) -> float:
-    """W(gamma) for one sign vector, its neighborhoods built on the shared topology."""
-    neighborhoods = [build_neighborhood(instance, j, topology) for j in range(instance.m)]
-    report = objective_expectation(
-        instance, gamma, mode=mode, q_max=q_max, neighborhoods=neighborhoods
-    )
-    return report.total
-
-
 def ensemble_mean_exhaustive(
     triples: Sequence[tuple[int, int, int]],
     gamma: float,
@@ -160,17 +140,20 @@ def ensemble_mean_exhaustive(
     """Average W(gamma) over every one of the 2^m sign assignments.
 
     Exact: the returned variance is the full-ensemble population variance
-    and stderr is 0. Refuses m > 20.
+    and stderr is 0. Refuses m > 20. Each sign vector compiles a plan on
+    one shared topology, and each distinct clause term is evaluated once.
     """
     base = base_instance(triples, n=n)
     m = base.m
     if m > EXHAUSTIVE_MAX_M:
         raise ValueError(f"m={m} too large for exhaustive ensemble (max {EXHAUSTIVE_MAX_M})")
     topology = neighborhood_topology(base)
+    memo: dict = {}
     values = []
     for code in range(1 << m):
         rhs = [(code >> j) & 1 for j in range(m)]
-        values.append(_signed_w(with_signs(base, rhs), topology, gamma, "exact", q_max))
+        plan = compile_plan(with_signs(base, rhs), "exact", q_max, topology)
+        values.append(plan.total(gamma, memo=memo)[0])
     size = float(1 << m)
     mean = math.fsum(values) / size
     variance = math.fsum((v - mean) ** 2 for v in values) / size
@@ -185,15 +168,20 @@ def ensemble_mean_mc(
     n: int | None = None,
     q_max: int | None = None,
 ) -> EnsembleReport:
-    """Monte Carlo over sign assignments, one seeded draw per trial."""
+    """Monte Carlo over sign assignments, one seeded draw per trial.
+
+    Plans share their distinct exact clause terms as in the exhaustive
+    mean; a Monte Carlo clause term is drawn afresh for every trial.
+    """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     base = base_instance(triples, n=n)
     topology = neighborhood_topology(base)
+    memo: dict = {}
     values = np.empty(trials, dtype=np.float64)
     for t in range(trials):
-        inst = resample_signs(base, seed=[seed, t])
-        values[t] = _signed_w(inst, topology, gamma, "auto", q_max)
+        plan = compile_plan(resample_signs(base, seed=[seed, t]), "auto", q_max, topology)
+        values[t] = plan.total(gamma, memo=memo)[0]
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)

@@ -7,7 +7,11 @@ supports up to q=9), written before the parity kernel replaced the
 per-clause loops; the ``entangled_*`` files come from ``entangled.e3lin2``
 (``gen -n 24 -m 36 -D 5 --seed 1``: every clause's support entangled, up to
 q=18), written before the neighborhood histograms moved onto the parity
-grid. A change that moves any emitted digit, including the 1e-16
+grid. The ``*_scan*``, ``*_mixed*`` and ``*_typical*`` files, and
+``ensemble10.e3lin2`` (``gen -n 10 -m 10 -D 3 --seed 1``, all 2^10 sign
+vectors), were written before the evaluation plan replaced the per-clause
+loop of scans and sign ensembles; the ``--q-max 12`` ones mix enumerated
+and Monte Carlo clauses. A change that moves any emitted digit, including the 1e-16
 ``difference`` of the statevector comparison, fails here.
 """
 
@@ -21,6 +25,7 @@ from qaoa_e3lin2.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLE = ["sample", "demo.e3lin2", "--gamma", "0.2", "--samples", "200"]
 ENTANGLED_EVAL = ["eval", "entangled.e3lin2", "--gamma", "0.2"]
+ENSEMBLE10_TYPICAL = ["typical", "ensemble10.e3lin2", "--trials", "0", "--gamma", "0.3"]
 
 CASES = {
     "eval_sv.json": ["eval", "demo.e3lin2", "--gamma", "0.2", "--compare-statevector"],
@@ -35,6 +40,18 @@ CASES = {
         "eval", "entangled.e3lin2", "--gamma", "-0.45", "--mode", "mc", "--mc-samples", "2000", "--seed", "3",
     ],
     "entangled_scan.json": ["scan", "entangled.e3lin2", "--mode", "exact"],
+    "demo_scan.json": ["scan", "demo.e3lin2"],
+    "entangled_scan_mixed.json": [
+        "scan", "entangled.e3lin2", "--q-max", "12", "--mc-samples", "2000", "--seed", "4",
+    ],
+    "entangled_eval_mixed.csv": [
+        "eval", "entangled.e3lin2", "--gamma", "0.3", "--q-max", "12", "--mc-samples", "2000",
+        "--seed", "4", "--format", "csv",
+    ],
+    "ensemble10_typical.json": ENSEMBLE10_TYPICAL,
+    "ensemble10_typical.csv": ENSEMBLE10_TYPICAL + ["--format", "csv"],
+    "entangled_typical.json": ["typical", "entangled.e3lin2", "--trials", "20", "--seed", "4"],
+    "demo_typical.json": ["typical", "demo.e3lin2", "--trials", "200", "--seed", "1"],
 }
 
 

@@ -1,0 +1,314 @@
+"""The evaluation plan against the per-clause loop it replaced.
+
+``reference_report`` is the routing loop ``objective_expectation`` ran
+before it compiled a plan: a fresh neighborhood for every clause and one
+``clause_term_exact`` / ``clause_term_mc`` call per clause. The plan keys
+each exact clause term (pair total P, or gauge-canonical forms and focal
+sign) and evaluates every distinct key once; ``math.fsum`` is correctly
+rounded, so every term, total and stderr must come out equal (``==``).
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qaoa_e3lin2 import _caps, analytic
+from qaoa_e3lin2.analytic import (
+    EvaluationPlan,
+    ExpectationReport,
+    SupportTooLargeError,
+    _gauge_fixed,
+    build_neighborhood,
+    clause_term_exact,
+    clause_term_mc,
+    combo_histogram,
+    compile_plan,
+    neighborhood_topology,
+    objective_expectation,
+)
+from qaoa_e3lin2.instance import Clause, Instance, generate_random, resample_signs, with_signs
+from qaoa_e3lin2.schedule import make_schedule, scan
+from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
+
+from conftest import dumb_combo_histogram, instances
+from test_histogram_kernel import ENTANGLED, assert_same, loop_histogram
+from test_topology import OCTET
+
+GAMMAS = (0.37, -0.21, 1.3)
+
+
+def reference_report(instance, gamma, mode="auto", q_max=None, mc_samples=100_000, seed=0):
+    q_cap = _caps.default_q_max() if q_max is None else q_max
+    terms = []
+    for j in range(instance.m):
+        nbhd = build_neighborhood(instance, j)
+        if mode == "mc":
+            terms.append(clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, j]))
+        elif mode == "exact":
+            terms.append(clause_term_exact(nbhd, gamma, q_max=q_cap))
+        else:
+            factorizes = nbhd.q_size == 2 * sum(nbhd.pair_counts)
+            if factorizes or nbhd.q_size <= q_cap:
+                terms.append(clause_term_exact(nbhd, gamma, q_max=q_cap))
+            else:
+                terms.append(clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, j]))
+    return ExpectationReport(
+        n=instance.n,
+        m=instance.m,
+        d_bound=instance.d_bound,
+        gamma=gamma,
+        mode=mode,
+        total=math.fsum(t.value for t in terms),
+        stderr=math.sqrt(math.fsum(t.stderr**2 for t in terms)),
+        terms=tuple(terms),
+    )
+
+
+def assert_matches_reference(instance, **kwargs):
+    for gamma in GAMMAS:
+        got = objective_expectation(instance, gamma, **kwargs)
+        want = reference_report(instance, gamma, **kwargs)
+        assert got.terms == want.terms
+        assert (got.total, got.stderr) == (want.total, want.stderr)
+        assert got == want
+
+
+def flip_spin(forms, v):
+    """The forms after the support spin at position v is negated."""
+    return tuple(tuple((a, b, -s if v in (a, b) else s) for a, b, s in form) for form in forms)
+
+
+def all_neighborhoods(instance):
+    topology = neighborhood_topology(instance)
+    return [build_neighborhood(instance, j, topology) for j in range(instance.m)]
+
+
+class TestPlanMatchesReference:
+    @given(inst=instances(max_n=10, max_m=9))
+    @settings(max_examples=40)
+    def test_exact_mode(self, inst):
+        assert_matches_reference(inst, mode="exact")
+
+    @given(inst=instances(max_n=10, max_m=9))
+    @settings(max_examples=40)
+    def test_auto_mode(self, inst):
+        assert_matches_reference(inst, mode="auto")
+
+    @given(inst=instances(max_n=9, max_m=7), seed=st.integers(0, 5))
+    @settings(max_examples=25)
+    def test_mc_mode(self, inst, seed):
+        assert_matches_reference(inst, mode="mc", mc_samples=300, seed=seed)
+
+    @given(inst=instances(max_n=10, max_m=9), q_max=st.integers(0, 5), seed=st.integers(0, 5))
+    @settings(max_examples=60)
+    def test_auto_mode_with_routes_mixed(self, inst, q_max, seed):
+        assert_matches_reference(inst, mode="auto", q_max=q_max, mc_samples=300, seed=seed)
+
+    def test_entangled_instance_mixes_every_route(self):
+        plan = compile_plan(ENTANGLED, q_max=12)
+        assert plan.mc and any(i >= 0 for i in plan.key_of)
+        assert_matches_reference(ENTANGLED, q_max=12, mc_samples=500, seed=4)
+
+    def test_focal_sign_splits_a_key(self):
+        # two variable-disjoint octets, equal but for the sign of their first clause
+        rhs = [1, 0, 0, 1, 1, 0, 1, 0]
+        clauses = [Clause(*t, r) for t, r in zip(OCTET, rhs)]
+        clauses += [Clause(a + 8, b + 8, c + 8, r) for (a, b, c), r in zip(OCTET, [0] + rhs[1:])]
+        inst = Instance(n=16, clauses=tuple(clauses))
+        plan = compile_plan(inst)
+        first, twin = plan.keys[plan.key_of[0]], plan.keys[plan.key_of[8]]
+        assert first[:2] == twin[:2] and first[2] == -twin[2]
+        assert_matches_reference(inst)
+
+    def test_factorized_and_enumerated_keys_mix(self):
+        inst = generate_random(n=60, m=40, d_bound=3, seed=2)
+        plan = compile_plan(inst)
+        kinds = {type(key) for key in plan.keys}
+        assert kinds == {int, tuple}
+        assert len(plan.keys) < inst.m and not plan.mc
+        assert_matches_reference(inst)
+
+    @given(inst=instances(max_n=10, max_m=9), q_max=st.integers(0, 5))
+    @settings(max_examples=25)
+    def test_scan_points_match_reference(self, inst, q_max):
+        result = scan(inst, q_max=q_max, mc_samples=200, seed=1)
+        sched = make_schedule(max(1, inst.d_bound))
+        reports = [reference_report(inst, g, q_max=q_max, mc_samples=200, seed=1) for g in sched.gammas]
+        assert [(p.value, p.stderr) for p in result.points] == [(r.total, r.stderr) for r in reports]
+
+
+class TestRefusals:
+    def test_exact_mode_refuses_at_the_first_clause_over_the_cap(self):
+        topology = neighborhood_topology(ENTANGLED)
+        first = next(
+            len(t.support) for t in topology if 12 < len(t.support) < 2 * sum(map(len, t.pairs))
+        )
+        with pytest.raises(SupportTooLargeError) as want:
+            reference_report(ENTANGLED, 0.3, mode="exact", q_max=12)
+        with pytest.raises(SupportTooLargeError) as got:
+            objective_expectation(ENTANGLED, 0.3, mode="exact", q_max=12)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"q={first} exceeds exact-enumeration cap 12; use clause_term_mc"
+        with pytest.raises(SupportTooLargeError, match=str(want.value)):
+            compile_plan(ENTANGLED, "exact", 12)
+
+    def test_unknown_mode(self, tiny_instance):
+        with pytest.raises(ValueError, match="mode"):
+            compile_plan(tiny_instance, "fast")
+
+    def test_topology_of_other_triples(self):
+        inst = generate_random(n=8, m=8, d_bound=4, seed=1)
+        other = Instance(n=inst.n, clauses=inst.clauses[1:] + inst.clauses[:1])
+        with pytest.raises(ValueError, match="topology"):
+            compile_plan(inst, topology=neighborhood_topology(other))
+
+    def test_topology_of_other_length(self, tiny_instance):
+        shorter = Instance(n=tiny_instance.n, clauses=tiny_instance.clauses[:-1])
+        with pytest.raises(ValueError, match="topology"):
+            compile_plan(shorter, topology=neighborhood_topology(tiny_instance))
+        with pytest.raises(ValueError, match="topology"):
+            compile_plan(tiny_instance, topology=neighborhood_topology(shorter))
+
+
+class TestGaugeCanonicalForms:
+    @given(inst=instances(max_n=10, max_m=9))
+    @settings(max_examples=50)
+    def test_flipping_any_support_spin_leaves_them_unchanged(self, inst):
+        for nbhd in all_neighborhoods(inst):
+            canonical = _gauge_fixed(nbhd.q_size, nbhd.forms)
+            for v in range(nbhd.q_size):
+                assert _gauge_fixed(nbhd.q_size, flip_spin(nbhd.forms, v)) == canonical
+
+    @given(inst=instances(max_n=10, max_m=9))
+    @settings(max_examples=50)
+    def test_they_are_a_gauge_transform_of_the_raw_forms(self, inst):
+        for nbhd in all_neighborhoods(inst):
+            canonical = _gauge_fixed(nbhd.q_size, nbhd.forms)
+            assert [[(a, b) for a, b, _ in f] for f in canonical] == [
+                [(a, b) for a, b, _ in f] for f in nbhd.forms
+            ]
+            assert dumb_combo_histogram(nbhd.q_size, canonical) == dumb_combo_histogram(
+                nbhd.q_size, nbhd.forms
+            )
+
+    def test_spanning_forest_pairs_are_positive(self):
+        # a path 0-1-2 plus a triangle 3-4-5: five forest pairs, one closing pair
+        forms = (((0, 1, -1), (3, 4, -1)), ((1, 2, -1), (4, 5, 1)), ((3, 5, -1),))
+        assert _gauge_fixed(6, forms) == (((0, 1, 1), (3, 4, 1)), ((1, 2, 1), (4, 5, 1)), ((3, 5, 1),))
+        # the search from position 0 takes 0-1 and 0-2; 1-2 carries the cycle's sign
+        odd_cycle = (((0, 1, -1),), ((1, 2, 1),), ((0, 2, 1),))
+        assert _gauge_fixed(3, odd_cycle) == (((0, 1, 1),), ((1, 2, -1),), ((0, 2, 1),))
+
+    @pytest.mark.parametrize("triples", [OCTET, ENTANGLED.triples()[:12]])
+    def test_histograms_equal_the_loop_on_raw_forms(self, triples):
+        base = base_instance(triples)
+        analytic._histogram_cached.cache_clear()
+        for t in range(12):
+            for nbhd in all_neighborhoods(resample_signs(base, seed=[5, t])):
+                assert_same(combo_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
+        # sign vectors share histograms through their canonical forms
+        info = analytic._histogram_cached.cache_info()
+        assert info.hits > 0 and info.currsize < 12 * base.m
+
+    def test_raw_forms_of_one_gauge_class_share_one_cache_entry(self):
+        nbhd = max(all_neighborhoods(ENTANGLED), key=lambda nb: nb.q_size)
+        analytic._histogram_cached.cache_clear()
+        first = combo_histogram(nbhd)
+        for v in range(nbhd.q_size):
+            forms = flip_spin(nbhd.forms, v)
+            assert forms != nbhd.forms
+            assert_same(loop_histogram(nbhd.q_size, forms), first)
+            hist = analytic._histogram_cached(nbhd.q_size, _gauge_fixed(nbhd.q_size, forms))
+            assert hist[0] is first[0] and hist[1] is first[1]
+        assert analytic._histogram_cached.cache_info().currsize == 1
+
+
+class TestPlanShape:
+    def test_factorized_clauses_need_no_neighborhood(self, monkeypatch):
+        inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
+        calls = []
+        real = analytic.build_neighborhood
+        monkeypatch.setattr(
+            analytic, "build_neighborhood", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        plan = compile_plan(inst)
+        assert calls == [] and not plan.mc
+        assert all(isinstance(key, int) for key in plan.keys)
+        assert sorted(set(plan.key_of)) == list(range(len(plan.keys)))
+
+    def test_monte_carlo_clauses_keep_their_own_neighborhood(self):
+        inst = with_signs(ENTANGLED, [j % 2 for j in range(ENTANGLED.m)])
+        for mode, q_max in (("mc", None), ("auto", 12)):
+            plan = compile_plan(inst, mode, q_max)
+            mc_clauses = [j for j, i in enumerate(plan.key_of) if i < 0]
+            assert [nb.focal_index for nb in plan.mc] == mc_clauses
+            assert list(plan.mc) == [build_neighborhood(inst, j) for j in mc_clauses]
+        assert len(compile_plan(inst, "mc").mc) == inst.m
+
+    def test_each_key_is_evaluated_once_per_scan_angle(self, monkeypatch):
+        inst = generate_random(n=60, m=40, d_bound=3, seed=2)
+        calls = []
+        real = EvaluationPlan.key_value
+        monkeypatch.setattr(
+            EvaluationPlan, "key_value", lambda self, i, g: calls.append((i, g)) or real(self, i, g)
+        )
+        result = scan(inst)
+        keys = len(compile_plan(inst).keys)
+        assert sorted(calls) == sorted((i, g) for g in result.schedule.gammas for i in range(keys))
+
+    def test_scan_builds_no_clause_terms(self, monkeypatch):
+        inst = generate_random(n=60, m=40, d_bound=3, seed=2)
+        want = [objective_expectation(inst, g).total for g in make_schedule(inst.d_bound).gammas]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan built a ClauseTerm")
+
+        monkeypatch.setattr(analytic, "ClauseTerm", refuse)
+        assert [p.value for p in scan(inst).points] == want
+
+    def test_evaluate_is_objective_expectation(self):
+        inst = with_signs(ENTANGLED, [(j // 3) % 2 for j in range(ENTANGLED.m)])
+        plan = compile_plan(inst, "auto", 12)
+        for gamma in GAMMAS:
+            report = plan.evaluate(gamma, 400, 2)
+            assert report == objective_expectation(inst, gamma, q_max=12, mc_samples=400, seed=2)
+            assert plan.total(gamma, 400, 2) == (report.total, report.stderr)
+
+
+class TestEnsembleMemo:
+    def _count_key_values(self, monkeypatch):
+        calls = []
+        real = EvaluationPlan.key_value
+        monkeypatch.setattr(
+            EvaluationPlan, "key_value", lambda self, i, g: calls.append(self.keys[i]) or real(self, i, g)
+        )
+        return calls
+
+    def test_exhaustive_evaluates_each_distinct_key_once(self, monkeypatch):
+        triples = OCTET[:6]
+        base = base_instance(triples)
+        topology = neighborhood_topology(base)
+        distinct = set()
+        for code in range(1 << base.m):
+            rhs = [(code >> j) & 1 for j in range(base.m)]
+            distinct.update(compile_plan(with_signs(base, rhs), "exact", None, topology).keys)
+        calls = self._count_key_values(monkeypatch)
+        ensemble_mean_exhaustive(triples, 0.4)
+        assert len(calls) == len(set(calls)) == len(distinct) < base.m << base.m
+
+    def test_monte_carlo_evaluates_each_distinct_key_once(self, monkeypatch):
+        calls = self._count_key_values(monkeypatch)
+        ensemble_mean_mc(OCTET, 0.3, trials=30, seed=2)
+        assert len(calls) == len(set(calls)) < 30 * len(OCTET)
+
+    def test_memo_reuses_values_across_plans(self):
+        base = base_instance(OCTET)
+        memo = {}
+        for t in range(6):
+            plan = compile_plan(resample_signs(base, seed=[1, t]), "auto")
+            assert plan.total(0.3, memo=memo) == plan.total(0.3)
+        assert set(memo) >= set(plan.keys)
+        assert all(memo[key] == plan.key_value(i, 0.3) for i, key in enumerate(plan.keys))
+

@@ -1,9 +1,10 @@
-"""Neighborhoods built once per scan and topologies once per sign ensemble.
+"""One plan per scan and one topology per sign ensemble.
 
 The reference loops here take the straightforward path: a fresh
 ``objective_expectation`` per angle, and a fresh ``with_signs`` /
-``resample_signs`` instance per sign vector, each building its own
-neighborhoods. Shared construction must reproduce them exactly (``==``).
+``resample_signs`` instance per sign vector, each compiling its own plan
+from its own topology. Shared construction must reproduce them exactly
+(``==``).
 """
 
 import math
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 
 from qaoa_e3lin2 import analytic, schedule
-from qaoa_e3lin2.analytic import build_neighborhood, neighborhood_topology, objective_expectation
+from qaoa_e3lin2.analytic import (
+    build_neighborhood,
+    compile_plan,
+    neighborhood_topology,
+    objective_expectation,
+)
 from qaoa_e3lin2.instance import Clause, Instance, generate_random, resample_signs, with_signs
 from qaoa_e3lin2.schedule import make_schedule, scan
 from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
@@ -61,20 +67,27 @@ class TestScanReusesNeighborhoods:
         inst = _signed(OCTET, seed=5)
         _assert_scan_matches_reference(inst, mode="mc", mc_samples=500, seed=3)
 
-    def test_one_scan_builds_each_neighborhood_once(self, monkeypatch):
-        inst = generate_random(n=60, m=40, d_bound=3, seed=2)
-        calls = []
-        real = analytic.build_neighborhood
+    def test_factorized_scan_builds_one_topology_and_no_neighborhood(self, monkeypatch):
+        inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
+        assert all(len(t.support) == 2 * sum(map(len, t.pairs)) for t in neighborhood_topology(inst))
+        calls = {"neighborhood_topology": 0, "build_neighborhood": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args[1] if len(args) > 1 else kwargs["clause_index"])
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(analytic, name)
 
-        monkeypatch.setattr(analytic, "build_neighborhood", counting)
-        monkeypatch.setattr(schedule, "build_neighborhood", counting, raising=False)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            monkeypatch.setattr(analytic, name, wrapper)
+            monkeypatch.setattr(schedule, name, wrapper, raising=False)
         result = scan(inst)
         assert len(result.points) == result.schedule.k + 1 > 1
-        assert sorted(calls) == list(range(inst.m))
+        assert calls == {"neighborhood_topology": 1, "build_neighborhood": 0}
 
 
 class TestEnsemblesShareTopology:
@@ -108,23 +121,24 @@ class TestEnsemblesShareTopology:
 
 
 class TestMismatchRefused:
-    def test_neighborhoods_of_other_signs(self):
+    def test_plan_topology_of_other_triples(self):
         inst = _signed(OCTET, seed=6)
         flipped = with_signs(inst, [1 - cl.rhs for cl in inst.clauses])
-        nbhds = [build_neighborhood(flipped, j) for j in range(flipped.m)]
-        with pytest.raises(ValueError, match="neighborhoods"):
-            objective_expectation(inst, 0.3, neighborhoods=nbhds)
+        plan = compile_plan(inst, topology=neighborhood_topology(flipped))
+        assert plan.evaluate(0.3) == objective_expectation(inst, 0.3)
+        permuted = Instance(n=inst.n, clauses=inst.clauses[1:] + inst.clauses[:1])
+        with pytest.raises(ValueError, match="topology"):
+            compile_plan(inst, topology=neighborhood_topology(permuted))
 
-    def test_neighborhoods_of_wrong_count_or_order(self):
+    def test_plan_topology_of_wrong_count_or_order(self):
         inst = _signed(OCTET, seed=6)
-        nbhds = [build_neighborhood(inst, j) for j in range(inst.m)]
-        with pytest.raises(ValueError):
-            objective_expectation(inst, 0.3, neighborhoods=nbhds[:-1])
-        with pytest.raises(ValueError):
-            objective_expectation(inst, 0.3, neighborhoods=nbhds[::-1])
-        assert objective_expectation(inst, 0.3, neighborhoods=nbhds) == objective_expectation(
-            inst, 0.3
-        )
+        topology = neighborhood_topology(inst)
+        with pytest.raises(ValueError, match="topology"):
+            compile_plan(inst, topology=topology[:-1])
+        with pytest.raises(ValueError, match="topology"):
+            compile_plan(inst, topology=topology[::-1])
+        assert compile_plan(inst, topology=topology).evaluate(0.3) == objective_expectation(inst, 0.3)
+        assert compile_plan(inst).evaluate(0.3) == objective_expectation(inst, 0.3)
 
     def test_topology_of_other_triples(self):
         inst = _signed(OCTET, seed=7)
