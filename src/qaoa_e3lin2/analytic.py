@@ -73,6 +73,9 @@ _CHUNK = 1 << 20
 #: sines; tracemalloc measures q + 56 at q = 9 to 18).
 MC_PEAK_BYTES_PER_SAMPLE = 56
 
+#: Clause routes: every clause exact, Monte Carlo above the support cap, or all Monte Carlo.
+MODES = ("exact", "auto", "mc")
+
 EXACT_METHOD = "exact-enumeration"
 MC_METHOD = "monte-carlo"
 
@@ -243,24 +246,6 @@ def _pair_terms(forms, scales) -> tuple[np.ndarray, np.ndarray]:
         [s * scale for form, scale in zip(forms, scales) for _, _, s in form], dtype=np.float64
     )
     return terms, weights
-
-
-def form_value_table(nbhd: Neighborhood, max_q: int = 22) -> np.ndarray:
-    """Full (3, 2^q) table of form values over every support assignment.
-
-    Column j holds the forms on the assignment with spin -1 exactly at the
-    set bits of j.
-    """
-    if nbhd.q_size > max_q:
-        raise SupportTooLargeError(f"q={nbhd.q_size} exceeds table cap {max_q}")
-    table = np.empty((3, 1 << nbhd.q_size), dtype=np.int64)
-    for row, form in zip(table, nbhd.forms):
-        terms, weights = _pair_terms((form,), (1,))
-        blocks = code_blocks(nbhd.q_size, len(terms), _CHUNK)
-        row[:] = np.concatenate(
-            [parity_grid(terms, weights, nbhd.q_size, high, low).ravel() for high, low in blocks]
-        )
-    return table
 
 
 def _gauge_fixed(q_size: int, forms) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -506,7 +491,7 @@ def compile_plan(
     instance with the same triples, built here when omitted; one of other
     triples or of another length raises ``ValueError``.
     """
-    if mode not in ("exact", "auto", "mc"):
+    if mode not in MODES:
         raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
     q_cap = _caps.default_q_max() if q_max is None else q_max
     if topology is None:

@@ -9,11 +9,17 @@ All numeric output is rounded to 12 significant digits, every randomized
 command carries an explicit seed (default 0, echoed), and files are written
 atomically, so a fixed flag set reproduces byte-identical output. Exit
 codes: 0 success, 2 invalid or infeasible input, 1 anything else.
+
+Records and CSV tables come from the report dataclasses: a per-clause term,
+a scan point, the angle schedule and the guarantee are emitted as their
+fields in declaration order (``_record``, ``_table``), so the output follows
+the dataclass and no field list is copied here.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -76,10 +82,21 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _csv_row(payload: dict, skip: int) -> str:
+def _csv_row(payload: dict, skip: int = 0) -> str:
     """One-row CSV of a flat payload: its keys after the first ``skip`` and their values."""
     header = list(payload)[skip:]
     return _csv_text(header, [[payload[k] for k in header]])
+
+
+def _record(obj) -> dict:
+    """A dataclass's fields in declaration order; unlike ``asdict``, nothing is copied."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _table(cls, records) -> str:
+    """CSV with one column per field of ``cls`` and one row per record."""
+    header = [f.name for f in dataclasses.fields(cls)]
+    return _csv_text(header, [[getattr(r, k) for k in header] for r in records])
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -98,10 +115,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(fmt: str, out: str | None, payload: dict, csv_body: str | None = None) -> None:
-    if fmt == "csv" and csv_body is not None:
-        text = csv_body
-    else:
-        text = json.dumps(_clean(payload), indent=2) + "\n"
+    text = csv_body if fmt == "csv" else json.dumps(_clean(payload), indent=2) + "\n"
     if out:
         _write_atomic(out, text)
         click.echo(f"wrote {out}")
@@ -129,6 +143,19 @@ def _friendly(fn):
             raise click.UsageError(str(exc))
 
     return wrapper
+
+
+def _finite_gamma(ctx, param, value):
+    """``--gamma`` as a finite float; the word "auto" passes through."""
+    if value == "auto":
+        return value
+    try:
+        gamma = float(value)
+    except ValueError:
+        gamma = math.nan
+    if not math.isfinite(gamma):
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return gamma
 
 
 def _format_options(fn):
@@ -196,18 +223,19 @@ def cmd_gen(n, m, d_bound, sign_mode, seed, out):
         "sign_mode": sign_mode,
         "seed": seed,
     }
-    click.echo(json.dumps(_clean(payload), indent=2))
+    _emit("json", None, payload)
 
 
 @main.command(name="eval")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--gamma", type=float, required=True, help="analytic-convention angle")
 @click.option(
-    "--mode",
-    type=click.Choice(["exact", "auto", "mc"]),
-    default="auto",
-    show_default=True,
+    "--gamma",
+    type=float,
+    required=True,
+    callback=_finite_gamma,
+    help="analytic-convention angle",
 )
+@click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
 @click.option("--mc-samples", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
@@ -239,15 +267,7 @@ def cmd_eval(
         "seed": seed,
         "total": report.total,
         "stderr": report.stderr,
-        "terms": [
-            {
-                "clause_index": t.clause_index,
-                "value": t.value,
-                "method": t.method,
-                "stderr": t.stderr,
-            }
-            for t in report.terms
-        ],
+        "terms": [_record(t) for t in report.terms],
     }
     if compare_statevector:
         state = sv_prepare(inst, AngleParams(gamma=-gamma, beta=math.pi / 4), n_max=n_max)
@@ -258,21 +278,12 @@ def cmd_eval(
             "expectation": sv_value,
             "difference": abs(sv_value - report.total),
         }
-    body = _csv_text(
-        ("clause_index", "value", "method", "stderr"),
-        [(t.clause_index, t.value, t.method, t.stderr) for t in report.terms],
-    )
-    _emit(fmt, out, payload, body)
+    _emit(fmt, out, payload, _table(analytic.ClauseTerm, report.terms))
 
 
 @main.command(name="scan")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--mode",
-    type=click.Choice(["exact", "auto", "mc"]),
-    default="auto",
-    show_default=True,
-)
+@click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
 @click.option("--mc-samples", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
@@ -281,9 +292,7 @@ def cmd_eval(
 def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     """Evaluate the full gamma grid and report the best node plus bounds."""
     inst = _load_instance(instance_path)
-    result = schedule.scan(
-        inst, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
-    )
+    result = schedule.scan(inst, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed)
     report = schedule.guarantee(inst.m, result.schedule.d_bound)
     payload = {
         "command": "scan",
@@ -294,37 +303,17 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
         "mode": mode,
         "mc_samples": mc_samples,
         "seed": seed,
-        "schedule": {
-            "d_bound": result.schedule.d_bound,
-            "k": result.schedule.k,
-            "gammas": list(result.schedule.gammas),
-        },
-        "curve": [
-            {"r": p.r, "gamma": p.gamma, "value": p.value, "stderr": p.stderr}
-            for p in result.points
-        ],
+        "schedule": _record(result.schedule),
+        "curve": [_record(p) for p in result.points],
         "best": {
             "r": result.best_r,
             "sign": result.best_sign,
             "gamma": result.best_gamma,
             "value": result.best_value,
         },
-        "guarantee": {
-            "m": report.m,
-            "d_bound": report.d_bound,
-            "k": report.k,
-            "grid_bound": report.grid_bound,
-            "grid_bound_vacuous": report.grid_bound_vacuous,
-            "asymptotic_bound": report.asymptotic_bound,
-            "asymptotic_note": report.asymptotic_note,
-            "remainder_per_clause": report.remainder_per_clause,
-        },
+        "guarantee": _record(report),
     }
-    body = _csv_text(
-        ("r", "gamma", "value", "stderr"),
-        [(p.r, p.gamma, p.value, p.stderr) for p in result.points],
-    )
-    _emit(fmt, out, payload, body)
+    _emit(fmt, out, payload, _table(schedule.ScanPoint, result.points))
 
 
 @main.command(name="sample")
@@ -376,6 +365,7 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     "--gamma",
     default="auto",
     show_default=True,
+    callback=_finite_gamma,
     help='angle, or "auto" for 1/sqrt(3 D) at the derived occurrence bound',
 )
 @click.option(
@@ -392,11 +382,7 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
 def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
     """Sign-ensemble mean of W over the instance's triple collection."""
     inst = _load_instance(instance_path)
-    g = (
-        typical.optimal_gamma_typical(max(1, inst.d_bound))
-        if gamma == "auto"
-        else float(gamma)
-    )
+    g = typical.optimal_gamma_typical(max(1, inst.d_bound)) if gamma == "auto" else gamma
     if trials == 0:
         rep = typical.ensemble_mean_exhaustive(inst.triples(), g, n=inst.n, q_max=q_max)
     else:
@@ -453,31 +439,11 @@ def cmd_bounds(m, d_bound, fmt, out):
             "predicted_satisfied": m / 2.0 + advantage,
         },
     }
-    header = (
-        "m",
-        "d_bound",
-        "k",
-        "grid_bound",
-        "grid_bound_vacuous",
-        "remainder_per_clause",
-        "asymptotic_bound",
-        "typical_gamma",
-        "typical_advantage",
-        "typical_predicted_satisfied",
-    )
-    row = (
-        m,
-        d_bound,
-        report.k,
-        report.grid_bound,
-        report.grid_bound_vacuous,
-        report.remainder_per_clause,
-        report.asymptotic_bound,
-        t_gamma,
-        advantage,
-        m / 2.0 + advantage,
-    )
-    _emit(fmt, out, payload, _csv_text(header, [row]))
+    # one CSV row: the payload flattened without its text fields, typical keys prefixed
+    cells = {k: v for k, v in payload.items() if not isinstance(v, (str, dict))}
+    for block, prefix in (("worst_case", ""), ("typical", "typical_")):
+        cells.update({prefix + k: v for k, v in payload[block].items() if not isinstance(v, str)})
+    _emit(fmt, out, payload, _csv_row(cells))
 
 
 if __name__ == "__main__":

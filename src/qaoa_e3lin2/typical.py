@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import build_neighborhood, compile_plan, neighborhood_topology
+from .analytic import _factorized_value, compile_plan, neighborhood_topology
 from .instance import Clause, Instance, resample_signs, with_signs
 
 EXHAUSTIVE_MAX_M = 20
@@ -78,17 +78,22 @@ def base_instance(triples: Sequence[tuple[int, int, int]], n: int | None = None)
 
 
 def clause_mean_closed_form(nbhd, gamma: float) -> float:
-    """Sign-ensemble mean of one clause term; depends only on pair counts."""
-    p1, p2, p3 = nbhd.pair_counts
-    return 0.5 * math.sin(gamma) * math.cos(gamma) ** (p1 + p2 + p3)
+    """Sign-ensemble mean of one clause term; depends only on pair counts.
+
+    It is the factorized clause term at the clause's pair total.
+    """
+    return _factorized_value(sum(nbhd.pair_counts), gamma)
 
 
 def collection_closed_form(instance: Instance, gamma: float) -> float:
-    """Sum of the per-clause closed forms over the whole collection."""
-    topology = neighborhood_topology(instance)
+    """Sum of the per-clause closed forms over the whole collection.
+
+    The pair totals are read from the sign-free topology; no neighborhood
+    is built.
+    """
     return math.fsum(
-        clause_mean_closed_form(build_neighborhood(instance, j, topology), gamma)
-        for j in range(instance.m)
+        _factorized_value(sum(map(len, topo.pairs)), gamma)
+        for topo in neighborhood_topology(instance)
     )
 
 

@@ -1,13 +1,15 @@
 """Shared strategies and deliberately naive reference implementations.
 
-The reference functions here recompute quantities with plain Python loops
-(no numpy, no caching, no shared code paths with the package) so the tests
-compare two genuinely different routes to the same number.
+The ``dumb_*`` reference functions here recompute quantities with plain
+Python loops (no numpy, no caching, no shared code paths with the package),
+and ``loop_eval_forms`` with one numpy pass per pair, so the tests compare
+two genuinely different routes to the same number.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -98,6 +100,21 @@ def dumb_combo_histogram(q_size, forms):
         )
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def loop_eval_forms(forms, codes):
+    """(3, len(codes)) int64 values of the three forms on the given codes.
+
+    Bit i of a code set means support spin i is -1. One pass over the codes
+    per pair: the enumeration the package used before the parity grid.
+    """
+    out = np.zeros((3, codes.size), dtype=np.int64)
+    for i, form in enumerate(forms):
+        acc = out[i]
+        for a, b, s in form:
+            parity = ((codes >> a) ^ (codes >> b)) & 1
+            acc += s * (1 - 2 * parity)
+    return out
 
 
 def dumb_objective(instance, gamma):

@@ -16,14 +16,24 @@ from qaoa_e3lin2.analytic import (
     combo_abs_moment,
     combo_histogram,
     cosine_product_mean,
-    form_value_table,
     moment_checks,
     neighborhood_topology,
     objective_expectation,
 )
 from qaoa_e3lin2.instance import Clause, Instance, generate_random
 
-from conftest import dumb_clause_term, dumb_combo_histogram, dumb_objective, instances
+from conftest import (
+    dumb_clause_term,
+    dumb_combo_histogram,
+    dumb_objective,
+    instances,
+    loop_eval_forms,
+)
+
+
+def form_table(nb):
+    """(3, 2^q) form values on every support assignment, by the pair loop."""
+    return loop_eval_forms(nb.forms, np.arange(1 << nb.q_size, dtype=np.int64))
 
 
 class TestBuildNeighborhood:
@@ -70,7 +80,7 @@ class TestHistogram:
     def test_matches_full_table(self, tiny_instance):
         for j in range(tiny_instance.m):
             nb = build_neighborhood(tiny_instance, j)
-            table = form_value_table(nb)
+            table = form_table(nb)
             values, counts = combo_histogram(nb)
             seen = {}
             for col in range(table.shape[1]):
@@ -84,8 +94,8 @@ class TestHistogram:
     @given(inst=instances(max_n=9, max_m=7))
     @settings(max_examples=30)
     def test_matches_spin_loop(self, inst):
-        # a reference that shares no code with the parity grid both
-        # form_value_table and combo_histogram now enumerate through
+        # a reference that shares no code with the parity grid, which
+        # combo_histogram enumerates through
         for j in range(inst.m):
             nb = build_neighborhood(inst, j)
             values, counts = combo_histogram(nb)
@@ -321,7 +331,7 @@ class TestMoments:
         for j in range(inst.m):
             nb = build_neighborhood(inst, j)
             rep = moment_checks(nb)
-            table = form_value_table(nb)
+            table = form_table(nb)
             d = nb.focal.sign
             size = table.shape[1]
             for pattern, reported in zip(SIGN_PATTERNS, rep.combo_second_moments):
@@ -333,7 +343,7 @@ class TestMoments:
 
     def test_abs_moment_against_table(self, tiny_instance):
         nb = build_neighborhood(tiny_instance, 4)
-        table = form_value_table(nb)
+        table = form_table(nb)
         d = nb.focal.sign
         combo = d + table[0] + table[1] + table[2]
         want = float(np.mean(np.abs(combo.astype(float)) ** 5))

@@ -126,6 +126,12 @@ class TestEval:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_gamma_exits_two(self, instance_file, runner, gamma):
+        result = runner.invoke(main, ["eval", instance_file, "--gamma", gamma])
+        assert result.exit_code == 2
+        assert "Invalid value for '--gamma'" in result.output
+
     def test_mc_mode_is_seeded(self, instance_file, runner):
         args = ["eval", instance_file, "--gamma", "0.3", "--mode", "mc",
                 "--mc-samples", "400", "--seed", "7"]
@@ -223,6 +229,14 @@ class TestTypical:
         lines = result.output.strip().split("\n")
         assert len(lines) == 2
         assert lines[0].startswith("m,d_bound,gamma,method")
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("trials", ["0", "20"])
+    def test_non_finite_gamma_exits_two(self, instance_file, runner, gamma, trials):
+        args = ["typical", instance_file, "--gamma", gamma, "--trials", trials]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"Invalid value for '--gamma': '{gamma}' is not a finite number" in result.output
 
 
 class TestBounds:

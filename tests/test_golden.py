@@ -11,8 +11,13 @@ grid. The ``*_scan*``, ``*_mixed*`` and ``*_typical*`` files, and
 ``ensemble10.e3lin2`` (``gen -n 10 -m 10 -D 3 --seed 1``, all 2^10 sign
 vectors), were written before the evaluation plan replaced the per-clause
 loop of scans and sign ensembles; the ``--q-max 12`` ones mix enumerated
-and Monte Carlo clauses. A change that moves any emitted digit, including the 1e-16
-``difference`` of the statevector comparison, fails here.
+and Monte Carlo clauses. ``demo_scan.csv``, the ``bounds_*`` files
+(``bounds -m 1000 -D 4`` and ``bounds -m 7 -D 1``, where the asymptotic
+bound is null and its CSV cell empty) and ``gen_demo.json`` (the stdout of
+the ``gen`` call that wrote ``demo.e3lin2``) were written before the records
+and CSV tables came from the report dataclasses; with them every command
+and ``--format`` has a golden. A change that moves any emitted digit,
+including the 1e-16 ``difference`` of the statevector comparison, fails here.
 """
 
 from pathlib import Path
@@ -41,6 +46,7 @@ CASES = {
     ],
     "entangled_scan.json": ["scan", "entangled.e3lin2", "--mode", "exact"],
     "demo_scan.json": ["scan", "demo.e3lin2"],
+    "demo_scan.csv": ["scan", "demo.e3lin2", "--format", "csv"],
     "entangled_scan_mixed.json": [
         "scan", "entangled.e3lin2", "--q-max", "12", "--mc-samples", "2000", "--seed", "4",
     ],
@@ -52,7 +58,13 @@ CASES = {
     "ensemble10_typical.csv": ENSEMBLE10_TYPICAL + ["--format", "csv"],
     "entangled_typical.json": ["typical", "entangled.e3lin2", "--trials", "20", "--seed", "4"],
     "demo_typical.json": ["typical", "demo.e3lin2", "--trials", "200", "--seed", "1"],
+    "bounds_m1000_d4.json": ["bounds", "-m", "1000", "-D", "4"],
+    "bounds_m1000_d4.csv": ["bounds", "-m", "1000", "-D", "4", "--format", "csv"],
+    "bounds_m7_d1.json": ["bounds", "-m", "7", "-D", "1"],
+    "bounds_m7_d1.csv": ["bounds", "-m", "7", "-D", "1", "--format", "csv"],
 }
+#: Run in an empty directory: ``gen`` writes the instance it echoes.
+GEN = ["gen", "-n", "12", "-m", "14", "-D", "3", "--seed", "7", "-o", "demo.e3lin2"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -61,3 +73,25 @@ def test_output_is_byte_identical(name, monkeypatch):
     result = CliRunner().invoke(main, CASES[name])
     assert result.exit_code == 0, result.output
     assert result.output == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_gen_writes_the_golden_instance(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, GEN)
+    assert result.exit_code == 0, result.output
+    assert result.output == (GOLDEN / "gen_demo.json").read_text(encoding="utf-8")
+    assert (tmp_path / "demo.e3lin2").read_bytes() == (GOLDEN / "demo.e3lin2").read_bytes()
+
+
+def _command_and_format(argv):
+    return argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "json"
+
+
+def test_every_command_and_format_has_a_golden():
+    offered = {
+        (name, fmt)
+        for name, command in main.commands.items()
+        for fmt in next((p.type.choices for p in command.params if p.name == "fmt"), ["json"])
+    }
+    covered = {_command_and_format(argv) for argv in [*CASES.values(), GEN]}
+    assert offered - covered == set()

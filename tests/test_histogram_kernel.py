@@ -1,8 +1,8 @@
-"""Neighborhood histograms and form tables on the parity grid, against the
-loops they replaced.
+"""Neighborhood histograms on the parity grid, against the loops they
+replaced.
 
-``loop_eval_forms`` and ``loop_histogram`` are the implementation the
-package used before every 2^q enumeration went through
+``loop_histogram`` and ``conftest.loop_eval_forms`` are the implementation
+the package used before every 2^q enumeration went through
 ``instance.parity_grid``: about seven int64 passes over every code per pair.
 The tests require the new path to reproduce them exactly, with equal dtypes,
 not within a tolerance. The last class checks that the Monte Carlo clause
@@ -23,26 +23,15 @@ from qaoa_e3lin2.analytic import (
     build_neighborhood,
     clause_term_mc,
     combo_histogram,
-    form_value_table,
     neighborhood_topology,
 )
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import Clause, Instance, parity_grid, parse, term_parity
 
-from conftest import instances
+from conftest import instances, loop_eval_forms
 
 ENTANGLED_PATH = Path(__file__).parent / "golden" / "entangled.e3lin2"
 ENTANGLED = parse(ENTANGLED_PATH.read_text(encoding="utf-8"))
-
-
-def loop_eval_forms(forms, codes):
-    out = np.zeros((3, codes.size), dtype=np.int64)
-    for i, form in enumerate(forms):
-        acc = out[i]
-        for a, b, s in form:
-            parity = ((codes >> a) ^ (codes >> b)) & 1
-            acc += s * (1 - 2 * parity)
-    return out
 
 
 def loop_histogram(q_size, forms, chunk=1 << 20):
@@ -197,21 +186,6 @@ class TestHistogramAgainstLoop:
         for rows, cols in shapes:
             assert rows * cols <= 4096
             assert rows * pairs <= 4096 and cols * pairs <= 4096
-
-
-class TestFormValueTable:
-    @given(inst=instances(max_n=10, max_m=9))
-    @settings(max_examples=40)
-    def test_matches_loop(self, inst):
-        for nbhd in neighborhoods(inst):
-            want = loop_eval_forms(nbhd.forms, np.arange(1 << nbhd.q_size, dtype=np.int64))
-            assert_same((form_value_table(nbhd),), (want,))
-
-    def test_entangled_support_in_small_blocks(self, monkeypatch):
-        nbhd = neighborhoods(ENTANGLED)[0]
-        monkeypatch.setattr(analytic, "_CHUNK", 64)
-        want = loop_eval_forms(nbhd.forms, np.arange(1 << nbhd.q_size, dtype=np.int64))
-        assert_same((form_value_table(nbhd),), (want,))
 
 
 def _refuse_rng(*args, **kwargs):

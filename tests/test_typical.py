@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaoa_e3lin2 import analytic, typical
 from qaoa_e3lin2.analytic import build_neighborhood
 from qaoa_e3lin2.instance import generate_random
 from qaoa_e3lin2.typical import (
@@ -91,6 +92,18 @@ class TestClosedForm:
         assert clause_mean_closed_form(nb, g) == pytest.approx(
             0.5 * math.sin(g) * math.cos(g) ** 3, abs=1e-15
         )
+
+    def test_collection_reads_pair_totals_without_neighborhoods(self, monkeypatch):
+        inst = base_instance(SPREAD_OCTET)
+        per_clause = [build_neighborhood(inst, j) for j in range(inst.m)]
+        calls = []
+        spy = lambda *a, **k: calls.append(a) or build_neighborhood(*a, **k)  # noqa: E731
+        monkeypatch.setattr(analytic, "build_neighborhood", spy)
+        monkeypatch.setattr(typical, "build_neighborhood", spy, raising=False)
+        for g in (0.3, 0.52, -1.1):
+            want = math.fsum(clause_mean_closed_form(nb, g) for nb in per_clause)
+            assert collection_closed_form(inst, g) == want
+        assert calls == []
 
 
 class TestExhaustive:
