@@ -44,9 +44,11 @@ for the histogram, and the histogram cache is keyed on them.
 clause by P or by (q, canonical forms, d), and evaluates each distinct key
 once per angle; ``math.fsum`` is correctly rounded, so W expanded from the
 distinct values is bitwise the per-clause sum. Scans compile one plan and
-evaluate it at every angle; the sign ensembles compile one plan per sign
-vector on a shared topology and evaluate each distinct key once per
-ensemble. Monte Carlo clauses keep their own neighborhood and their
+evaluate it at every angle. The forest depends on the pair positions
+only, so a key is fixed by a few GF(2) parities of the rhs bits:
+:class:`SignKeys` reads the keys of many sign vectors at once with one
+``term_parity`` call, and :func:`compile_plan` is that read at one vector.
+Monte Carlo clauses keep their own neighborhood and their
 ``(seed, clause_index)`` stream.
 """
 
@@ -61,12 +63,18 @@ from typing import Sequence
 import numpy as np
 
 from . import _caps
-from .instance import Clause, Instance, code_blocks, parity_grid
+from .instance import Clause, Instance, code_blocks, parity_grid, term_parity
 
 #: The four sign patterns applied to (c1, c2, c3) in the clause term.
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 _CHUNK = 1 << 20
+
+#: Samples of a Monte Carlo clause term unless a caller asks for others.
+MC_SAMPLES = 100_000
+
+#: Bytes of arrays one chunk of sign vectors holds while its key codes are read.
+_CODE_CHUNK_BYTES = 1 << 22
 
 #: Peak bytes a Monte Carlo clause term holds per sample beyond the q bytes
 #: of its spin row (the int64 forms, their pair temporaries and the float64
@@ -229,14 +237,14 @@ def build_neighborhood(
                 f"topology does not match the instance at clause {k}: "
                 f"{topology[k].triple} != {clauses[k].triple}"
             )
-    forms = tuple(tuple([(a, b, clauses[k].sign) for a, b, k in form]) for form in topo.pairs)
-    return Neighborhood(
-        focal_index=clause_index,
-        focal=clauses[clause_index],
-        support=topo.support,
-        forms=forms,
-        cancelled=topo.cancelled,
-    )
+    return _signed(topo, clause_index, instance.rhs_array)
+
+
+def _signed(topo: ClauseTopology, clause_index: int, rhs) -> Neighborhood:
+    """The neighborhood of a clause's topology under the rhs bits ``rhs`` (indexed by clause)."""
+    forms = tuple(tuple([(a, b, 1 - 2 * int(rhs[k])) for a, b, k in form]) for form in topo.pairs)
+    focal = Clause(*topo.triple, int(rhs[clause_index]))
+    return Neighborhood(clause_index, focal, topo.support, forms, topo.cancelled)
 
 
 def _pair_terms(forms, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -248,31 +256,62 @@ def _pair_terms(forms, scales) -> tuple[np.ndarray, np.ndarray]:
     return terms, weights
 
 
+def _spanning_forest(q_size: int, pairs) -> list[tuple[int, int, int]]:
+    """The edges ``(child, parent, e)`` of a spanning forest of a pair graph.
+
+    ``pairs[e]`` starts with the support positions ``a, b`` of edge e. The
+    forest is a breadth-first search from each unvisited position in order;
+    it reads the positions alone, and its edges come in visit order, so a
+    parent is a root or the child of an earlier edge.
+    """
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(q_size)]
+    for e, (a, b, _) in enumerate(pairs):
+        adjacency[a].append((b, e))
+        adjacency[b].append((a, e))
+    seen = [False] * q_size
+    edges = []
+    for root in range(q_size):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for w, e in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    edges.append((w, v, e))
+                    queue.append(w)
+    return edges
+
+
 def _gauge_fixed(q_size: int, forms) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The forms with the pairs of a spanning forest of their pair graph at sign +1.
 
-    The forest is a breadth-first search from each unvisited support
-    position in order, read from the pair positions alone, so forms that
-    differ by flips of support spins come out equal.
+    The forest is :func:`_spanning_forest` of the pairs in form order, so
+    forms that differ by flips of support spins come out equal.
     """
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(q_size)]
-    for form in forms:
-        for a, b, s in form:
-            adjacency[a].append((b, s))
-            adjacency[b].append((a, s))
-    flip = [0] * q_size
-    for root in range(q_size):
-        if flip[root]:
-            continue
-        flip[root] = 1
-        queue = [root]
-        for v in queue:
-            sign = flip[v]
-            for w, s in adjacency[v]:
-                if not flip[w]:
-                    flip[w] = sign * s
-                    queue.append(w)
+    pairs = [pair for form in forms for pair in form]
+    flip = [1] * q_size
+    for w, v, e in _spanning_forest(q_size, pairs):
+        flip[w] = flip[v] * pairs[e][2]
     return tuple(tuple([(a, b, s * flip[a] * flip[b]) for a, b, s in form]) for form in forms)
+
+
+def _key_rows(clause_index: int, topo: ClauseTopology) -> list[list[int]]:
+    """The GF(2) parities of the rhs bits that fix an enumerated clause's key.
+
+    Each row lists the clauses whose rhs bits it XORs. The first is the
+    clause's own, which gives its focal sign d. Then, for each pair in form
+    order, carried by clause k between positions a and b, the bit of its
+    sign in the forms of :func:`_gauge_fixed`: rhs_k ^ path(a) ^ path(b),
+    with path(v) the rhs bits of the spanning forest's edges from v's root.
+    A forest pair's row is empty, as its canonical sign is always +1.
+    """
+    pairs = [pair for form in topo.pairs for pair in form]
+    path: list[set[int]] = [set() for _ in topo.support]
+    for w, v, e in _spanning_forest(len(topo.support), pairs):
+        path[w] = path[v] ^ {pairs[e][2]}
+    return [[clause_index]] + [sorted(path[a] ^ path[b] ^ {k}) for a, b, k in pairs]
 
 
 def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
@@ -334,12 +373,16 @@ def _require_enumerable(q_size: int, q_max: int) -> None:
         )
 
 
-def _enumerated_value(nbhd: Neighborhood, gamma: float) -> float:
-    """(d/8) times the four-sine bracket averaged over the support's histogram."""
-    d = nbhd.focal.sign
-    values, counts = combo_histogram(nbhd)
+def _enumerated_value(key: tuple, gamma: float) -> float:
+    """The term of an enumerated key (q, gauge-canonical forms, d).
+
+    That is (d/8) times the four-sine bracket averaged over the histogram of
+    the forms.
+    """
+    q_size, forms, d = key
+    values, counts = _histogram_cached(q_size, forms)
     bracket = _four_sine_bracket(gamma, d, values[:, 0], values[:, 1], values[:, 2])
-    mean = float(np.dot(counts.astype(np.float64), bracket)) / float(1 << nbhd.q_size)
+    mean = float(np.dot(counts.astype(np.float64), bracket)) / float(1 << q_size)
     return d / 8.0 * mean
 
 
@@ -359,7 +402,8 @@ def clause_term_exact(
         value = _factorized_value(pairs_total, gamma)
     else:
         _require_enumerable(nbhd.q_size, _caps.default_q_max() if q_max is None else q_max)
-        value = _enumerated_value(nbhd, gamma)
+        key = (nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms), nbhd.focal.sign)
+        value = _enumerated_value(key, gamma)
     return ClauseTerm(clause_index=nbhd.focal_index, value=value, method=EXACT_METHOD, stderr=0.0)
 
 
@@ -404,8 +448,7 @@ class EvaluationPlan:
 
     ``keys`` are the distinct keys of the exact clause terms: the pair
     total ``P`` of a factorized clause, ``(q, gauge-canonical forms, d)`` of
-    an enumerated one. ``terms[i]`` evaluates ``keys[i]``: ``P`` itself, or
-    the neighborhood of the first clause with that key. ``key_of[j]`` is
+    an enumerated one; each is all its term depends on. ``key_of[j]`` is
     clause j's index into ``keys``, or -1 when the clause takes Monte Carlo;
     ``mc`` holds those clauses' own neighborhoods in clause order.
     """
@@ -413,18 +456,18 @@ class EvaluationPlan:
     instance: Instance
     mode: str
     keys: tuple
-    terms: tuple[int | Neighborhood, ...]
     key_of: tuple[int, ...]
     mc: tuple[Neighborhood, ...]
 
     def key_value(self, i: int, gamma: float) -> float:
         """The clause term of ``keys[i]`` at ``gamma``."""
-        term = self.terms[i]
-        if isinstance(term, int):
-            return _factorized_value(term, gamma)
-        return _enumerated_value(term, gamma)
+        key = self.keys[i]
+        if isinstance(key, int):
+            return _factorized_value(key, gamma)
+        return _enumerated_value(key, gamma)
 
-    def _key_values(self, gamma: float, memo: dict) -> list[float]:
+    def key_values(self, gamma: float, memo: dict) -> list[float]:
+        """The value of every key at ``gamma``, taken from ``memo`` or evaluated into it."""
         for i, key in enumerate(self.keys):
             if key not in memo:
                 memo[key] = self.key_value(i, gamma)
@@ -439,7 +482,7 @@ class EvaluationPlan:
     def total(
         self,
         gamma: float,
-        mc_samples: int = 100_000,
+        mc_samples: int = MC_SAMPLES,
         seed: int = 0,
         memo: dict | None = None,
     ) -> tuple[float, float]:
@@ -449,15 +492,17 @@ class EvaluationPlan:
         lacks are evaluated and added, so plans of one triple collection
         share their values through it.
         """
-        values = self._key_values(gamma, {} if memo is None else memo)
+        values = self.key_values(gamma, {} if memo is None else memo)
         mc = self._mc_terms(gamma, mc_samples, seed)
         exact = [values[i] for i in self.key_of if i >= 0]
         total = math.fsum(exact + [t.value for t in mc])
         return total, math.sqrt(math.fsum(t.stderr**2 for t in mc))
 
-    def evaluate(self, gamma: float, mc_samples: int = 100_000, seed: int = 0) -> ExpectationReport:
+    def evaluate(
+        self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
+    ) -> ExpectationReport:
         """The full report: one :class:`ClauseTerm` per clause, in order."""
-        values = self._key_values(gamma, {})
+        values = self.key_values(gamma, {})
         mc = iter(self._mc_terms(gamma, mc_samples, seed))
         terms = tuple(
             next(mc) if i < 0 else ClauseTerm(j, values[i], EXACT_METHOD)
@@ -475,6 +520,104 @@ class EvaluationPlan:
         )
 
 
+class SignKeys:
+    """The routes and plan keys of a triple collection's clauses, for many sign vectors.
+
+    A factorized clause's key P takes no sign. An enumerated clause's key
+    (q, canonical forms, d) is fixed by the rhs parities of
+    :func:`_key_rows`, which ``rows`` holds for every such clause, padded
+    with m; :meth:`key_indices` points m at an all-zero column, so one
+    :func:`term_parity` gives the codes of a whole chunk of vectors. A
+    code's bits are d and the canonical pair signs, so each distinct code
+    decodes to its key directly. ``index`` numbers the distinct keys and
+    ``mc`` lists the Monte Carlo clauses.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        mode: str = "auto",
+        q_max: int | None = None,
+        topology: Sequence[ClauseTopology] | None = None,
+    ):
+        if mode not in MODES:
+            raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
+        q_cap = _caps.default_q_max() if q_max is None else q_max
+        if topology is None:
+            topology = neighborhood_topology(instance)
+        elif tuple(topo.triple for topo in topology) != instance.triples():
+            raise ValueError("topology does not match the instance's triples")
+        self.instance, self.mode, self.topology = instance, mode, topology
+        self.index: dict = {}
+        self.mc: list[int] = []
+        self._fixed = np.full(instance.m, -1, dtype=np.intp)
+        self._codes: list[tuple[int, slice]] = []
+        rows: list[list[int]] = []
+        for j, topo in enumerate(topology):
+            pairs_total = sum(map(len, topo.pairs))
+            q_size = len(topo.support)
+            if mode != "mc" and q_size == 2 * pairs_total:
+                self._fixed[j] = self.index.setdefault(pairs_total, len(self.index))
+            elif mode == "mc" or (mode == "auto" and q_size > q_cap):
+                self.mc.append(j)
+            else:
+                _require_enumerable(q_size, q_cap)
+                clause_rows = _key_rows(j, topo)
+                self._codes.append((j, slice(len(rows), len(rows) + len(clause_rows))))
+                rows += clause_rows
+        width = max(map(len, rows), default=0)
+        padded = [row + [instance.m] * (width - len(row)) for row in rows]
+        self.rows = np.array(padded, dtype=np.intp).reshape(len(rows), width)
+
+    def vectors_per_chunk(self) -> int:
+        """Sign vectors per :meth:`key_indices` call.
+
+        The call's arrays then hold about ``_CODE_CHUNK_BYTES``; a chunk
+        whose arrays would not fit in physical memory is refused.
+        """
+        per_vector = self.rows.size + self.rows.shape[0] + 32 * (self.instance.m + 1)
+        vectors = max(_CODE_CHUNK_BYTES // per_vector, 1)
+        _caps.require_memory(vectors * per_vector, f"the key codes of {vectors} sign vectors")
+        return vectors
+
+    def key_indices(self, rhs: np.ndarray) -> np.ndarray:
+        """Each clause's index into the keys on every row of a (vectors, m) rhs bit matrix.
+
+        A Monte Carlo clause reads -1. Keys first met here are added.
+        """
+        bits = np.zeros((len(rhs), self.instance.m + 1), dtype=np.uint8)
+        bits[:, :-1] = rhs
+        codes = term_parity(bits, self.rows)
+        out = np.repeat(self._fixed[None, :], len(rhs), axis=0)
+        for j, rows in self._codes:
+            # distinct codes as raw bytes: a 1-d void sort, twice as fast as axis=0
+            clause = np.ascontiguousarray(codes[:, rows])
+            width = clause.shape[1]
+            found, inverse = np.unique(clause.view(f"V{width}").ravel(), return_inverse=True)
+            found = found.view(np.uint8).reshape(-1, width)
+            at = [self._decode(j, code) for code in found.tolist()]
+            out[:, j] = np.array(at)[inverse]
+        return out
+
+    def _decode(self, clause_index: int, code: list[int]) -> int:
+        """The index of the key whose d and canonical pair signs are a code's bits."""
+        topo = self.topology[clause_index]
+        signs = iter([1 - 2 * bit for bit in code])
+        d = next(signs)
+        forms = tuple(tuple([(a, b, next(signs)) for a, b, _ in form]) for form in topo.pairs)
+        return self.index.setdefault((len(topo.support), forms, d), len(self.index))
+
+    def neighborhoods(self, rhs) -> tuple[Neighborhood, ...]:
+        """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
+        return tuple(_signed(self.topology[j], j, rhs) for j in self.mc)
+
+    def plan(
+        self, key_of: Sequence[int] = (), mc: Sequence[Neighborhood] = ()
+    ) -> EvaluationPlan:
+        """The keys met so far as a plan of clause keys ``key_of`` and Monte Carlo ``mc``."""
+        return EvaluationPlan(self.instance, self.mode, tuple(self.index), tuple(key_of), tuple(mc))
+
+
 def compile_plan(
     instance: Instance,
     mode: str = "auto",
@@ -489,37 +632,12 @@ def compile_plan(
     (Monte Carlo everywhere). A factorized clause (q = 2P) needs no
     neighborhood. ``topology`` is :func:`neighborhood_topology` of any
     instance with the same triples, built here when omitted; one of other
-    triples or of another length raises ``ValueError``.
+    triples or of another length raises ``ValueError``. The plan is
+    :class:`SignKeys` read at the instance's own rhs vector.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
-    q_cap = _caps.default_q_max() if q_max is None else q_max
-    if topology is None:
-        topology = neighborhood_topology(instance)
-    elif tuple(topo.triple for topo in topology) != instance.triples():
-        raise ValueError("topology does not match the instance's triples")
-    index: dict = {}
-    terms: list[int | Neighborhood] = []
-    key_of: list[int] = []
-    mc: list[Neighborhood] = []
-    for j, topo in enumerate(topology):
-        pairs_total = sum(map(len, topo.pairs))
-        if mode != "mc" and len(topo.support) == 2 * pairs_total:
-            key = term = pairs_total
-        else:
-            term = build_neighborhood(instance, j, topology)
-            q_size = term.q_size
-            if mode == "mc" or (mode == "auto" and q_size > q_cap):
-                mc.append(term)
-                key_of.append(-1)
-                continue
-            _require_enumerable(q_size, q_cap)
-            key = (q_size, _gauge_fixed(q_size, term.forms), term.focal.sign)
-        i = index.setdefault(key, len(terms))
-        if i == len(terms):
-            terms.append(term)
-        key_of.append(i)
-    return EvaluationPlan(instance, mode, tuple(index), tuple(terms), tuple(key_of), tuple(mc))
+    keys = SignKeys(instance, mode, q_max, topology)
+    rhs = instance.rhs_array
+    return keys.plan(keys.key_indices(rhs[None, :])[0].tolist(), keys.neighborhoods(rhs))
 
 
 def objective_expectation(
@@ -527,7 +645,7 @@ def objective_expectation(
     gamma: float,
     mode: str = "auto",
     q_max: int | None = None,
-    mc_samples: int = 100_000,
+    mc_samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> ExpectationReport:
     """W(gamma): the sum of all clause terms at mixing angle pi/4.

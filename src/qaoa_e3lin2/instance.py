@@ -335,14 +335,14 @@ def generate_random(
     return Instance(n=n, clauses=clauses)
 
 
+def random_rhs(m: int, seed: int | Sequence[int] = 0) -> np.ndarray:
+    """m independent uniform rhs bits: ``integers(0, 2, m)`` of ``default_rng(seed)``."""
+    return np.random.default_rng(seed).integers(0, 2, size=m)
+
+
 def resample_signs(instance: Instance, seed: int | Sequence[int] = 0) -> Instance:
-    """Same triples, every rhs redrawn independently and uniformly."""
-    rng = np.random.default_rng(seed)
-    rhs = rng.integers(0, 2, size=instance.m)
-    clauses = tuple(
-        Clause(cl.a, cl.b, cl.c, int(r)) for cl, r in zip(instance.clauses, rhs)
-    )
-    return Instance(n=instance.n, clauses=clauses)
+    """Same triples, every rhs redrawn by :func:`random_rhs`."""
+    return with_signs(instance, random_rhs(instance.m, seed))
 
 
 def with_signs(instance: Instance, rhs_bits: Iterable[int]) -> Instance:

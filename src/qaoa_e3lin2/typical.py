@@ -18,6 +18,12 @@ Everything here is desk-checkable: the exhaustive path enumerates all 2^m
 sign assignments and must reproduce the closed form exactly; the Monte
 Carlo path estimates the same mean with a seeded stream and reports the
 empirical variance, which stays under (1/4) m (6D+3)(D+1).
+
+Neither path builds an instance or compiles a plan per sign vector. Every
+clause's plan key is a GF(2) code of the rhs bits (:class:`SignKeys`), so
+one parity kernel call gives the keys of a whole chunk of sign vectors,
+each distinct key is evaluated once, and a vector's W is one ``math.fsum``
+of looked-up values, bitwise the sum a per-vector plan would give.
 """
 
 from __future__ import annotations
@@ -28,8 +34,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _factorized_value, compile_plan, neighborhood_topology
-from .instance import Clause, Instance, resample_signs, with_signs
+from .analytic import (
+    MC_SAMPLES,
+    SignKeys,
+    _factorized_value,
+    clause_term_mc,
+    neighborhood_topology,
+)
+from .instance import Clause, Instance, code_bits, random_rhs
 
 EXHAUSTIVE_MAX_M = 20
 
@@ -136,6 +148,31 @@ def _assemble(
     )
 
 
+def _ensemble_w(keys: SignKeys, gamma: float, vectors: int, signs) -> np.ndarray:
+    """W(gamma) on sign vectors 0 to ``vectors - 1``; ``signs(start, stop)`` gives their rhs rows.
+
+    The vectors go chunk by chunk. Every key met is evaluated once, through
+    the plan of the keys met so far, and a vector's W is one ``math.fsum``
+    of its clauses' values; fsum is correctly rounded, so the order of the
+    values does not matter. A Monte Carlo clause takes its own neighborhood
+    and ``(0, clause_index)`` draw on every vector, as a plan's total does.
+    """
+    w = np.empty(vectors, dtype=np.float64)
+    memo: dict = {}
+    step = keys.vectors_per_chunk()
+    for start in range(0, vectors, step):
+        rhs = signs(start, min(start + step, vectors))
+        key_of = keys.key_indices(rhs)
+        values = keys.plan().key_values(gamma, memo)
+        for t, (bits, row) in enumerate(zip(rhs, key_of.tolist()), start):
+            mc = [
+                clause_term_mc(nbhd, gamma, MC_SAMPLES, seed=[0, nbhd.focal_index]).value
+                for nbhd in keys.neighborhoods(bits)
+            ]
+            w[t] = math.fsum([values[i] for i in row if i >= 0] + mc)
+    return w
+
+
 def ensemble_mean_exhaustive(
     triples: Sequence[tuple[int, int, int]],
     gamma: float,
@@ -145,23 +182,23 @@ def ensemble_mean_exhaustive(
     """Average W(gamma) over every one of the 2^m sign assignments.
 
     Exact: the returned variance is the full-ensemble population variance
-    and stderr is 0. Refuses m > 20. Each sign vector compiles a plan on
-    one shared topology, and each distinct clause term is evaluated once.
+    and stderr is 0. Refuses m > 20. Sign vector ``code`` has rhs bit j
+    equal to bit j of ``code``; W of every vector is read from the key codes
+    of :class:`SignKeys`, so each distinct clause term is evaluated once.
     """
     base = base_instance(triples, n=n)
     m = base.m
     if m > EXHAUSTIVE_MAX_M:
         raise ValueError(f"m={m} too large for exhaustive ensemble (max {EXHAUSTIVE_MAX_M})")
-    topology = neighborhood_topology(base)
-    memo: dict = {}
-    values = []
-    for code in range(1 << m):
-        rhs = [(code >> j) & 1 for j in range(m)]
-        plan = compile_plan(with_signs(base, rhs), "exact", q_max, topology)
-        values.append(plan.total(gamma, memo=memo)[0])
+
+    def signs(start: int, stop: int) -> np.ndarray:
+        return code_bits(np.arange(start, stop), m)
+
+    values = _ensemble_w(SignKeys(base, "exact", q_max), gamma, 1 << m, signs)
     size = float(1 << m)
     mean = math.fsum(values) / size
-    variance = math.fsum((v - mean) ** 2 for v in values) / size
+    # over Python floats, one at a time: on a numpy scalar ** is numpy's power
+    variance = math.fsum((v - mean) ** 2 for v in map(float, values)) / size
     return _assemble(base, gamma, mean, 0.0, variance, 1 << m, EXHAUSTIVE)
 
 
@@ -175,18 +212,21 @@ def ensemble_mean_mc(
 ) -> EnsembleReport:
     """Monte Carlo over sign assignments, one seeded draw per trial.
 
-    Plans share their distinct exact clause terms as in the exhaustive
-    mean; a Monte Carlo clause term is drawn afresh for every trial.
+    Trial t draws its rhs bits by :func:`random_rhs` with seed ``[seed, t]``,
+    as :func:`resample_signs` does. W of every trial is read from the key
+    codes as in the exhaustive mean; a Monte Carlo clause term is drawn
+    afresh for every trial.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     base = base_instance(triples, n=n)
-    topology = neighborhood_topology(base)
-    memo: dict = {}
-    values = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        plan = compile_plan(resample_signs(base, seed=[seed, t]), "auto", q_max, topology)
-        values[t] = plan.total(gamma, memo=memo)[0]
+    m = base.m
+
+    def signs(start: int, stop: int) -> np.ndarray:
+        draws = [random_rhs(m, [seed, t]) for t in range(start, stop)]
+        return np.array(draws, dtype=np.uint8).reshape(stop - start, m)
+
+    values = _ensemble_w(SignKeys(base, "auto", q_max), gamma, trials, signs)
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)

@@ -10,6 +10,7 @@ rounded, so every term, total and stderr must come out equal (``==``).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from qaoa_e3lin2 import _caps, analytic
 from qaoa_e3lin2.analytic import (
     EvaluationPlan,
     ExpectationReport,
+    SignKeys,
     SupportTooLargeError,
     _gauge_fixed,
     build_neighborhood,
@@ -28,7 +30,14 @@ from qaoa_e3lin2.analytic import (
     neighborhood_topology,
     objective_expectation,
 )
-from qaoa_e3lin2.instance import Clause, Instance, generate_random, resample_signs, with_signs
+from qaoa_e3lin2.instance import (
+    Clause,
+    Instance,
+    code_bits,
+    generate_random,
+    resample_signs,
+    with_signs,
+)
 from qaoa_e3lin2.schedule import make_schedule, scan
 from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
 
@@ -223,6 +232,32 @@ class TestGaugeCanonicalForms:
             hist = analytic._histogram_cached(nbhd.q_size, _gauge_fixed(nbhd.q_size, forms))
             assert hist[0] is first[0] and hist[1] is first[1]
         assert analytic._histogram_cached.cache_info().currsize == 1
+
+
+class TestSignKeys:
+    @given(inst=instances(min_n=5, max_n=9, max_m=8))
+    @settings(max_examples=30)
+    def test_codes_decode_to_the_gauge_fixed_keys_of_every_sign_vector(self, inst):
+        keys = SignKeys(inst, "exact")
+        rhs = code_bits(np.arange(1 << inst.m), inst.m)
+        key_of = keys.key_indices(rhs)
+        found = list(keys.index)
+        for bits, row in zip(rhs, key_of.tolist()):
+            signed = with_signs(inst, bits)
+            for j, i in enumerate(row):
+                nbhd = build_neighborhood(signed, j)
+                q, pairs = nbhd.q_size, sum(nbhd.pair_counts)
+                if q == 2 * pairs:
+                    assert found[i] == pairs
+                else:
+                    assert found[i] == (q, _gauge_fixed(q, nbhd.forms), nbhd.focal.sign)
+        assert sorted(set(key_of.ravel().tolist())) == list(range(len(found)))
+
+    def test_monte_carlo_clauses_read_minus_one(self):
+        keys = SignKeys(ENTANGLED, "auto", 12)
+        key_of = keys.key_indices(code_bits(np.arange(5), ENTANGLED.m))
+        assert keys.mc and (key_of[:, keys.mc] == -1).all()
+        assert (np.delete(key_of, keys.mc, axis=1) >= 0).all()
 
 
 class TestPlanShape:

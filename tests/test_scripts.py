@@ -1,0 +1,27 @@
+"""The experiment scripts run end to end on small inputs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ensemble_sweep(capsys):
+    assert load("ensemble_sweep").main(["--trials", "20", "--points", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "mc_mean" in out and "lower bound peaks" in out
+
+
+def test_grid_scan_experiment(capsys, tmp_path):
+    rows = tmp_path / "rows.csv"
+    args = ["--d-values", "2", "--seeds", "1", "--csv", str(rows)]
+    assert load("grid_scan_experiment").main(args) == 0
+    assert "best W per equation" in capsys.readouterr().out
+    assert rows.read_text().splitlines()[0].startswith("D,n,m,seed")

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import analytic, typical
-from qaoa_e3lin2.analytic import build_neighborhood
-from qaoa_e3lin2.instance import generate_random
+from qaoa_e3lin2.analytic import SupportTooLargeError, build_neighborhood, objective_expectation
+from qaoa_e3lin2.instance import generate_random, resample_signs, with_signs
 from qaoa_e3lin2.typical import (
     EXHAUSTIVE,
     EXHAUSTIVE_MAX_M,
     MONTE_CARLO,
+    EnsembleReport,
     base_instance,
     clause_mean_closed_form,
     collection_closed_form,
@@ -48,6 +49,68 @@ SPREAD_OCTET = (
     (0, 1, 5),
     (0, 2, 3),
 )
+
+# neighbors (0, 3, 4) and (1, 3, 4) of clause (0, 1, 2) carry the same
+# pair (3, 4) into two of its forms; (2, 3, 5) and (2, 4, 5) close cycles
+SHARED_PAIR = ((0, 1, 2), (0, 3, 4), (1, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
+
+
+def brute_force_report(base, gamma, mean, stderr, variance, trials, method):
+    """The report of an ensemble whose W values the test computed itself."""
+    lower, upper = sandwich_bounds(base.m, base.d_bound, gamma)
+    return EnsembleReport(
+        triples=base.triples(),
+        m=base.m,
+        d_bound=base.d_bound,
+        gamma=gamma,
+        mean_w=mean,
+        stderr=stderr,
+        variance=variance,
+        closed_form_mean=collection_closed_form(base, gamma),
+        lower_bound=lower,
+        upper_bound=upper,
+        variance_bound=variance_bound(base.m, base.d_bound),
+        trials=trials,
+        method=method,
+    )
+
+
+def brute_force_exhaustive(triples, gamma, q_max=None):
+    """One fresh instance and one ``objective_expectation`` per sign vector."""
+    base = base_instance(triples)
+    values = [
+        objective_expectation(
+            with_signs(base, [(code >> j) & 1 for j in range(base.m)]), gamma, "exact", q_max
+        ).total
+        for code in range(1 << base.m)
+    ]
+    mean = math.fsum(values) / len(values)
+    variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
+    return brute_force_report(base, gamma, mean, 0.0, variance, len(values), EXHAUSTIVE)
+
+
+def brute_force_mc(triples, gamma, trials, seed, q_max=None):
+    base = base_instance(triples)
+    values = np.array([
+        objective_expectation(resample_signs(base, seed=[seed, t]), gamma, "auto", q_max).total
+        for t in range(trials)
+    ])
+    variance = float(np.var(values, ddof=1))
+    stderr = math.sqrt(variance / trials)
+    mean = float(np.mean(values))
+    return brute_force_report(base, gamma, mean, stderr, variance, trials, MONTE_CARLO)
+
+
+def has_shared_pair_and_cycle(triples):
+    """Whether some clause has one pair in two forms, and some pair graph a cycle."""
+    base = base_instance(triples)
+    shared = cycle = False
+    for j in range(base.m):
+        pairs = [(a, b) for form in build_neighborhood(base, j).forms for a, b, _ in form]
+        shared |= len(set(pairs)) < len(pairs)
+        support = {v for pair in pairs for v in pair}
+        cycle |= len(set(pairs)) >= len(support) > 0
+    return shared, cycle
 
 
 class TestBaseInstance:
@@ -189,6 +252,74 @@ class TestMonteCarlo:
     def test_rejects_tiny_trials(self):
         with pytest.raises(ValueError):
             ensemble_mean_mc(DEPENDENT_QUAD, 0.4, trials=1)
+
+
+class TestAgainstBruteForce:
+    """Both ensembles equal (==) a loop over fresh instances, one W per sign vector."""
+
+    def test_the_fixed_collections_have_shared_pairs_cycles_and_every_route(self):
+        assert has_shared_pair_and_cycle(SHARED_PAIR) == (True, True)
+        assert has_shared_pair_and_cycle(SPREAD_OCTET)[1]
+        # at q_max = 4 the octet has factorized, enumerated and Monte Carlo clauses
+        plan = analytic.compile_plan(base_instance(SPREAD_OCTET), "auto", 4)
+        assert len(plan.mc) == 3
+        assert {type(key) for key in plan.keys} == {int, tuple}
+
+    @given(
+        inst=instances(min_n=5, max_n=8, max_m=8),
+        gamma=st.floats(0.05, 1.5),
+    )
+    @example(inst=base_instance(SHARED_PAIR), gamma=0.47)
+    @example(inst=base_instance(SPREAD_OCTET), gamma=0.52)
+    @settings(max_examples=25)
+    def test_exhaustive(self, inst, gamma):
+        triples = inst.triples()
+        assert ensemble_mean_exhaustive(triples, gamma) == brute_force_exhaustive(triples, gamma)
+
+    @given(
+        inst=instances(min_n=5, max_n=9, max_m=12),
+        gamma=st.floats(0.05, 1.5),
+        trials=st.integers(2, 12),
+        seed=st.integers(0, 1000),
+    )
+    @example(inst=base_instance(SHARED_PAIR), gamma=0.47, trials=9, seed=4)
+    @settings(max_examples=25)
+    def test_monte_carlo(self, inst, gamma, trials, seed):
+        triples = inst.triples()
+        want = brute_force_mc(triples, gamma, trials, seed)
+        assert ensemble_mean_mc(triples, gamma, trials, seed=seed) == want
+
+    @given(
+        inst=instances(min_n=6, max_n=8, max_m=10),
+        q_max=st.integers(0, 4),
+        seed=st.integers(0, 1000),
+    )
+    @example(inst=base_instance(SPREAD_OCTET), q_max=4, seed=1)
+    @example(inst=base_instance(SHARED_PAIR), q_max=2, seed=1)
+    @settings(max_examples=6)
+    def test_monte_carlo_clauses_above_a_low_cap(self, inst, q_max, seed):
+        triples = inst.triples()
+        want = brute_force_mc(triples, 0.4, 3, seed, q_max)
+        assert ensemble_mean_mc(triples, 0.4, 3, seed=seed, q_max=q_max) == want
+
+    def test_exhaustive_refuses_a_support_above_the_cap(self):
+        with pytest.raises(SupportTooLargeError):
+            brute_force_exhaustive(SHARED_PAIR, 0.4, q_max=2)
+        with pytest.raises(SupportTooLargeError):
+            ensemble_mean_exhaustive(SHARED_PAIR, 0.4, q_max=2)
+
+    def test_one_vector_per_chunk_changes_nothing(self, monkeypatch):
+        want = (
+            ensemble_mean_exhaustive(SPREAD_OCTET, 0.52),
+            ensemble_mean_mc(SHARED_PAIR, 0.47, trials=20, seed=3),
+        )
+        monkeypatch.setattr(analytic, "_CODE_CHUNK_BYTES", 1)
+        assert analytic.SignKeys(base_instance(SPREAD_OCTET), "exact").vectors_per_chunk() == 1
+        got = (
+            ensemble_mean_exhaustive(SPREAD_OCTET, 0.52),
+            ensemble_mean_mc(SHARED_PAIR, 0.47, trials=20, seed=3),
+        )
+        assert got == want
 
 
 class TestSandwich:
