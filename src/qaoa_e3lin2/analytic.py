@@ -30,8 +30,9 @@ the neighborhood, not on gamma, so angle scans reuse it.
 
 Neighborhoods are built in two steps. The sign-free topology (support, pair
 positions with the neighbor clause of each pair, cancelled clauses) depends
-only on the triples and is built once per triple collection; attaching an
-instance's signs to it yields a clause's neighborhood.
+only on the triples; it is ``Instance.topology``, built on first use and
+cached on the instance. Attaching the instance's signs to it yields a
+clause's neighborhood.
 
 A clause term depends on a small key only: a factorized clause's on its
 pair total P, an enumerated clause's on its q, its (c1, c2, c3) histogram
@@ -55,7 +56,6 @@ Monte Carlo clauses keep their own neighborhood and their
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _caps
-from .instance import Clause, Instance, code_blocks, parity_grid, term_parity
+from .instance import Clause, ClauseTopology, Instance, code_blocks, parity_grid, term_parity
 
 #: The four sign patterns applied to (c1, c2, c3) in the clause term.
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -150,94 +150,12 @@ class MomentReport:
     form_second_moments: tuple[float, float, float]
     combo_second_moments: tuple[float, float, float, float]
 
-    @property
-    def max_combo_second_moment(self) -> float:
-        return max(self.combo_second_moments)
 
-
-@dataclass(frozen=True)
-class ClauseTopology:
-    """The sign-free part of one clause's neighborhood.
-
-    ``pairs[i]`` lists the pairs of form ``c_{i+1}`` as ``(a, b, k)``: the
-    support positions of the pair, as in :class:`Neighborhood`, and the
-    index ``k`` of the neighbor clause whose sign the pair carries.
-    ``support`` and ``cancelled`` are those of the neighborhood itself.
-    """
-
-    triple: tuple[int, int, int]
-    support: tuple[int, ...]
-    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
-    cancelled: tuple[int, ...]
-
-
-def neighborhood_topology(instance: Instance) -> tuple[ClauseTopology, ...]:
-    """Partition the other clauses by overlap with each focal triple.
-
-    Overlap-1 clauses populate the form keyed by the shared focal variable,
-    overlap-2 clauses are recorded as cancelled, overlap-0 clauses are
-    ignored. Only the triples are read, so one topology serves every angle
-    and every sign vector over the same collection.
-    """
-    triples = instance.triples()
-    touching: defaultdict[int, list[int]] = defaultdict(list)
-    for j, triple in enumerate(triples):
-        for v in triple:
-            touching[v].append(j)
-    topology = []
-    for j, focal in enumerate(triples):
-        near: set[int] = set()
-        for v in focal:
-            near.update(touching[v])
-        near.discard(j)
-        raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
-        cancelled: list[int] = []
-        support_vars: set[int] = set()
-        for k in sorted(near):
-            other = triples[k]
-            shared = [v for v in other if v in focal]
-            if len(shared) == 1:
-                pair = tuple(v for v in other if v != shared[0])
-                raw_pairs[focal.index(shared[0])].append((pair[0], pair[1], k))
-                support_vars.update(pair)
-            elif len(shared) == 2:
-                cancelled.append(k)
-        support = tuple(sorted(support_vars))
-        pos = {v: i for i, v in enumerate(support)}
-        pairs = tuple(tuple((pos[a], pos[b], k) for a, b, k in form) for form in raw_pairs)
-        topology.append(ClauseTopology(focal, support, pairs, tuple(cancelled)))
-    return tuple(topology)
-
-
-def build_neighborhood(
-    instance: Instance,
-    clause_index: int,
-    topology: Sequence[ClauseTopology] | None = None,
-) -> Neighborhood:
-    """Attach the instance's clause signs to one clause's topology.
-
-    ``topology`` is :func:`neighborhood_topology` of any instance with the
-    same triples, built here when omitted; pass it in to build many
-    neighborhoods from one topology. A topology whose triples differ from
-    the instance's, at the focal clause or at any clause it lists, raises
-    ``ValueError``.
-    """
+def build_neighborhood(instance: Instance, clause_index: int) -> Neighborhood:
+    """Attach the instance's clause signs to one clause's ``Instance.topology``."""
     if not 0 <= clause_index < instance.m:
         raise IndexError(f"clause_index {clause_index} out of range for m={instance.m}")
-    if topology is None:
-        topology = neighborhood_topology(instance)
-    elif len(topology) != instance.m:
-        raise ValueError(f"topology covers {len(topology)} clauses, instance has m={instance.m}")
-    clauses = instance.clauses
-    topo = topology[clause_index]
-    listed = [k for form in topo.pairs for _, _, k in form]
-    for k in (clause_index, *topo.cancelled, *listed):
-        if topology[k].triple != clauses[k].triple:
-            raise ValueError(
-                f"topology does not match the instance at clause {k}: "
-                f"{topology[k].triple} != {clauses[k].triple}"
-            )
-    return _signed(topo, clause_index, instance.rhs_array)
+    return _signed(instance.topology[clause_index], clause_index, instance.rhs_array)
 
 
 def _signed(topo: ClauseTopology, clause_index: int, rhs) -> Neighborhood:
@@ -366,7 +284,13 @@ def _factorized_value(pairs_total: int, gamma: float) -> float:
     return 0.5 * math.sin(gamma) * math.cos(gamma) ** pairs_total
 
 
-def _require_enumerable(q_size: int, q_max: int) -> None:
+def _q_cap(q_max: int | None) -> int:
+    """The exact-enumeration cap: ``q_max``, or the environment default when None."""
+    return _caps.default_q_max() if q_max is None else q_max
+
+
+def _require_enumerable(q_size: int, q_max: int | None) -> None:
+    q_max = _q_cap(q_max)
     if q_size > q_max:
         raise SupportTooLargeError(
             f"q={q_size} exceeds exact-enumeration cap {q_max}; use clause_term_mc"
@@ -386,6 +310,13 @@ def _enumerated_value(key: tuple, gamma: float) -> float:
     return d / 8.0 * mean
 
 
+def _key_value(key, gamma: float) -> float:
+    """The term of a plan key: a pair total P factorizes, anything else is enumerated."""
+    if isinstance(key, int):
+        return _factorized_value(key, gamma)
+    return _enumerated_value(key, gamma)
+
+
 def clause_term_exact(
     nbhd: Neighborhood, gamma: float, q_max: int | None = None
 ) -> ClauseTerm:
@@ -401,7 +332,7 @@ def clause_term_exact(
     if nbhd.q_size == 2 * pairs_total:
         value = _factorized_value(pairs_total, gamma)
     else:
-        _require_enumerable(nbhd.q_size, _caps.default_q_max() if q_max is None else q_max)
+        _require_enumerable(nbhd.q_size, q_max)
         key = (nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms), nbhd.focal.sign)
         value = _enumerated_value(key, gamma)
     return ClauseTerm(clause_index=nbhd.focal_index, value=value, method=EXACT_METHOD, stderr=0.0)
@@ -459,20 +390,6 @@ class EvaluationPlan:
     key_of: tuple[int, ...]
     mc: tuple[Neighborhood, ...]
 
-    def key_value(self, i: int, gamma: float) -> float:
-        """The clause term of ``keys[i]`` at ``gamma``."""
-        key = self.keys[i]
-        if isinstance(key, int):
-            return _factorized_value(key, gamma)
-        return _enumerated_value(key, gamma)
-
-    def key_values(self, gamma: float, memo: dict) -> list[float]:
-        """The value of every key at ``gamma``, taken from ``memo`` or evaluated into it."""
-        for i, key in enumerate(self.keys):
-            if key not in memo:
-                memo[key] = self.key_value(i, gamma)
-        return [memo[key] for key in self.keys]
-
     def _mc_terms(self, gamma: float, mc_samples: int, seed: int) -> list[ClauseTerm]:
         return [
             clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, nbhd.focal_index])
@@ -480,19 +397,10 @@ class EvaluationPlan:
         ]
 
     def total(
-        self,
-        gamma: float,
-        mc_samples: int = MC_SAMPLES,
-        seed: int = 0,
-        memo: dict | None = None,
+        self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> tuple[float, float]:
-        """(W(gamma), its standard error) without per-clause terms.
-
-        ``memo`` maps keys to their values at this same ``gamma``; keys it
-        lacks are evaluated and added, so plans of one triple collection
-        share their values through it.
-        """
-        values = self.key_values(gamma, {} if memo is None else memo)
+        """(W(gamma), its standard error) without per-clause terms."""
+        values = [_key_value(key, gamma) for key in self.keys]
         mc = self._mc_terms(gamma, mc_samples, seed)
         exact = [values[i] for i in self.key_of if i >= 0]
         total = math.fsum(exact + [t.value for t in mc])
@@ -502,7 +410,7 @@ class EvaluationPlan:
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> ExpectationReport:
         """The full report: one :class:`ClauseTerm` per clause, in order."""
-        values = self.key_values(gamma, {})
+        values = [_key_value(key, gamma) for key in self.keys]
         mc = iter(self._mc_terms(gamma, mc_samples, seed))
         terms = tuple(
             next(mc) if i < 0 else ClauseTerm(j, values[i], EXACT_METHOD)
@@ -529,31 +437,22 @@ class SignKeys:
     with m; :meth:`key_indices` points m at an all-zero column, so one
     :func:`term_parity` gives the codes of a whole chunk of vectors. A
     code's bits are d and the canonical pair signs, so each distinct code
-    decodes to its key directly. ``index`` numbers the distinct keys and
-    ``mc`` lists the Monte Carlo clauses.
+    decodes to its key directly. ``index`` numbers the distinct keys in the
+    order they are first met, and ``mc`` lists the Monte Carlo clauses. The
+    clauses' topology is ``instance.topology``; only the triples are read.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        mode: str = "auto",
-        q_max: int | None = None,
-        topology: Sequence[ClauseTopology] | None = None,
-    ):
+    def __init__(self, instance: Instance, mode: str = "auto", q_max: int | None = None):
         if mode not in MODES:
             raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
-        q_cap = _caps.default_q_max() if q_max is None else q_max
-        if topology is None:
-            topology = neighborhood_topology(instance)
-        elif tuple(topo.triple for topo in topology) != instance.triples():
-            raise ValueError("topology does not match the instance's triples")
-        self.instance, self.mode, self.topology = instance, mode, topology
+        q_cap = _q_cap(q_max)
+        self.instance = instance
         self.index: dict = {}
         self.mc: list[int] = []
         self._fixed = np.full(instance.m, -1, dtype=np.intp)
         self._codes: list[tuple[int, slice]] = []
         rows: list[list[int]] = []
-        for j, topo in enumerate(topology):
+        for j, topo in enumerate(instance.topology):
             pairs_total = sum(map(len, topo.pairs))
             q_size = len(topo.support)
             if mode != "mc" and q_size == 2 * pairs_total:
@@ -601,7 +500,7 @@ class SignKeys:
 
     def _decode(self, clause_index: int, code: list[int]) -> int:
         """The index of the key whose d and canonical pair signs are a code's bits."""
-        topo = self.topology[clause_index]
+        topo = self.instance.topology[clause_index]
         signs = iter([1 - 2 * bit for bit in code])
         d = next(signs)
         forms = tuple(tuple([(a, b, next(signs)) for a, b, _ in form]) for form in topo.pairs)
@@ -609,35 +508,23 @@ class SignKeys:
 
     def neighborhoods(self, rhs) -> tuple[Neighborhood, ...]:
         """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
-        return tuple(_signed(self.topology[j], j, rhs) for j in self.mc)
-
-    def plan(
-        self, key_of: Sequence[int] = (), mc: Sequence[Neighborhood] = ()
-    ) -> EvaluationPlan:
-        """The keys met so far as a plan of clause keys ``key_of`` and Monte Carlo ``mc``."""
-        return EvaluationPlan(self.instance, self.mode, tuple(self.index), tuple(key_of), tuple(mc))
+        return tuple(_signed(self.instance.topology[j], j, rhs) for j in self.mc)
 
 
-def compile_plan(
-    instance: Instance,
-    mode: str = "auto",
-    q_max: int | None = None,
-    topology: Sequence[ClauseTopology] | None = None,
-) -> EvaluationPlan:
+def compile_plan(instance: Instance, mode: str = "auto", q_max: int | None = None) -> EvaluationPlan:
     """Route every clause and key its term, once for all angles.
 
     ``mode`` is one of ``exact`` (fail when a support is too large),
     ``auto`` (exact where the support fits under ``q_max`` or the term
     factorizes through disjoint pairs, Monte Carlo elsewhere) or ``mc``
     (Monte Carlo everywhere). A factorized clause (q = 2P) needs no
-    neighborhood. ``topology`` is :func:`neighborhood_topology` of any
-    instance with the same triples, built here when omitted; one of other
-    triples or of another length raises ``ValueError``. The plan is
-    :class:`SignKeys` read at the instance's own rhs vector.
+    neighborhood. The plan is :class:`SignKeys` read at the instance's own
+    rhs vector.
     """
-    keys = SignKeys(instance, mode, q_max, topology)
+    keys = SignKeys(instance, mode, q_max)
     rhs = instance.rhs_array
-    return keys.plan(keys.key_indices(rhs[None, :])[0].tolist(), keys.neighborhoods(rhs))
+    key_of = tuple(keys.key_indices(rhs[None, :])[0].tolist())
+    return EvaluationPlan(instance, mode, tuple(keys.index), key_of, keys.neighborhoods(rhs))
 
 
 def objective_expectation(
@@ -658,9 +545,7 @@ def objective_expectation(
 
 def _cell_weights(nbhd: Neighborhood, q_max: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Histogram cells of the forms and their probabilities under uniform spins."""
-    q_max = _caps.default_q_max() if q_max is None else q_max
-    if nbhd.q_size > q_max:
-        raise SupportTooLargeError(f"q={nbhd.q_size} exceeds enumeration cap {q_max}")
+    _require_enumerable(nbhd.q_size, q_max)
     values, counts = combo_histogram(nbhd)
     return values, counts.astype(np.float64) / float(1 << nbhd.q_size)
 

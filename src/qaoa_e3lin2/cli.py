@@ -236,7 +236,7 @@ def cmd_gen(n, m, d_bound, sign_mode, seed, out):
     help="analytic-convention angle",
 )
 @click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
-@click.option("--mc-samples", type=int, default=100_000, show_default=True)
+@click.option("--mc-samples", type=int, default=analytic.MC_SAMPLES, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
 @click.option(
@@ -284,7 +284,7 @@ def cmd_eval(
 @main.command(name="scan")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
-@click.option("--mc-samples", type=int, default=100_000, show_default=True)
+@click.option("--mc-samples", type=int, default=analytic.MC_SAMPLES, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
 @_format_options

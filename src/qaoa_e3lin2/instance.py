@@ -20,6 +20,7 @@ File format (text, UTF-8, LF newlines)::
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -110,8 +111,66 @@ class Assignment:
 
 
 @dataclass(frozen=True)
+class ClauseTopology:
+    """The sign-free part of one clause's neighborhood.
+
+    ``pairs[i]`` lists the pairs of form ``c_{i+1}`` as ``(a, b, k)``: ``a``
+    and ``b`` are positions into ``support``, the ascending variables the
+    pairs use, and ``k`` is the index of the neighbor clause whose sign the
+    pair carries. ``cancelled`` lists the clauses sharing two variables with
+    the focal triple.
+    """
+
+    triple: tuple[int, int, int]
+    support: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
+    cancelled: tuple[int, ...]
+
+
+def _build_topology(triples: Sequence[tuple[int, int, int]]) -> tuple[ClauseTopology, ...]:
+    """Partition the other clauses by overlap with each focal triple.
+
+    Overlap-1 clauses populate the form keyed by the shared focal variable,
+    overlap-2 clauses are recorded as cancelled, overlap-0 clauses are
+    ignored.
+    """
+    touching: defaultdict[int, list[int]] = defaultdict(list)
+    for j, triple in enumerate(triples):
+        for v in triple:
+            touching[v].append(j)
+    topology = []
+    for j, focal in enumerate(triples):
+        near: set[int] = set()
+        for v in focal:
+            near.update(touching[v])
+        near.discard(j)
+        raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
+        cancelled: list[int] = []
+        support_vars: set[int] = set()
+        for k in sorted(near):
+            other = triples[k]
+            shared = [v for v in other if v in focal]
+            if len(shared) == 1:
+                pair = tuple(v for v in other if v != shared[0])
+                raw_pairs[focal.index(shared[0])].append((pair[0], pair[1], k))
+                support_vars.update(pair)
+            elif len(shared) == 2:
+                cancelled.append(k)
+        support = tuple(sorted(support_vars))
+        pos = {v: i for i, v in enumerate(support)}
+        pairs = tuple(tuple((pos[a], pos[b], k) for a, b, k in form) for form in raw_pairs)
+        topology.append(ClauseTopology(focal, support, pairs, tuple(cancelled)))
+    return tuple(topology)
+
+
+@dataclass(frozen=True)
 class Instance:
-    """An E3LIN2 instance: n variables and an ordered clause list."""
+    """An E3LIN2 instance: n variables and an ordered clause list.
+
+    What is derived from the clauses (the arrays, the occurrence counts and
+    the neighborhood topology) is a cached property: built on first use and
+    kept as long as the instance.
+    """
 
     n: int
     clauses: tuple[Clause, ...]
@@ -136,6 +195,15 @@ class Instance:
         out = np.array([cl.rhs for cl in self.clauses], dtype=np.uint8)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def topology(self) -> tuple[ClauseTopology, ...]:
+        """Each clause's :class:`ClauseTopology`.
+
+        Only the triples are read, so one topology serves every angle and
+        every sign vector over the same triples.
+        """
+        return _build_topology(self.triples())
 
     @cached_property
     def occurrence(self) -> np.ndarray:

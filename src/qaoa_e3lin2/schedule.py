@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import compile_plan
+from .analytic import MC_SAMPLES, compile_plan
 from .instance import Instance
 
 #: Slack allowed when checking the Chebyshev node inequality numerically.
@@ -181,7 +181,7 @@ def scan(
     schedule: AngleSchedule | None = None,
     mode: str = "auto",
     q_max: int | None = None,
-    mc_samples: int = 100_000,
+    mc_samples: int = MC_SAMPLES,
     seed: int = 0,
 ) -> ScanResult:
     """Evaluate W on the grid and return the best sign-corrected node.

@@ -30,17 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    MC_SAMPLES,
-    SignKeys,
-    _factorized_value,
-    clause_term_mc,
-    neighborhood_topology,
-)
+from .analytic import MC_SAMPLES, SignKeys, _factorized_value, _key_value, clause_term_mc
 from .instance import Clause, Instance, code_bits, random_rhs
 
 EXHAUSTIVE_MAX_M = 20
@@ -100,12 +95,11 @@ def clause_mean_closed_form(nbhd, gamma: float) -> float:
 def collection_closed_form(instance: Instance, gamma: float) -> float:
     """Sum of the per-clause closed forms over the whole collection.
 
-    The pair totals are read from the sign-free topology; no neighborhood
+    The pair totals are read from ``instance.topology``; no neighborhood
     is built.
     """
     return math.fsum(
-        _factorized_value(sum(map(len, topo.pairs)), gamma)
-        for topo in neighborhood_topology(instance)
+        _factorized_value(sum(map(len, topo.pairs)), gamma) for topo in instance.topology
     )
 
 
@@ -151,19 +145,20 @@ def _assemble(
 def _ensemble_w(keys: SignKeys, gamma: float, vectors: int, signs) -> np.ndarray:
     """W(gamma) on sign vectors 0 to ``vectors - 1``; ``signs(start, stop)`` gives their rhs rows.
 
-    The vectors go chunk by chunk. Every key met is evaluated once, through
-    the plan of the keys met so far, and a vector's W is one ``math.fsum``
-    of its clauses' values; fsum is correctly rounded, so the order of the
-    values does not matter. A Monte Carlo clause takes its own neighborhood
-    and ``(0, clause_index)`` draw on every vector, as a plan's total does.
+    The vectors go chunk by chunk. ``keys.index`` numbers the keys in the
+    order they are first met, so ``values`` grows by the keys a chunk adds,
+    each evaluated once, and a vector's W is one ``math.fsum`` of its
+    clauses' values; fsum is correctly rounded, so the order of the values
+    does not matter. A Monte Carlo clause takes its own neighborhood and
+    ``(0, clause_index)`` draw on every vector, as a plan's total does.
     """
     w = np.empty(vectors, dtype=np.float64)
-    memo: dict = {}
+    values: list[float] = []
     step = keys.vectors_per_chunk()
     for start in range(0, vectors, step):
         rhs = signs(start, min(start + step, vectors))
         key_of = keys.key_indices(rhs)
-        values = keys.plan().key_values(gamma, memo)
+        values += [_key_value(key, gamma) for key in islice(keys.index, len(values), None)]
         for t, (bits, row) in enumerate(zip(rhs, key_of.tolist()), start):
             mc = [
                 clause_term_mc(nbhd, gamma, MC_SAMPLES, seed=[0, nbhd.focal_index]).value

@@ -17,7 +17,6 @@ from qaoa_e3lin2.analytic import (
     combo_histogram,
     cosine_product_mean,
     moment_checks,
-    neighborhood_topology,
     objective_expectation,
 )
 from qaoa_e3lin2.instance import Clause, Instance, generate_random
@@ -49,13 +48,6 @@ class TestBuildNeighborhood:
         assert nb.forms[0] == ((0, 1, -1),)
         assert nb.forms[1] == ()
         assert nb.forms[2] == ((2, 3, -1),)
-
-    def test_adjacency_shortcut_is_equivalent(self, tiny_instance):
-        topology = neighborhood_topology(tiny_instance)
-        for j in range(tiny_instance.m):
-            assert build_neighborhood(tiny_instance, j) == build_neighborhood(
-                tiny_instance, j, topology
-            )
 
     def test_index_out_of_range(self, tiny_instance):
         with pytest.raises(IndexError):

@@ -16,7 +16,9 @@ and Monte Carlo clauses. ``demo_scan.csv``, the ``bounds_*`` files
 bound is null and its CSV cell empty) and ``gen_demo.json`` (the stdout of
 the ``gen`` call that wrote ``demo.e3lin2``) were written before the records
 and CSV tables came from the report dataclasses; with them every command
-and ``--format`` has a golden. A change that moves any emitted digit,
+and ``--format`` has a golden. ``demo_typical_mixed.json`` (``--q-max 8``,
+so some clauses of the Monte Carlo ensemble take Monte Carlo terms) was
+written before the topology became a cached property of the instance. A change that moves any emitted digit,
 including the 1e-16 ``difference`` of the statevector comparison, fails here.
 """
 
@@ -58,6 +60,9 @@ CASES = {
     "ensemble10_typical.csv": ENSEMBLE10_TYPICAL + ["--format", "csv"],
     "entangled_typical.json": ["typical", "entangled.e3lin2", "--trials", "20", "--seed", "4"],
     "demo_typical.json": ["typical", "demo.e3lin2", "--trials", "200", "--seed", "1"],
+    "demo_typical_mixed.json": [
+        "typical", "demo.e3lin2", "--trials", "3", "--seed", "3", "--q-max", "8",
+    ],
     "bounds_m1000_d4.json": ["bounds", "-m", "1000", "-D", "4"],
     "bounds_m1000_d4.csv": ["bounds", "-m", "1000", "-D", "4", "--format", "csv"],
     "bounds_m7_d1.json": ["bounds", "-m", "7", "-D", "1"],

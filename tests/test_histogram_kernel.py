@@ -23,7 +23,6 @@ from qaoa_e3lin2.analytic import (
     build_neighborhood,
     clause_term_mc,
     combo_histogram,
-    neighborhood_topology,
 )
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import Clause, Instance, parity_grid, parse, term_parity
@@ -75,8 +74,7 @@ def fresh_histogram(nbhd):
 
 
 def neighborhoods(instance):
-    topology = neighborhood_topology(instance)
-    return [build_neighborhood(instance, j, topology) for j in range(instance.m)]
+    return [build_neighborhood(instance, j) for j in range(instance.m)]
 
 
 @st.composite

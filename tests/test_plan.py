@@ -9,15 +9,15 @@ rounded, so every term, total and stderr must come out equal (``==``).
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoa_e3lin2 import _caps, analytic
+from qaoa_e3lin2 import _caps, analytic, typical
 from qaoa_e3lin2.analytic import (
-    EvaluationPlan,
     ExpectationReport,
     SignKeys,
     SupportTooLargeError,
@@ -27,7 +27,6 @@ from qaoa_e3lin2.analytic import (
     clause_term_mc,
     combo_histogram,
     compile_plan,
-    neighborhood_topology,
     objective_expectation,
 )
 from qaoa_e3lin2.instance import (
@@ -90,8 +89,7 @@ def flip_spin(forms, v):
 
 
 def all_neighborhoods(instance):
-    topology = neighborhood_topology(instance)
-    return [build_neighborhood(instance, j, topology) for j in range(instance.m)]
+    return [build_neighborhood(instance, j) for j in range(instance.m)]
 
 
 class TestPlanMatchesReference:
@@ -150,9 +148,10 @@ class TestPlanMatchesReference:
 
 class TestRefusals:
     def test_exact_mode_refuses_at_the_first_clause_over_the_cap(self):
-        topology = neighborhood_topology(ENTANGLED)
         first = next(
-            len(t.support) for t in topology if 12 < len(t.support) < 2 * sum(map(len, t.pairs))
+            len(t.support)
+            for t in ENTANGLED.topology
+            if 12 < len(t.support) < 2 * sum(map(len, t.pairs))
         )
         with pytest.raises(SupportTooLargeError) as want:
             reference_report(ENTANGLED, 0.3, mode="exact", q_max=12)
@@ -166,19 +165,6 @@ class TestRefusals:
     def test_unknown_mode(self, tiny_instance):
         with pytest.raises(ValueError, match="mode"):
             compile_plan(tiny_instance, "fast")
-
-    def test_topology_of_other_triples(self):
-        inst = generate_random(n=8, m=8, d_bound=4, seed=1)
-        other = Instance(n=inst.n, clauses=inst.clauses[1:] + inst.clauses[:1])
-        with pytest.raises(ValueError, match="topology"):
-            compile_plan(inst, topology=neighborhood_topology(other))
-
-    def test_topology_of_other_length(self, tiny_instance):
-        shorter = Instance(n=tiny_instance.n, clauses=tiny_instance.clauses[:-1])
-        with pytest.raises(ValueError, match="topology"):
-            compile_plan(shorter, topology=neighborhood_topology(tiny_instance))
-        with pytest.raises(ValueError, match="topology"):
-            compile_plan(tiny_instance, topology=neighborhood_topology(shorter))
 
 
 class TestGaugeCanonicalForms:
@@ -285,13 +271,13 @@ class TestPlanShape:
     def test_each_key_is_evaluated_once_per_scan_angle(self, monkeypatch):
         inst = generate_random(n=60, m=40, d_bound=3, seed=2)
         calls = []
-        real = EvaluationPlan.key_value
+        real = analytic._key_value
         monkeypatch.setattr(
-            EvaluationPlan, "key_value", lambda self, i, g: calls.append((i, g)) or real(self, i, g)
+            analytic, "_key_value", lambda key, g: calls.append((key, g)) or real(key, g)
         )
         result = scan(inst)
-        keys = len(compile_plan(inst).keys)
-        assert sorted(calls) == sorted((i, g) for g in result.schedule.gammas for i in range(keys))
+        keys = compile_plan(inst).keys
+        assert Counter(calls) == Counter((key, g) for g in result.schedule.gammas for key in keys)
 
     def test_scan_builds_no_clause_terms(self, monkeypatch):
         inst = generate_random(n=60, m=40, d_bound=3, seed=2)
@@ -315,20 +301,19 @@ class TestPlanShape:
 class TestEnsembleMemo:
     def _count_key_values(self, monkeypatch):
         calls = []
-        real = EvaluationPlan.key_value
-        monkeypatch.setattr(
-            EvaluationPlan, "key_value", lambda self, i, g: calls.append(self.keys[i]) or real(self, i, g)
-        )
+        real = analytic._key_value
+        spy = lambda key, g: calls.append(key) or real(key, g)  # noqa: E731
+        monkeypatch.setattr(analytic, "_key_value", spy)
+        monkeypatch.setattr(typical, "_key_value", spy)
         return calls
 
     def test_exhaustive_evaluates_each_distinct_key_once(self, monkeypatch):
         triples = OCTET[:6]
         base = base_instance(triples)
-        topology = neighborhood_topology(base)
         distinct = set()
         for code in range(1 << base.m):
             rhs = [(code >> j) & 1 for j in range(base.m)]
-            distinct.update(compile_plan(with_signs(base, rhs), "exact", None, topology).keys)
+            distinct.update(compile_plan(with_signs(base, rhs), "exact").keys)
         calls = self._count_key_values(monkeypatch)
         ensemble_mean_exhaustive(triples, 0.4)
         assert len(calls) == len(set(calls)) == len(distinct) < base.m << base.m
@@ -338,12 +323,4 @@ class TestEnsembleMemo:
         ensemble_mean_mc(OCTET, 0.3, trials=30, seed=2)
         assert len(calls) == len(set(calls)) < 30 * len(OCTET)
 
-    def test_memo_reuses_values_across_plans(self):
-        base = base_instance(OCTET)
-        memo = {}
-        for t in range(6):
-            plan = compile_plan(resample_signs(base, seed=[1, t]), "auto")
-            assert plan.total(0.3, memo=memo) == plan.total(0.3)
-        assert set(memo) >= set(plan.keys)
-        assert all(memo[key] == plan.key_value(i, 0.3) for i, key in enumerate(plan.keys))
 

@@ -1,10 +1,11 @@
-"""One plan per scan and one topology per sign ensemble.
+"""One plan per scan and one topology per instance.
 
 The reference loops here take the straightforward path: a fresh
 ``objective_expectation`` per angle, and a fresh ``with_signs`` /
 ``resample_signs`` instance per sign vector, each compiling its own plan
 from its own topology. Shared construction must reproduce them exactly
-(``==``).
+(``==``). ``Instance.topology`` is built once per instance, however many
+neighborhoods, plans and ensemble vectors read it.
 """
 
 import math
@@ -12,13 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_e3lin2 import analytic, schedule
-from qaoa_e3lin2.analytic import (
-    build_neighborhood,
-    compile_plan,
-    neighborhood_topology,
-    objective_expectation,
-)
+from qaoa_e3lin2 import analytic
+from qaoa_e3lin2 import instance as instance_module
+from qaoa_e3lin2.analytic import build_neighborhood, objective_expectation
 from qaoa_e3lin2.instance import Clause, Instance, generate_random, resample_signs, with_signs
 from qaoa_e3lin2.schedule import make_schedule, scan
 from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
@@ -69,11 +66,13 @@ class TestScanReusesNeighborhoods:
 
     def test_factorized_scan_builds_one_topology_and_no_neighborhood(self, monkeypatch):
         inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
-        assert all(len(t.support) == 2 * sum(map(len, t.pairs)) for t in neighborhood_topology(inst))
-        calls = {"neighborhood_topology": 0, "build_neighborhood": 0}
+        # built apart from the instance, so that the scan builds its cached topology
+        topology = instance_module._build_topology(inst.triples())
+        assert all(len(t.support) == 2 * sum(map(len, t.pairs)) for t in topology)
+        calls = {"_build_topology": 0, "build_neighborhood": 0}
 
-        def counting(name):
-            real = getattr(analytic, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -81,13 +80,37 @@ class TestScanReusesNeighborhoods:
 
             return wrapper
 
-        for name in calls:
-            wrapper = counting(name)
-            monkeypatch.setattr(analytic, name, wrapper)
-            monkeypatch.setattr(schedule, name, wrapper, raising=False)
+        for module, name in ((instance_module, "_build_topology"), (analytic, "build_neighborhood")):
+            monkeypatch.setattr(module, name, counting(module, name))
         result = scan(inst)
         assert len(result.points) == result.schedule.k + 1 > 1
-        assert calls == {"neighborhood_topology": 1, "build_neighborhood": 0}
+        assert calls == {"_build_topology": 1, "build_neighborhood": 0}
+
+
+class TestTopologyBuiltOncePerInstance:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = instance_module._build_topology
+        monkeypatch.setattr(
+            instance_module, "_build_topology", lambda triples: calls.append(triples) or real(triples)
+        )
+        return calls
+
+    def test_every_neighborhood_of_an_instance_shares_one(self, builds):
+        inst = _signed(OCTET, seed=3)
+        for j in range(inst.m):
+            build_neighborhood(inst, j)
+        assert len(builds) == 1
+
+    def test_exhaustive_ensemble_builds_one(self, builds):
+        ensemble_mean_exhaustive(OCTET[:6], 0.4)
+        assert builds == [OCTET[:6]]
+
+    def test_monte_carlo_ensemble_builds_one(self, builds):
+        # q_max 4 sends clauses 1, 6 and 7 to Monte Carlo, whose neighborhoods every trial reads
+        ensemble_mean_mc(OCTET, 0.3, trials=5, seed=1, q_max=4)
+        assert builds == [OCTET]
 
 
 class TestEnsemblesShareTopology:
@@ -121,42 +144,8 @@ class TestEnsemblesShareTopology:
 
 
 class TestMismatchRefused:
-    def test_plan_topology_of_other_triples(self):
-        inst = _signed(OCTET, seed=6)
-        flipped = with_signs(inst, [1 - cl.rhs for cl in inst.clauses])
-        plan = compile_plan(inst, topology=neighborhood_topology(flipped))
-        assert plan.evaluate(0.3) == objective_expectation(inst, 0.3)
-        permuted = Instance(n=inst.n, clauses=inst.clauses[1:] + inst.clauses[:1])
-        with pytest.raises(ValueError, match="topology"):
-            compile_plan(inst, topology=neighborhood_topology(permuted))
-
-    def test_plan_topology_of_wrong_count_or_order(self):
-        inst = _signed(OCTET, seed=6)
-        topology = neighborhood_topology(inst)
-        with pytest.raises(ValueError, match="topology"):
-            compile_plan(inst, topology=topology[:-1])
-        with pytest.raises(ValueError, match="topology"):
-            compile_plan(inst, topology=topology[::-1])
-        assert compile_plan(inst, topology=topology).evaluate(0.3) == objective_expectation(inst, 0.3)
-        assert compile_plan(inst).evaluate(0.3) == objective_expectation(inst, 0.3)
-
-    def test_topology_of_other_triples(self):
-        inst = _signed(OCTET, seed=7)
-        other = generate_random(n=8, m=8, d_bound=4, seed=1)
-        assert other.triples() != inst.triples()
-        with pytest.raises(ValueError, match="topology"):
-            for j in range(inst.m):
-                build_neighborhood(inst, j, neighborhood_topology(other))
-
-    def test_topology_of_other_size(self, tiny_instance):
-        topology = neighborhood_topology(tiny_instance)
-        shorter = Instance(n=tiny_instance.n, clauses=tiny_instance.clauses[:-1])
-        with pytest.raises(ValueError, match="topology"):
-            build_neighborhood(shorter, 0, topology)
+    """The topology is read from an instance's own triples, and its signs leave it unchanged."""
 
     def test_topology_ignores_signs(self, tiny_instance):
         flipped = with_signs(tiny_instance, [1 - cl.rhs for cl in tiny_instance.clauses])
-        topology = neighborhood_topology(tiny_instance)
-        assert topology == neighborhood_topology(flipped)
-        for j in range(flipped.m):
-            assert build_neighborhood(flipped, j, topology) == build_neighborhood(flipped, j)
+        assert tiny_instance.topology == flipped.topology
