@@ -46,9 +46,11 @@ clause by P or by (q, canonical forms, d), and evaluates each distinct key
 once per angle; ``math.fsum`` is correctly rounded, so W expanded from the
 distinct values is bitwise the per-clause sum. Scans compile one plan and
 evaluate it at every angle. The forest depends on the pair positions
-only, so a key is fixed by a few GF(2) parities of the rhs bits:
-:class:`SignKeys` reads the keys of many sign vectors at once with one
-``term_parity`` call, and :func:`compile_plan` is that read at one vector.
+only, so a key is fixed by a few GF(2) parities of the rhs bits: an
+:class:`EvaluationPlan` reads the keys of the instance's own signs when it
+is built, and those of a whole chunk of sign vectors with one
+``term_parity`` call (:meth:`EvaluationPlan.ensemble_w`). The plan is the
+one place where W is assembled from key values and Monte Carlo terms;
 Monte Carlo clauses keep their own neighborhood and their
 ``(seed, clause_index)`` stream.
 """
@@ -58,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -285,8 +288,8 @@ def _factorized_value(pairs_total: int, gamma: float) -> float:
 
 
 def _q_cap(q_max: int | None) -> int:
-    """The exact-enumeration cap: ``q_max``, or the environment default when None."""
-    return _caps.default_q_max() if q_max is None else q_max
+    """The exact-enumeration cap: ``q_max``, or ``Q_MAX_DEFAULT`` when None."""
+    return _caps.Q_MAX_DEFAULT if q_max is None else q_max
 
 
 def _require_enumerable(q_size: int, q_max: int | None) -> None:
@@ -373,73 +376,18 @@ def clause_term_mc(
     )
 
 
-@dataclass(frozen=True)
 class EvaluationPlan:
-    """Each clause's route, and the distinct clause terms W is assembled from.
+    """Each clause's route and term key, at the instance's own signs or at any sign vector.
 
-    ``keys`` are the distinct keys of the exact clause terms: the pair
-    total ``P`` of a factorized clause, ``(q, gauge-canonical forms, d)`` of
-    an enumerated one; each is all its term depends on. ``key_of[j]`` is
-    clause j's index into ``keys``, or -1 when the clause takes Monte Carlo;
-    ``mc`` holds those clauses' own neighborhoods in clause order.
-    """
-
-    instance: Instance
-    mode: str
-    keys: tuple
-    key_of: tuple[int, ...]
-    mc: tuple[Neighborhood, ...]
-
-    def _mc_terms(self, gamma: float, mc_samples: int, seed: int) -> list[ClauseTerm]:
-        return [
-            clause_term_mc(nbhd, gamma, mc_samples, seed=[seed, nbhd.focal_index])
-            for nbhd in self.mc
-        ]
-
-    def total(
-        self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
-    ) -> tuple[float, float]:
-        """(W(gamma), its standard error) without per-clause terms."""
-        values = [_key_value(key, gamma) for key in self.keys]
-        mc = self._mc_terms(gamma, mc_samples, seed)
-        exact = [values[i] for i in self.key_of if i >= 0]
-        total = math.fsum(exact + [t.value for t in mc])
-        return total, math.sqrt(math.fsum(t.stderr**2 for t in mc))
-
-    def evaluate(
-        self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
-    ) -> ExpectationReport:
-        """The full report: one :class:`ClauseTerm` per clause, in order."""
-        values = [_key_value(key, gamma) for key in self.keys]
-        mc = iter(self._mc_terms(gamma, mc_samples, seed))
-        terms = tuple(
-            next(mc) if i < 0 else ClauseTerm(j, values[i], EXACT_METHOD)
-            for j, i in enumerate(self.key_of)
-        )
-        return ExpectationReport(
-            n=self.instance.n,
-            m=self.instance.m,
-            d_bound=self.instance.d_bound,
-            gamma=gamma,
-            mode=self.mode,
-            total=math.fsum(t.value for t in terms),
-            stderr=math.sqrt(math.fsum(t.stderr**2 for t in terms)),
-            terms=terms,
-        )
-
-
-class SignKeys:
-    """The routes and plan keys of a triple collection's clauses, for many sign vectors.
-
-    A factorized clause's key P takes no sign. An enumerated clause's key
-    (q, canonical forms, d) is fixed by the rhs parities of
-    :func:`_key_rows`, which ``rows`` holds for every such clause, padded
-    with m; :meth:`key_indices` points m at an all-zero column, so one
-    :func:`term_parity` gives the codes of a whole chunk of vectors. A
-    code's bits are d and the canonical pair signs, so each distinct code
-    decodes to its key directly. ``index`` numbers the distinct keys in the
-    order they are first met, and ``mc`` lists the Monte Carlo clauses. The
-    clauses' topology is ``instance.topology``; only the triples are read.
+    A factorized clause's key is its pair total P. An enumerated clause's
+    key (q, gauge-canonical forms, d) is fixed by the rhs parities of
+    :func:`_key_rows`, which ``rows`` holds padded with m; :meth:`key_indices`
+    points m at an all-zero column, so one :func:`term_parity` gives the codes
+    of a chunk of sign vectors, and a code's bits (d and the canonical pair
+    signs) decode to its key. ``index`` numbers the distinct keys as first
+    met and ``keys`` lists them; ``mc`` lists the Monte Carlo clauses.
+    ``key_of[j]`` is clause j's key index at the instance's own signs, read
+    at construction, or -1 for a Monte Carlo clause.
     """
 
     def __init__(self, instance: Instance, mode: str = "auto", q_max: int | None = None):
@@ -447,6 +395,7 @@ class SignKeys:
             raise ValueError(f"mode must be exact, auto or mc, got {mode!r}")
         q_cap = _q_cap(q_max)
         self.instance = instance
+        self.mode = mode
         self.index: dict = {}
         self.mc: list[int] = []
         self._fixed = np.full(instance.m, -1, dtype=np.intp)
@@ -467,6 +416,11 @@ class SignKeys:
         width = max(map(len, rows), default=0)
         padded = [row + [instance.m] * (width - len(row)) for row in rows]
         self.rows = np.array(padded, dtype=np.intp).reshape(len(rows), width)
+        self.key_of = tuple(self.key_indices(instance.rhs_array[None, :])[0].tolist())
+
+    @property
+    def keys(self) -> tuple:
+        return tuple(self.index)
 
     def vectors_per_chunk(self) -> int:
         """Sign vectors per :meth:`key_indices` call.
@@ -510,6 +464,68 @@ class SignKeys:
         """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
         return tuple(_signed(self.instance.topology[j], j, rhs) for j in self.mc)
 
+    def _w(self, gamma: float, rhs, row, values, samples: int, seed: int):
+        """(W, stderr, Monte Carlo terms) of one sign vector with rhs bits ``rhs``.
+
+        ``row`` indexes each clause's key into ``values``; a Monte Carlo
+        clause j is drawn from ``(seed, j)``. W is one ``math.fsum``, which
+        is correctly rounded, so the order of its inputs does not matter.
+        """
+        mc = [
+            clause_term_mc(nbhd, gamma, samples, seed=[seed, nbhd.focal_index])
+            for nbhd in self.neighborhoods(rhs)
+        ]
+        total = math.fsum([values[i] for i in row if i >= 0] + [t.value for t in mc])
+        return total, math.sqrt(math.fsum(t.stderr**2 for t in mc)), mc
+
+    def total(
+        self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
+    ) -> tuple[float, float]:
+        """(W(gamma), its standard error) without per-clause terms."""
+        values = [_key_value(key, gamma) for key in self.index]
+        return self._w(gamma, self.instance.rhs_array, self.key_of, values, mc_samples, seed)[:2]
+
+    def evaluate(
+        self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
+    ) -> ExpectationReport:
+        """The full report: one :class:`ClauseTerm` per clause, in order."""
+        values = [_key_value(key, gamma) for key in self.index]
+        rhs = self.instance.rhs_array
+        total, stderr, mc = self._w(gamma, rhs, self.key_of, values, mc_samples, seed)
+        drawn = iter(mc)
+        terms = tuple(
+            next(drawn) if i < 0 else ClauseTerm(j, values[i], EXACT_METHOD)
+            for j, i in enumerate(self.key_of)
+        )
+        return ExpectationReport(
+            n=self.instance.n,
+            m=self.instance.m,
+            d_bound=self.instance.d_bound,
+            gamma=gamma,
+            mode=self.mode,
+            total=total,
+            stderr=stderr,
+            terms=terms,
+        )
+
+    def ensemble_w(self, gamma: float, vectors: int, signs) -> np.ndarray:
+        """W(gamma) on sign vectors 0 to ``vectors - 1``; ``signs(start, stop)`` gives their rhs rows.
+
+        The vectors go chunk by chunk, and ``values`` grows by the keys a
+        chunk adds, each evaluated once. Monte Carlo clauses are drawn as
+        :meth:`total` draws them at its defaults.
+        """
+        w = np.empty(vectors, dtype=np.float64)
+        values: list[float] = []
+        step = self.vectors_per_chunk()
+        for start in range(0, vectors, step):
+            rhs = signs(start, min(start + step, vectors))
+            key_of = self.key_indices(rhs)
+            values += [_key_value(key, gamma) for key in islice(self.index, len(values), None)]
+            for t, (bits, row) in enumerate(zip(rhs, key_of.tolist()), start):
+                w[t] = self._w(gamma, bits, row, values, MC_SAMPLES, 0)[0]
+        return w
+
 
 def compile_plan(instance: Instance, mode: str = "auto", q_max: int | None = None) -> EvaluationPlan:
     """Route every clause and key its term, once for all angles.
@@ -518,13 +534,9 @@ def compile_plan(instance: Instance, mode: str = "auto", q_max: int | None = Non
     ``auto`` (exact where the support fits under ``q_max`` or the term
     factorizes through disjoint pairs, Monte Carlo elsewhere) or ``mc``
     (Monte Carlo everywhere). A factorized clause (q = 2P) needs no
-    neighborhood. The plan is :class:`SignKeys` read at the instance's own
-    rhs vector.
+    neighborhood.
     """
-    keys = SignKeys(instance, mode, q_max)
-    rhs = instance.rhs_array
-    key_of = tuple(keys.key_indices(rhs[None, :])[0].tolist())
-    return EvaluationPlan(instance, mode, tuple(keys.index), key_of, keys.neighborhoods(rhs))
+    return EvaluationPlan(instance, mode, q_max)
 
 
 def objective_expectation(

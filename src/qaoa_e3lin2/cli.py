@@ -99,9 +99,16 @@ def _table(cls, records) -> str:
     return _csv_text(header, [[getattr(r, k) for k in header] for r in records])
 
 
+class _OutputError(click.ClickException):
+    exit_code = 2  # an output file that cannot be created is bad input
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -199,7 +206,7 @@ def main():
     default="uniform-random",
     show_default=True,
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "-o",
     "--output",
@@ -236,8 +243,10 @@ def cmd_gen(n, m, d_bound, sign_mode, seed, out):
     help="analytic-convention angle",
 )
 @click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
-@click.option("--mc-samples", type=int, default=analytic.MC_SAMPLES, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option(
+    "--mc-samples", type=click.IntRange(min=1), default=analytic.MC_SAMPLES, show_default=True
+)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
 @click.option(
     "--compare-statevector",
@@ -284,8 +293,10 @@ def cmd_eval(
 @main.command(name="scan")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
-@click.option("--mc-samples", type=int, default=analytic.MC_SAMPLES, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option(
+    "--mc-samples", type=click.IntRange(min=1), default=analytic.MC_SAMPLES, show_default=True
+)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
 @_format_options
 @_friendly
@@ -331,7 +342,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     show_default=True,
     help='shot count, or "auto" for ceil(m ln m)',
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n-max", type=int, default=None, help="statevector qubit cap")
 @_format_options
 @_friendly
@@ -375,7 +386,7 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     show_default=True,
     help="Monte Carlo trials; 0 enumerates all sign assignments (m <= 20)",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
 @_format_options
 @_friendly

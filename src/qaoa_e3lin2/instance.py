@@ -341,7 +341,6 @@ def generate_random(
     d_bound: int,
     sign_mode: str = "uniform-random",
     seed: int = 0,
-    max_attempts: int | None = None,
 ) -> Instance:
     """Draw a valid instance with m unique sorted triples, occurrence <= d_bound+1.
 
@@ -365,7 +364,7 @@ def generate_random(
         raise InfeasibleError(f"m={m} exceeds the {math.comb(n, 3)} distinct triples on n={n}")
 
     rng = np.random.default_rng(seed)
-    budget = 1000 * m if max_attempts is None else max_attempts
+    budget = 1000 * m
     cap = d_bound + 1
     counts = np.zeros(n, dtype=np.int64)
     chosen: list[tuple[int, int, int]] = []

@@ -93,7 +93,7 @@ def recommended_samples(m: int) -> int:
 
 def brute_force_max(instance: Instance, n_max: int | None = None) -> tuple[int, Assignment]:
     """Exact maximum satisfied count and its lowest-index maximizer."""
-    n_max = _caps.default_brute_force_n_max() if n_max is None else n_max
+    n_max = _caps.BRUTE_FORCE_N_MAX_DEFAULT if n_max is None else n_max
     if instance.n > n_max:
         raise ValueError(f"n={instance.n} exceeds brute-force cap {n_max}")
     # blocks come in increasing code order, so the first maximum seen has

@@ -218,7 +218,6 @@ def chebyshev_node_property(
     coefficients: Sequence[float] | None = None,
     trials: int = 0,
     seed: int = 0,
-    tol: float = NODE_TOL,
 ) -> NodeCheck:
     """Check max_r |x_r + a_2 x_r^2 + ... + a_k x_r^k| >= 1/k on the nodes.
 
@@ -258,7 +257,7 @@ def chebyshev_node_property(
             min_value = value
             worst = coeffs
     return NodeCheck(
-        ok=min_value >= threshold - tol,
+        ok=min_value >= threshold - NODE_TOL,
         min_value=min_value,
         threshold=threshold,
         worst_coefficients=worst,

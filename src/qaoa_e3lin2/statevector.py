@@ -84,7 +84,7 @@ def cost_values(instance: Instance, n: int) -> np.ndarray:
 
 def uniform_state(n: int, n_max: int | None = None) -> QuantumState:
     """The uniform superposition |s>, an eigenstate of every X."""
-    n_max = _caps.default_n_max() if n_max is None else n_max
+    n_max = _caps.N_MAX_DEFAULT if n_max is None else n_max
     if not 1 <= n <= n_max:
         raise ValueError(f"n must be in [1, {n_max}], got {n}")
     _caps.require_memory(PEAK_BYTES_PER_AMPLITUDE << n, f"a {n}-qubit statevector")

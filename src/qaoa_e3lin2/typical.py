@@ -19,23 +19,24 @@ sign assignments and must reproduce the closed form exactly; the Monte
 Carlo path estimates the same mean with a seeded stream and reports the
 empirical variance, which stays under (1/4) m (6D+3)(D+1).
 
-Neither path builds an instance or compiles a plan per sign vector. Every
-clause's plan key is a GF(2) code of the rhs bits (:class:`SignKeys`), so
-one parity kernel call gives the keys of a whole chunk of sign vectors,
-each distinct key is evaluated once, and a vector's W is one ``math.fsum``
-of looked-up values, bitwise the sum a per-vector plan would give.
+Neither path builds an instance or compiles a plan per sign vector. Both
+compile one plan of the collection and ask it for W on every sign vector
+(``EvaluationPlan.ensemble_w``): every clause's plan key is a GF(2) code of
+the rhs bits, so one parity kernel call gives the keys of a whole chunk of
+sign vectors, each distinct key is evaluated once, and a vector's W is one
+``math.fsum`` of looked-up values, bitwise the sum a per-vector plan would
+give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import MC_SAMPLES, SignKeys, _factorized_value, _key_value, clause_term_mc
+from .analytic import _factorized_value, compile_plan
 from .instance import Clause, Instance, code_bits, random_rhs
 
 EXHAUSTIVE_MAX_M = 20
@@ -142,32 +143,6 @@ def _assemble(
     )
 
 
-def _ensemble_w(keys: SignKeys, gamma: float, vectors: int, signs) -> np.ndarray:
-    """W(gamma) on sign vectors 0 to ``vectors - 1``; ``signs(start, stop)`` gives their rhs rows.
-
-    The vectors go chunk by chunk. ``keys.index`` numbers the keys in the
-    order they are first met, so ``values`` grows by the keys a chunk adds,
-    each evaluated once, and a vector's W is one ``math.fsum`` of its
-    clauses' values; fsum is correctly rounded, so the order of the values
-    does not matter. A Monte Carlo clause takes its own neighborhood and
-    ``(0, clause_index)`` draw on every vector, as a plan's total does.
-    """
-    w = np.empty(vectors, dtype=np.float64)
-    values: list[float] = []
-    step = keys.vectors_per_chunk()
-    for start in range(0, vectors, step):
-        rhs = signs(start, min(start + step, vectors))
-        key_of = keys.key_indices(rhs)
-        values += [_key_value(key, gamma) for key in islice(keys.index, len(values), None)]
-        for t, (bits, row) in enumerate(zip(rhs, key_of.tolist()), start):
-            mc = [
-                clause_term_mc(nbhd, gamma, MC_SAMPLES, seed=[0, nbhd.focal_index]).value
-                for nbhd in keys.neighborhoods(bits)
-            ]
-            w[t] = math.fsum([values[i] for i in row if i >= 0] + mc)
-    return w
-
-
 def ensemble_mean_exhaustive(
     triples: Sequence[tuple[int, int, int]],
     gamma: float,
@@ -179,7 +154,7 @@ def ensemble_mean_exhaustive(
     Exact: the returned variance is the full-ensemble population variance
     and stderr is 0. Refuses m > 20. Sign vector ``code`` has rhs bit j
     equal to bit j of ``code``; W of every vector is read from the key codes
-    of :class:`SignKeys`, so each distinct clause term is evaluated once.
+    of one plan, so each distinct clause term is evaluated once.
     """
     base = base_instance(triples, n=n)
     m = base.m
@@ -189,7 +164,7 @@ def ensemble_mean_exhaustive(
     def signs(start: int, stop: int) -> np.ndarray:
         return code_bits(np.arange(start, stop), m)
 
-    values = _ensemble_w(SignKeys(base, "exact", q_max), gamma, 1 << m, signs)
+    values = compile_plan(base, "exact", q_max).ensemble_w(gamma, 1 << m, signs)
     size = float(1 << m)
     mean = math.fsum(values) / size
     # over Python floats, one at a time: on a numpy scalar ** is numpy's power
@@ -221,7 +196,7 @@ def ensemble_mean_mc(
         draws = [random_rhs(m, [seed, t]) for t in range(start, stop)]
         return np.array(draws, dtype=np.uint8).reshape(stop - start, m)
 
-    values = _ensemble_w(SignKeys(base, "auto", q_max), gamma, trials, signs)
+    values = compile_plan(base, "auto", q_max).ensemble_w(gamma, trials, signs)
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)

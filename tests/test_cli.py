@@ -290,3 +290,38 @@ class TestFileOutput:
         runner.invoke(main, ["scan", instance_file, "-o", str(o1)])
         runner.invoke(main, ["scan", instance_file, "-o", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    def test_missing_directory_exits_two_naming_the_path(self, instance_file, tmp_path, runner, command):
+        out = tmp_path / "nodir" / "out"
+        args = {
+            "gen": ["gen", "-n", "5", "-m", "3", "-D", "1", "-o", str(out)],
+            "eval": ["eval", instance_file, "--gamma", "0.3", "-o", str(out)],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ") and str(out) in lines[0]
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["gen", "-n", "9", "-m", "7", "-D", "2", "--seed", "-1", "-o", "x.e3lin2"], "--seed"),
+            (["eval", "{path}", "--gamma", "0.3", "--seed", "-1"], "--seed"),
+            (["eval", "{path}", "--gamma", "0.3", "--mc-samples", "0"], "--mc-samples"),
+            (["scan", "{path}", "--seed", "-1"], "--seed"),
+            (["scan", "{path}", "--mode", "mc", "--seed", "-1"], "--seed"),
+            (["scan", "{path}", "--mc-samples", "0"], "--mc-samples"),
+            (["sample", "{path}", "--gamma", "0.3", "--seed", "-1"], "--seed"),
+            (["typical", "{path}", "--seed", "-2"], "--seed"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_out_of_range_exits_two_naming_the_option(self, instance_file, runner, args, option):
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, [a.format(path=instance_file) for a in args])
+        assert result.exit_code == 2
+        assert f"'{option}'" in result.output

@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoa_e3lin2 import _caps, analytic, typical
+from qaoa_e3lin2 import _caps, analytic
 from qaoa_e3lin2.analytic import (
     ExpectationReport,
-    SignKeys,
     SupportTooLargeError,
     _gauge_fixed,
     build_neighborhood,
@@ -48,7 +47,7 @@ GAMMAS = (0.37, -0.21, 1.3)
 
 
 def reference_report(instance, gamma, mode="auto", q_max=None, mc_samples=100_000, seed=0):
-    q_cap = _caps.default_q_max() if q_max is None else q_max
+    q_cap = _caps.Q_MAX_DEFAULT if q_max is None else q_max
     terms = []
     for j in range(instance.m):
         nbhd = build_neighborhood(instance, j)
@@ -221,13 +220,15 @@ class TestGaugeCanonicalForms:
 
 
 class TestSignKeys:
+    """The keys a plan reads for a whole matrix of sign vectors at once."""
+
     @given(inst=instances(min_n=5, max_n=9, max_m=8))
     @settings(max_examples=30)
     def test_codes_decode_to_the_gauge_fixed_keys_of_every_sign_vector(self, inst):
-        keys = SignKeys(inst, "exact")
+        plan = compile_plan(inst, "exact")
         rhs = code_bits(np.arange(1 << inst.m), inst.m)
-        key_of = keys.key_indices(rhs)
-        found = list(keys.index)
+        key_of = plan.key_indices(rhs)
+        found = list(plan.keys)
         for bits, row in zip(rhs, key_of.tolist()):
             signed = with_signs(inst, bits)
             for j, i in enumerate(row):
@@ -240,10 +241,10 @@ class TestSignKeys:
         assert sorted(set(key_of.ravel().tolist())) == list(range(len(found)))
 
     def test_monte_carlo_clauses_read_minus_one(self):
-        keys = SignKeys(ENTANGLED, "auto", 12)
-        key_of = keys.key_indices(code_bits(np.arange(5), ENTANGLED.m))
-        assert keys.mc and (key_of[:, keys.mc] == -1).all()
-        assert (np.delete(key_of, keys.mc, axis=1) >= 0).all()
+        plan = compile_plan(ENTANGLED, "auto", 12)
+        key_of = plan.key_indices(code_bits(np.arange(5), ENTANGLED.m))
+        assert plan.mc and (key_of[:, plan.mc] == -1).all()
+        assert (np.delete(key_of, plan.mc, axis=1) >= 0).all()
 
 
 class TestPlanShape:
@@ -264,8 +265,9 @@ class TestPlanShape:
         for mode, q_max in (("mc", None), ("auto", 12)):
             plan = compile_plan(inst, mode, q_max)
             mc_clauses = [j for j, i in enumerate(plan.key_of) if i < 0]
-            assert [nb.focal_index for nb in plan.mc] == mc_clauses
-            assert list(plan.mc) == [build_neighborhood(inst, j) for j in mc_clauses]
+            own = plan.neighborhoods(inst.rhs_array)
+            assert plan.mc == [nb.focal_index for nb in own] == mc_clauses
+            assert list(own) == [build_neighborhood(inst, j) for j in mc_clauses]
         assert len(compile_plan(inst, "mc").mc) == inst.m
 
     def test_each_key_is_evaluated_once_per_scan_angle(self, monkeypatch):
@@ -304,7 +306,6 @@ class TestEnsembleMemo:
         real = analytic._key_value
         spy = lambda key, g: calls.append(key) or real(key, g)  # noqa: E731
         monkeypatch.setattr(analytic, "_key_value", spy)
-        monkeypatch.setattr(typical, "_key_value", spy)
         return calls
 
     def test_exhaustive_evaluates_each_distinct_key_once(self, monkeypatch):

@@ -314,7 +314,7 @@ class TestAgainstBruteForce:
             ensemble_mean_mc(SHARED_PAIR, 0.47, trials=20, seed=3),
         )
         monkeypatch.setattr(analytic, "_CODE_CHUNK_BYTES", 1)
-        assert analytic.SignKeys(base_instance(SPREAD_OCTET), "exact").vectors_per_chunk() == 1
+        assert analytic.compile_plan(base_instance(SPREAD_OCTET), "exact").vectors_per_chunk() == 1
         got = (
             ensemble_mean_exhaustive(SPREAD_OCTET, 0.52),
             ensemble_mean_mc(SHARED_PAIR, 0.47, trials=20, seed=3),
