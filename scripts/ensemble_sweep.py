@@ -45,13 +45,12 @@ def main(argv=None) -> int:
 
     if args.instance:
         inst = parse(args.instance.read_text())
-        triples, n = inst.triples(), inst.n
     else:
         inst = generate_random(n=args.n, m=args.m, d_bound=args.d_bound, seed=args.seed)
-        triples, n = inst.triples(), inst.n
-    base = base_instance(triples, n=n)
+    triples = inst.triples()
+    base = base_instance(triples)
     d = max(1, base.d_bound)
-    print(f"collection: m={base.m}, n={base.n}, derived D={base.d_bound}, "
+    print(f"collection: m={base.m}, n={inst.n}, derived D={base.d_bound}, "
           f"{args.trials} sign draws per angle\n")
 
     header = f"{'gamma':>8} {'closed':>9} {'mc_mean':>9} {'stderr':>8} {'lower':>9} {'upper':>9}"
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
     for g in np.linspace(0.05, math.pi / 2 - 0.05, args.points):
         g = float(g)
         closed = collection_closed_form(base, g)
-        rep = ensemble_mean_mc(triples, g, trials=args.trials, seed=args.seed, n=n)
+        rep = ensemble_mean_mc(triples, g, trials=args.trials, seed=args.seed)
         lo, hi = sandwich_bounds(base.m, d, g)
         max_stderr = max(max_stderr, rep.stderr)
         print(f"{g:8.4f} {closed:9.5f} {rep.mean_w:9.5f} {rep.stderr:8.5f} "

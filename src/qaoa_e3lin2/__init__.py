@@ -19,7 +19,6 @@ from .analytic import (
     build_neighborhood,
     clause_term_exact,
     clause_term_mc,
-    compile_plan,
     moment_checks,
     objective_expectation,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "clause_term_exact",
     "clause_term_mc",
     "code_bits",
-    "compile_plan",
     "ensemble_mean_exhaustive",
     "ensemble_mean_mc",
     "expectation",

@@ -38,20 +38,19 @@ A clause term depends on a small key only: a factorized clause's on its
 pair total P, an enumerated clause's on its q, its (c1, c2, c3) histogram
 and its focal sign d. Flipping one support spin negates the pairs that meet
 it and permutes the assignments, so the histogram is unchanged; fixing the
-signs of a spanning forest of the pair graph to +1 (the forest read from
-the pair positions alone) therefore gives gauge-canonical forms that stand
-for the histogram, and the histogram cache is keyed on them.
-:func:`compile_plan` routes every clause once, keys each non-Monte-Carlo
-clause by P or by (q, canonical forms, d), and evaluates each distinct key
-once per angle; ``math.fsum`` is correctly rounded, so W expanded from the
-distinct values is bitwise the per-clause sum. Scans compile one plan and
-evaluate it at every angle. The forest depends on the pair positions
-only, so a key is fixed by a few GF(2) parities of the rhs bits: an
-:class:`EvaluationPlan` reads the keys of the instance's own signs when it
-is built, and those of a whole chunk of sign vectors with one
-``term_parity`` call (:meth:`EvaluationPlan.ensemble_w`). The plan is the
-one place where W is assembled from key values and Monte Carlo terms;
-Monte Carlo clauses keep their own neighborhood and their
+signs of a spanning forest of the pair graph to +1 gives gauge-canonical
+forms that stand for the histogram. One forest walk, :func:`_gauge_rows`,
+gives each pair the pairs whose signs multiply to its canonical sign, from
+the pair positions alone: the histogram cache is keyed on the forms it
+fixes, and an :class:`EvaluationPlan` reads the same rows as GF(2)
+parities of the rhs bits. The plan routes every clause once, keys each
+non-Monte-Carlo clause by P or by (q, canonical forms, d), and evaluates
+each distinct key once per angle, at the instance's own signs or on a whole
+chunk of sign vectors with one ``term_parity`` call
+(:meth:`EvaluationPlan.ensemble_w`); ``math.fsum`` is correctly rounded, so
+W expanded from the distinct values is bitwise the per-clause sum. The plan
+is the one place where W is assembled from key values and Monte Carlo
+terms; Monte Carlo clauses keep their own neighborhood and their
 ``(seed, clause_index)`` stream.
 """
 
@@ -59,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Sequence
 
@@ -177,62 +176,47 @@ def _pair_terms(forms, scales) -> tuple[np.ndarray, np.ndarray]:
     return terms, weights
 
 
-def _spanning_forest(q_size: int, pairs) -> list[tuple[int, int, int]]:
-    """The edges ``(child, parent, e)`` of a spanning forest of a pair graph.
+def _gauge_rows(q_size: int, pairs) -> list[list[int]]:
+    """For each pair, the pairs whose signs multiply to its gauge-canonical sign.
 
-    ``pairs[e]`` starts with the support positions ``a, b`` of edge e. The
-    forest is a breadth-first search from each unvisited position in order;
-    it reads the positions alone, and its edges come in visit order, so a
-    parent is a root or the child of an earlier edge.
+    ``pairs[e]`` starts with the support positions ``a, b`` of pair e. The
+    spanning forest is a breadth-first search from each unvisited position
+    in order. With path(v) the forest pairs from v's root to v, pair e's row
+    is ``{e} ^ path(a) ^ path(b)``: a forest pair's row is empty (sign +1),
+    and forms that differ by flips of support spins give equal products.
     """
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(q_size)]
     for e, (a, b, _) in enumerate(pairs):
         adjacency[a].append((b, e))
         adjacency[b].append((a, e))
-    seen = [False] * q_size
-    edges = []
+    path: list[set[int] | None] = [None] * q_size
     for root in range(q_size):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for v in queue:
-            for w, e in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    edges.append((w, v, e))
-                    queue.append(w)
-    return edges
+        if path[root] is None:
+            path[root] = set()
+            queue = [root]
+            for v in queue:
+                for w, e in adjacency[v]:
+                    if path[w] is None:
+                        path[w] = path[v] ^ {e}
+                        queue.append(w)
+    return [sorted(path[a] ^ path[b] ^ {e}) for e, (a, b, _) in enumerate(pairs)]
+
+
+def _with_signs(forms, signs) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The forms with their pairs' signs replaced by ``signs``, taken in form order."""
+    signs = iter(signs)
+    return tuple(tuple([(a, b, next(signs)) for a, b, _ in form]) for form in forms)
 
 
 def _gauge_fixed(q_size: int, forms) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The forms with the pairs of a spanning forest of their pair graph at sign +1.
 
-    The forest is :func:`_spanning_forest` of the pairs in form order, so
-    forms that differ by flips of support spins come out equal.
+    Each pair's sign is the product along its row of :func:`_gauge_rows`,
+    so forms that differ by flips of support spins come out equal.
     """
-    pairs = [pair for form in forms for pair in form]
-    flip = [1] * q_size
-    for w, v, e in _spanning_forest(q_size, pairs):
-        flip[w] = flip[v] * pairs[e][2]
-    return tuple(tuple([(a, b, s * flip[a] * flip[b]) for a, b, s in form]) for form in forms)
-
-
-def _key_rows(clause_index: int, topo: ClauseTopology) -> list[list[int]]:
-    """The GF(2) parities of the rhs bits that fix an enumerated clause's key.
-
-    Each row lists the clauses whose rhs bits it XORs. The first is the
-    clause's own, which gives its focal sign d. Then, for each pair in form
-    order, carried by clause k between positions a and b, the bit of its
-    sign in the forms of :func:`_gauge_fixed`: rhs_k ^ path(a) ^ path(b),
-    with path(v) the rhs bits of the spanning forest's edges from v's root.
-    A forest pair's row is empty, as its canonical sign is always +1.
-    """
-    pairs = [pair for form in topo.pairs for pair in form]
-    path: list[set[int]] = [set() for _ in topo.support]
-    for w, v, e in _spanning_forest(len(topo.support), pairs):
-        path[w] = path[v] ^ {pairs[e][2]}
-    return [[clause_index]] + [sorted(path[a] ^ path[b] ^ {k}) for a, b, k in pairs]
+    pairs = sum(forms, ())
+    rows = _gauge_rows(q_size, pairs)
+    return _with_signs(forms, [math.prod([pairs[f][2] for f in row]) for row in rows])
 
 
 def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
@@ -331,14 +315,11 @@ def clause_term_exact(
     and the term collapses to (1/2) sin(gamma) cos(gamma)^(p1+p2+p3) with no
     enumeration; this path is exact and needs no support cap.
     """
-    pairs_total = sum(nbhd.pair_counts)
-    if nbhd.q_size == 2 * pairs_total:
-        value = _factorized_value(pairs_total, gamma)
-    else:
+    key = sum(nbhd.pair_counts)
+    if nbhd.q_size != 2 * key:
         _require_enumerable(nbhd.q_size, q_max)
         key = (nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms), nbhd.focal.sign)
-        value = _enumerated_value(key, gamma)
-    return ClauseTerm(clause_index=nbhd.focal_index, value=value, method=EXACT_METHOD, stderr=0.0)
+    return ClauseTerm(nbhd.focal_index, _key_value(key, gamma), EXACT_METHOD)
 
 
 def clause_term_mc(
@@ -379,15 +360,21 @@ def clause_term_mc(
 class EvaluationPlan:
     """Each clause's route and term key, at the instance's own signs or at any sign vector.
 
+    ``mode`` is ``exact`` (fail when a support is too large), ``auto``
+    (exact where the support fits under ``q_max`` or the term factorizes
+    through disjoint pairs, Monte Carlo elsewhere) or ``mc`` (Monte Carlo
+    everywhere); a factorized clause (q = 2P) needs no neighborhood.
+
     A factorized clause's key is its pair total P. An enumerated clause's
-    key (q, gauge-canonical forms, d) is fixed by the rhs parities of
-    :func:`_key_rows`, which ``rows`` holds padded with m; :meth:`key_indices`
-    points m at an all-zero column, so one :func:`term_parity` gives the codes
-    of a chunk of sign vectors, and a code's bits (d and the canonical pair
-    signs) decode to its key. ``index`` numbers the distinct keys as first
-    met and ``keys`` lists them; ``mc`` lists the Monte Carlo clauses.
+    key (q, gauge-canonical forms, d) is fixed by GF(2) parities of the rhs
+    bits: its own bit (d), then each row of :func:`_gauge_rows` with every
+    pair read as the neighbor clause that carries it. ``rows`` holds them
+    padded with m; :meth:`key_indices` points m at an all-zero column, so
+    one :func:`term_parity` gives the codes of a chunk of sign vectors,
+    which decode to keys. ``index`` numbers the distinct keys as first met
+    and ``keys`` lists them; ``mc`` lists the Monte Carlo clauses.
     ``key_of[j]`` is clause j's key index at the instance's own signs, read
-    at construction, or -1 for a Monte Carlo clause.
+    on first use, or -1 for a Monte Carlo clause.
     """
 
     def __init__(self, instance: Instance, mode: str = "auto", q_max: int | None = None):
@@ -402,24 +389,27 @@ class EvaluationPlan:
         self._codes: list[tuple[int, slice]] = []
         rows: list[list[int]] = []
         for j, topo in enumerate(instance.topology):
-            pairs_total = sum(map(len, topo.pairs))
+            pairs = sum(topo.pairs, ())
             q_size = len(topo.support)
-            if mode != "mc" and q_size == 2 * pairs_total:
-                self._fixed[j] = self.index.setdefault(pairs_total, len(self.index))
+            if mode != "mc" and q_size == 2 * len(pairs):
+                self._fixed[j] = self.index.setdefault(len(pairs), len(self.index))
             elif mode == "mc" or (mode == "auto" and q_size > q_cap):
                 self.mc.append(j)
             else:
                 _require_enumerable(q_size, q_cap)
-                clause_rows = _key_rows(j, topo)
-                self._codes.append((j, slice(len(rows), len(rows) + len(clause_rows))))
-                rows += clause_rows
+                self._codes.append((j, slice(len(rows), len(rows) + 1 + len(pairs))))
+                rows += [[j]] + [[pairs[e][2] for e in row] for row in _gauge_rows(q_size, pairs)]
         width = max(map(len, rows), default=0)
         padded = [row + [instance.m] * (width - len(row)) for row in rows]
         self.rows = np.array(padded, dtype=np.intp).reshape(len(rows), width)
-        self.key_of = tuple(self.key_indices(instance.rhs_array[None, :])[0].tolist())
+
+    @cached_property
+    def key_of(self) -> tuple[int, ...]:
+        return tuple(self.key_indices(self.instance.rhs_array[None, :])[0].tolist())
 
     @property
     def keys(self) -> tuple:
+        self.key_of  # the own signs' keys are met first
         return tuple(self.index)
 
     def vectors_per_chunk(self) -> int:
@@ -455,10 +445,9 @@ class EvaluationPlan:
     def _decode(self, clause_index: int, code: list[int]) -> int:
         """The index of the key whose d and canonical pair signs are a code's bits."""
         topo = self.instance.topology[clause_index]
-        signs = iter([1 - 2 * bit for bit in code])
-        d = next(signs)
-        forms = tuple(tuple([(a, b, next(signs)) for a, b, _ in form]) for form in topo.pairs)
-        return self.index.setdefault((len(topo.support), forms, d), len(self.index))
+        d, *signs = [1 - 2 * bit for bit in code]
+        key = (len(topo.support), _with_signs(topo.pairs, signs), d)
+        return self.index.setdefault(key, len(self.index))
 
     def neighborhoods(self, rhs) -> tuple[Neighborhood, ...]:
         """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
@@ -482,14 +471,14 @@ class EvaluationPlan:
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> tuple[float, float]:
         """(W(gamma), its standard error) without per-clause terms."""
-        values = [_key_value(key, gamma) for key in self.index]
+        values = [_key_value(key, gamma) for key in self.keys]
         return self._w(gamma, self.instance.rhs_array, self.key_of, values, mc_samples, seed)[:2]
 
     def evaluate(
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> ExpectationReport:
         """The full report: one :class:`ClauseTerm` per clause, in order."""
-        values = [_key_value(key, gamma) for key in self.index]
+        values = [_key_value(key, gamma) for key in self.keys]
         rhs = self.instance.rhs_array
         total, stderr, mc = self._w(gamma, rhs, self.key_of, values, mc_samples, seed)
         drawn = iter(mc)
@@ -527,18 +516,6 @@ class EvaluationPlan:
         return w
 
 
-def compile_plan(instance: Instance, mode: str = "auto", q_max: int | None = None) -> EvaluationPlan:
-    """Route every clause and key its term, once for all angles.
-
-    ``mode`` is one of ``exact`` (fail when a support is too large),
-    ``auto`` (exact where the support fits under ``q_max`` or the term
-    factorizes through disjoint pairs, Monte Carlo elsewhere) or ``mc``
-    (Monte Carlo everywhere). A factorized clause (q = 2P) needs no
-    neighborhood.
-    """
-    return EvaluationPlan(instance, mode, q_max)
-
-
 def objective_expectation(
     instance: Instance,
     gamma: float,
@@ -549,10 +526,10 @@ def objective_expectation(
 ) -> ExpectationReport:
     """W(gamma): the sum of all clause terms at mixing angle pi/4.
 
-    ``mode`` and ``q_max`` route the clauses as in :func:`compile_plan`.
+    ``mode`` and ``q_max`` route the clauses as in :class:`EvaluationPlan`.
     Monte Carlo draws are seeded per clause from ``(seed, clause_index)``.
     """
-    return compile_plan(instance, mode, q_max).evaluate(gamma, mc_samples, seed)
+    return EvaluationPlan(instance, mode, q_max).evaluate(gamma, mc_samples, seed)
 
 
 def _cell_weights(nbhd: Neighborhood, q_max: int | None) -> tuple[np.ndarray, np.ndarray]:

@@ -165,6 +165,19 @@ def _finite_gamma(ctx, param, value):
     return gamma
 
 
+def _positive_samples(ctx, param, value):
+    """``--samples`` as a positive integer; the word "auto" passes through."""
+    if value == "auto":
+        return value
+    try:
+        samples = int(value)
+    except ValueError:
+        samples = 0
+    if samples < 1:
+        raise click.BadParameter(f"{value!r} is not a positive integer")
+    return samples
+
+
 def _format_options(fn):
     fn = click.option(
         "-o",
@@ -340,6 +353,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     "--samples",
     default="auto",
     show_default=True,
+    callback=_positive_samples,
     help='shot count, or "auto" for ceil(m ln m)',
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -349,7 +363,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
 def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     """Measure shots and score satisfied equations per string."""
     inst = _load_instance(instance_path)
-    count = sampler.recommended_samples(inst.m) if samples == "auto" else int(samples)
+    count = sampler.recommended_samples(inst.m) if samples == "auto" else samples
     rep = sampler.run(inst, gamma=-gamma, beta=beta, samples=count, seed=seed, n_max=n_max)
     payload = {
         "command": "sample",
@@ -395,11 +409,9 @@ def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
     inst = _load_instance(instance_path)
     g = typical.optimal_gamma_typical(max(1, inst.d_bound)) if gamma == "auto" else gamma
     if trials == 0:
-        rep = typical.ensemble_mean_exhaustive(inst.triples(), g, n=inst.n, q_max=q_max)
+        rep = typical.ensemble_mean_exhaustive(inst.triples(), g, q_max=q_max)
     else:
-        rep = typical.ensemble_mean_mc(
-            inst.triples(), g, trials, seed=seed, n=inst.n, q_max=q_max
-        )
+        rep = typical.ensemble_mean_mc(inst.triples(), g, trials, seed=seed, q_max=q_max)
     payload = {
         "command": "typical",
         "instance": instance_path,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import MC_SAMPLES, compile_plan
+from .analytic import MC_SAMPLES, EvaluationPlan
 from .instance import Instance
 
 #: Slack allowed when checking the Chebyshev node inequality numerically.
@@ -189,11 +189,11 @@ def scan(
     The default schedule uses the instance's derived occurrence bound
     (floored at 1 so isolated-clause instances still get a grid). The
     clause routes and term keys do not depend on gamma, so one plan is
-    compiled and each angle evaluates its distinct terms once.
+    built and each angle evaluates its distinct terms once.
     """
     if schedule is None:
         schedule = make_schedule(max(1, instance.d_bound))
-    plan = compile_plan(instance, mode=mode, q_max=q_max)
+    plan = EvaluationPlan(instance, mode=mode, q_max=q_max)
     points: list[ScanPoint] = []
     best: tuple[int, int, float] | None = None
     for r, gamma in enumerate(schedule.gammas):

@@ -19,13 +19,13 @@ sign assignments and must reproduce the closed form exactly; the Monte
 Carlo path estimates the same mean with a seeded stream and reports the
 empirical variance, which stays under (1/4) m (6D+3)(D+1).
 
-Neither path builds an instance or compiles a plan per sign vector. Both
-compile one plan of the collection and ask it for W on every sign vector
+Neither path builds an instance or a plan per sign vector. Both build one
+plan of the collection and ask it for W on every sign vector
 (``EvaluationPlan.ensemble_w``): every clause's plan key is a GF(2) code of
 the rhs bits, so one parity kernel call gives the keys of a whole chunk of
-sign vectors, each distinct key is evaluated once, and a vector's W is one
-``math.fsum`` of looked-up values, bitwise the sum a per-vector plan would
-give.
+sign vectors, each key they meet is evaluated once (the base instance's
+all-zero row is never read), and a vector's W is one ``math.fsum`` of
+looked-up values, bitwise the sum a per-vector plan would give.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _factorized_value, compile_plan
-from .instance import Clause, Instance, code_bits, random_rhs
+from .analytic import EvaluationPlan, _factorized_value
+from .instance import Clause, Instance, code_bits, random_rhs, validate
 
 EXHAUSTIVE_MAX_M = 20
 
@@ -71,18 +71,18 @@ class EnsembleReport:
     method: str
 
 
-def base_instance(triples: Sequence[tuple[int, int, int]], n: int | None = None) -> Instance:
-    """All-zero-rhs instance over the triples; n inferred when omitted."""
-    triples = [tuple(t) for t in triples]
-    for t in triples:
-        if len(t) != 3 or not t[0] < t[1] < t[2]:
-            raise ValueError(f"triple must be strictly increasing, got {t}")
-    if len(set(triples)) != len(triples):
-        raise ValueError("duplicate triples in collection")
-    if n is None:
-        n = 1 + max((t[2] for t in triples), default=2)
+def base_instance(triples: Sequence[tuple[int, int, int]]) -> Instance:
+    """All-zero-rhs instance over the triples, n one past the largest variable.
+
+    Raises ``ValueError`` with the first problem ``validate`` finds.
+    """
     clauses = tuple(Clause(a, b, c, 0) for a, b, c in triples)
-    return Instance(n=n, clauses=clauses)
+    n = 1 + max((max(cl.triple) for cl in clauses), default=2)
+    inst = Instance(n=n, clauses=clauses)
+    problems = validate(inst)
+    if problems:
+        raise ValueError(problems[0].message)
+    return inst
 
 
 def clause_mean_closed_form(nbhd, gamma: float) -> float:
@@ -146,7 +146,6 @@ def _assemble(
 def ensemble_mean_exhaustive(
     triples: Sequence[tuple[int, int, int]],
     gamma: float,
-    n: int | None = None,
     q_max: int | None = None,
 ) -> EnsembleReport:
     """Average W(gamma) over every one of the 2^m sign assignments.
@@ -156,7 +155,7 @@ def ensemble_mean_exhaustive(
     equal to bit j of ``code``; W of every vector is read from the key codes
     of one plan, so each distinct clause term is evaluated once.
     """
-    base = base_instance(triples, n=n)
+    base = base_instance(triples)
     m = base.m
     if m > EXHAUSTIVE_MAX_M:
         raise ValueError(f"m={m} too large for exhaustive ensemble (max {EXHAUSTIVE_MAX_M})")
@@ -164,7 +163,7 @@ def ensemble_mean_exhaustive(
     def signs(start: int, stop: int) -> np.ndarray:
         return code_bits(np.arange(start, stop), m)
 
-    values = compile_plan(base, "exact", q_max).ensemble_w(gamma, 1 << m, signs)
+    values = EvaluationPlan(base, "exact", q_max).ensemble_w(gamma, 1 << m, signs)
     size = float(1 << m)
     mean = math.fsum(values) / size
     # over Python floats, one at a time: on a numpy scalar ** is numpy's power
@@ -177,7 +176,6 @@ def ensemble_mean_mc(
     gamma: float,
     trials: int,
     seed: int = 0,
-    n: int | None = None,
     q_max: int | None = None,
 ) -> EnsembleReport:
     """Monte Carlo over sign assignments, one seeded draw per trial.
@@ -189,14 +187,14 @@ def ensemble_mean_mc(
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
-    base = base_instance(triples, n=n)
+    base = base_instance(triples)
     m = base.m
 
     def signs(start: int, stop: int) -> np.ndarray:
         draws = [random_rhs(m, [seed, t]) for t in range(start, stop)]
         return np.array(draws, dtype=np.uint8).reshape(stop - start, m)
 
-    values = compile_plan(base, "auto", q_max).ensemble_w(gamma, trials, signs)
+    values = EvaluationPlan(base, "auto", q_max).ensemble_w(gamma, trials, signs)
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)

@@ -204,7 +204,7 @@ def test_06_ensemble_closed_form():
         n = int(rng.integers(7, 11))
         m = min(10, (n * (d + 1)) // 3 - 1)
         inst = generate_random(n=n, m=m, d_bound=d, seed=6000 + count)
-        rep = ensemble_mean_exhaustive(inst.triples(), 0.43, n=inst.n)
+        rep = ensemble_mean_exhaustive(inst.triples(), 0.43)
         worst_exhaustive = max(worst_exhaustive, abs(rep.mean_w - rep.closed_form_mean))
         count += 1
     assert worst_exhaustive <= 1e-10

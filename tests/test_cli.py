@@ -317,6 +317,9 @@ class TestArgumentRanges:
             (["scan", "{path}", "--mc-samples", "0"], "--mc-samples"),
             (["sample", "{path}", "--gamma", "0.3", "--seed", "-1"], "--seed"),
             (["typical", "{path}", "--seed", "-2"], "--seed"),
+            (["sample", "{path}", "--gamma", "0.3", "--samples", "abc"], "--samples"),
+            (["sample", "{path}", "--gamma", "0.3", "--samples", "0"], "--samples"),
+            (["sample", "{path}", "--gamma", "0.3", "--samples", "-3"], "--samples"),
         ],
         ids=lambda v: v if isinstance(v, str) else v[0],
     )

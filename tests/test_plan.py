@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic
 from qaoa_e3lin2.analytic import (
+    EvaluationPlan,
     ExpectationReport,
     SupportTooLargeError,
     _gauge_fixed,
@@ -25,7 +26,6 @@ from qaoa_e3lin2.analytic import (
     clause_term_exact,
     clause_term_mc,
     combo_histogram,
-    compile_plan,
     objective_expectation,
 )
 from qaoa_e3lin2.instance import (
@@ -33,6 +33,8 @@ from qaoa_e3lin2.instance import (
     Instance,
     code_bits,
     generate_random,
+    parse,
+    random_rhs,
     resample_signs,
     with_signs,
 )
@@ -40,10 +42,11 @@ from qaoa_e3lin2.schedule import make_schedule, scan
 from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
 
 from conftest import dumb_combo_histogram, instances
-from test_histogram_kernel import ENTANGLED, assert_same, loop_histogram
+from test_histogram_kernel import ENTANGLED, ENTANGLED_PATH, assert_same, loop_histogram
 from test_topology import OCTET
 
 GAMMAS = (0.37, -0.21, 1.3)
+DEMO_PATH = ENTANGLED_PATH.with_name("demo.e3lin2")
 
 
 def reference_report(instance, gamma, mode="auto", q_max=None, mc_samples=100_000, seed=0):
@@ -113,7 +116,7 @@ class TestPlanMatchesReference:
         assert_matches_reference(inst, mode="auto", q_max=q_max, mc_samples=300, seed=seed)
 
     def test_entangled_instance_mixes_every_route(self):
-        plan = compile_plan(ENTANGLED, q_max=12)
+        plan = EvaluationPlan(ENTANGLED, q_max=12)
         assert plan.mc and any(i >= 0 for i in plan.key_of)
         assert_matches_reference(ENTANGLED, q_max=12, mc_samples=500, seed=4)
 
@@ -123,14 +126,14 @@ class TestPlanMatchesReference:
         clauses = [Clause(*t, r) for t, r in zip(OCTET, rhs)]
         clauses += [Clause(a + 8, b + 8, c + 8, r) for (a, b, c), r in zip(OCTET, [0] + rhs[1:])]
         inst = Instance(n=16, clauses=tuple(clauses))
-        plan = compile_plan(inst)
+        plan = EvaluationPlan(inst)
         first, twin = plan.keys[plan.key_of[0]], plan.keys[plan.key_of[8]]
         assert first[:2] == twin[:2] and first[2] == -twin[2]
         assert_matches_reference(inst)
 
     def test_factorized_and_enumerated_keys_mix(self):
         inst = generate_random(n=60, m=40, d_bound=3, seed=2)
-        plan = compile_plan(inst)
+        plan = EvaluationPlan(inst)
         kinds = {type(key) for key in plan.keys}
         assert kinds == {int, tuple}
         assert len(plan.keys) < inst.m and not plan.mc
@@ -159,11 +162,11 @@ class TestRefusals:
         assert str(got.value) == str(want.value)
         assert str(got.value) == f"q={first} exceeds exact-enumeration cap 12; use clause_term_mc"
         with pytest.raises(SupportTooLargeError, match=str(want.value)):
-            compile_plan(ENTANGLED, "exact", 12)
+            EvaluationPlan(ENTANGLED, "exact", 12)
 
     def test_unknown_mode(self, tiny_instance):
         with pytest.raises(ValueError, match="mode"):
-            compile_plan(tiny_instance, "fast")
+            EvaluationPlan(tiny_instance, "fast")
 
 
 class TestGaugeCanonicalForms:
@@ -225,7 +228,7 @@ class TestSignKeys:
     @given(inst=instances(min_n=5, max_n=9, max_m=8))
     @settings(max_examples=30)
     def test_codes_decode_to_the_gauge_fixed_keys_of_every_sign_vector(self, inst):
-        plan = compile_plan(inst, "exact")
+        plan = EvaluationPlan(inst, "exact")
         rhs = code_bits(np.arange(1 << inst.m), inst.m)
         key_of = plan.key_indices(rhs)
         found = list(plan.keys)
@@ -241,7 +244,7 @@ class TestSignKeys:
         assert sorted(set(key_of.ravel().tolist())) == list(range(len(found)))
 
     def test_monte_carlo_clauses_read_minus_one(self):
-        plan = compile_plan(ENTANGLED, "auto", 12)
+        plan = EvaluationPlan(ENTANGLED, "auto", 12)
         key_of = plan.key_indices(code_bits(np.arange(5), ENTANGLED.m))
         assert plan.mc and (key_of[:, plan.mc] == -1).all()
         assert (np.delete(key_of, plan.mc, axis=1) >= 0).all()
@@ -255,7 +258,7 @@ class TestPlanShape:
         monkeypatch.setattr(
             analytic, "build_neighborhood", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
-        plan = compile_plan(inst)
+        plan = EvaluationPlan(inst)
         assert calls == [] and not plan.mc
         assert all(isinstance(key, int) for key in plan.keys)
         assert sorted(set(plan.key_of)) == list(range(len(plan.keys)))
@@ -263,12 +266,12 @@ class TestPlanShape:
     def test_monte_carlo_clauses_keep_their_own_neighborhood(self):
         inst = with_signs(ENTANGLED, [j % 2 for j in range(ENTANGLED.m)])
         for mode, q_max in (("mc", None), ("auto", 12)):
-            plan = compile_plan(inst, mode, q_max)
+            plan = EvaluationPlan(inst, mode, q_max)
             mc_clauses = [j for j, i in enumerate(plan.key_of) if i < 0]
             own = plan.neighborhoods(inst.rhs_array)
             assert plan.mc == [nb.focal_index for nb in own] == mc_clauses
             assert list(own) == [build_neighborhood(inst, j) for j in mc_clauses]
-        assert len(compile_plan(inst, "mc").mc) == inst.m
+        assert len(EvaluationPlan(inst, "mc").mc) == inst.m
 
     def test_each_key_is_evaluated_once_per_scan_angle(self, monkeypatch):
         inst = generate_random(n=60, m=40, d_bound=3, seed=2)
@@ -278,7 +281,7 @@ class TestPlanShape:
             analytic, "_key_value", lambda key, g: calls.append((key, g)) or real(key, g)
         )
         result = scan(inst)
-        keys = compile_plan(inst).keys
+        keys = EvaluationPlan(inst).keys
         assert Counter(calls) == Counter((key, g) for g in result.schedule.gammas for key in keys)
 
     def test_scan_builds_no_clause_terms(self, monkeypatch):
@@ -293,7 +296,7 @@ class TestPlanShape:
 
     def test_evaluate_is_objective_expectation(self):
         inst = with_signs(ENTANGLED, [(j // 3) % 2 for j in range(ENTANGLED.m)])
-        plan = compile_plan(inst, "auto", 12)
+        plan = EvaluationPlan(inst, "auto", 12)
         for gamma in GAMMAS:
             report = plan.evaluate(gamma, 400, 2)
             assert report == objective_expectation(inst, gamma, q_max=12, mc_samples=400, seed=2)
@@ -314,7 +317,7 @@ class TestEnsembleMemo:
         distinct = set()
         for code in range(1 << base.m):
             rhs = [(code >> j) & 1 for j in range(base.m)]
-            distinct.update(compile_plan(with_signs(base, rhs), "exact").keys)
+            distinct.update(EvaluationPlan(with_signs(base, rhs), "exact").keys)
         calls = self._count_key_values(monkeypatch)
         ensemble_mean_exhaustive(triples, 0.4)
         assert len(calls) == len(set(calls)) == len(distinct) < base.m << base.m
@@ -324,4 +327,13 @@ class TestEnsembleMemo:
         ensemble_mean_mc(OCTET, 0.3, trials=30, seed=2)
         assert len(calls) == len(set(calls)) < 30 * len(OCTET)
 
-
+    def test_monte_carlo_evaluates_only_the_keys_its_trials_meet(self, monkeypatch):
+        # the base instance's all-zero signs are no trial's, and their keys are not evaluated
+        base = base_instance(parse(DEMO_PATH.read_text()).triples())
+        want = set()
+        for t in range(3):
+            trial = with_signs(base, random_rhs(base.m, [3, t]))
+            want.update(EvaluationPlan(trial, "auto", 8).keys)
+        calls = self._count_key_values(monkeypatch)
+        ensemble_mean_mc(base.triples(), 0.3, trials=3, seed=3, q_max=8)
+        assert set(calls) == want

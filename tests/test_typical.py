@@ -120,12 +120,13 @@ class TestBaseInstance:
         assert inst.m == 4
         assert all(cl.rhs == 0 for cl in inst.clauses)
 
-    def test_explicit_width(self):
-        assert base_instance(((0, 1, 2),), n=9).n == 9
-
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             base_instance(((2, 1, 0),))
+
+    def test_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match=r"clause 0: triple \(-1, 0, 1\) outside \[0, 3\)"):
+            base_instance(((-1, 0, 1), (0, 1, 2)))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -261,7 +262,7 @@ class TestAgainstBruteForce:
         assert has_shared_pair_and_cycle(SHARED_PAIR) == (True, True)
         assert has_shared_pair_and_cycle(SPREAD_OCTET)[1]
         # at q_max = 4 the octet has factorized, enumerated and Monte Carlo clauses
-        plan = analytic.compile_plan(base_instance(SPREAD_OCTET), "auto", 4)
+        plan = analytic.EvaluationPlan(base_instance(SPREAD_OCTET), "auto", 4)
         assert len(plan.mc) == 3
         assert {type(key) for key in plan.keys} == {int, tuple}
 
@@ -314,7 +315,8 @@ class TestAgainstBruteForce:
             ensemble_mean_mc(SHARED_PAIR, 0.47, trials=20, seed=3),
         )
         monkeypatch.setattr(analytic, "_CODE_CHUNK_BYTES", 1)
-        assert analytic.compile_plan(base_instance(SPREAD_OCTET), "exact").vectors_per_chunk() == 1
+        plan = analytic.EvaluationPlan(base_instance(SPREAD_OCTET), "exact")
+        assert plan.vectors_per_chunk() == 1
         got = (
             ensemble_mean_exhaustive(SPREAD_OCTET, 0.52),
             ensemble_mean_mc(SHARED_PAIR, 0.47, trials=20, seed=3),
@@ -333,7 +335,7 @@ class TestSandwich:
     def test_brackets_the_closed_form(self, inst, idx):
         gammas = np.linspace(0.01, math.pi / 2 - 0.01, 31)
         g = float(gammas[idx % 31])
-        base = base_instance(inst.triples(), n=inst.n)
+        base = base_instance(inst.triples())
         mean = collection_closed_form(base, g)
         lo, hi = sandwich_bounds(base.m, base.d_bound, g)
         assert lo - 1e-12 <= mean <= hi + 1e-12
