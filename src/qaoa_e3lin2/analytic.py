@@ -28,11 +28,16 @@ the support splits into a high and a low half, and the keys on every code
 matrices, counted with one ``np.bincount``. The histogram depends only on
 the neighborhood, not on gamma, so angle scans reuse it.
 
-Neighborhoods are built in two steps. The sign-free topology (support, pair
-positions with the neighbor clause of each pair, cancelled clauses) depends
-only on the triples; it is ``Instance.topology``, built on first use and
-cached on the instance. Attaching the instance's signs to it yields a
-clause's neighborhood.
+Clauses are routed in two steps, and both read the triples alone. First,
+``Instance.pair_stats`` gives every clause's pair total P and support size
+q by array operations on the triple array; a clause with q = 2P
+factorizes, and its route needs nothing more. Second, a clause that reads
+its neighborhood (enumerated, Monte Carlo, or passed to
+:func:`build_neighborhood`) gets its sign-free topology (support, pair
+positions with the neighbor clause of each pair, cancelled clauses) from
+``Instance.clause_topology``, built on first use and kept on the instance.
+Attaching the instance's signs to a topology yields the clause's
+neighborhood.
 
 A clause term depends on a small key only: a factorized clause's on its
 pair total P, an enumerated clause's on its q, its (c1, c2, c3) histogram
@@ -154,10 +159,10 @@ class MomentReport:
 
 
 def build_neighborhood(instance: Instance, clause_index: int) -> Neighborhood:
-    """Attach the instance's clause signs to one clause's ``Instance.topology``."""
+    """Attach the instance's clause signs to one clause's ``Instance.clause_topology``."""
     if not 0 <= clause_index < instance.m:
         raise IndexError(f"clause_index {clause_index} out of range for m={instance.m}")
-    return _signed(instance.topology[clause_index], clause_index, instance.rhs_array)
+    return _signed(instance.clause_topology(clause_index), clause_index, instance.rhs_array)
 
 
 def _signed(topo: ClauseTopology, clause_index: int, rhs) -> Neighborhood:
@@ -363,7 +368,8 @@ class EvaluationPlan:
     ``mode`` is ``exact`` (fail when a support is too large), ``auto``
     (exact where the support fits under ``q_max`` or the term factorizes
     through disjoint pairs, Monte Carlo elsewhere) or ``mc`` (Monte Carlo
-    everywhere); a factorized clause (q = 2P) needs no neighborhood.
+    everywhere). Clauses are routed by ``Instance.pair_stats``: a factorized
+    clause (q = 2P) needs no topology and no neighborhood.
 
     A factorized clause's key is its pair total P. An enumerated clause's
     key (q, gauge-canonical forms, d) is fixed by GF(2) parities of the rhs
@@ -388,15 +394,18 @@ class EvaluationPlan:
         self._fixed = np.full(instance.m, -1, dtype=np.intp)
         self._codes: list[tuple[int, slice]] = []
         rows: list[list[int]] = []
-        for j, topo in enumerate(instance.topology):
-            pairs = sum(topo.pairs, ())
-            q_size = len(topo.support)
-            if mode != "mc" and q_size == 2 * len(pairs):
-                self._fixed[j] = self.index.setdefault(len(pairs), len(self.index))
-            elif mode == "mc" or (mode == "auto" and q_size > q_cap):
+        pairs_total, support_size = instance.pair_stats
+        factorized = (support_size == 2 * pairs_total) & (mode != "mc")
+        fixed = np.flatnonzero(factorized)
+        totals = pairs_total[fixed].tolist()
+        self._fixed[fixed] = [self.index.setdefault(p, len(self.index)) for p in totals]
+        for j in np.flatnonzero(~factorized).tolist():
+            q_size = int(support_size[j])
+            if mode == "mc" or (mode == "auto" and q_size > q_cap):
                 self.mc.append(j)
             else:
                 _require_enumerable(q_size, q_cap)
+                pairs = sum(instance.clause_topology(j).pairs, ())
                 self._codes.append((j, slice(len(rows), len(rows) + 1 + len(pairs))))
                 rows += [[j]] + [[pairs[e][2] for e in row] for row in _gauge_rows(q_size, pairs)]
         width = max(map(len, rows), default=0)
@@ -444,14 +453,14 @@ class EvaluationPlan:
 
     def _decode(self, clause_index: int, code: list[int]) -> int:
         """The index of the key whose d and canonical pair signs are a code's bits."""
-        topo = self.instance.topology[clause_index]
+        topo = self.instance.clause_topology(clause_index)
         d, *signs = [1 - 2 * bit for bit in code]
         key = (len(topo.support), _with_signs(topo.pairs, signs), d)
         return self.index.setdefault(key, len(self.index))
 
     def neighborhoods(self, rhs) -> tuple[Neighborhood, ...]:
         """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
-        return tuple(_signed(self.instance.topology[j], j, rhs) for j in self.mc)
+        return tuple(_signed(self.instance.clause_topology(j), j, rhs) for j in self.mc)
 
     def _w(self, gamma: float, rhs, row, values, samples: int, seed: int):
         """(W, stderr, Monte Carlo terms) of one sign vector with rhs bits ``rhs``.

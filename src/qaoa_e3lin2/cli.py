@@ -178,6 +178,13 @@ def _positive_samples(ctx, param, value):
     return samples
 
 
+def _trials(ctx, param, value):
+    """``--trials`` as 0 (every sign vector) or a Monte Carlo count of at least 2."""
+    if value == 0 or value >= 2:
+        return value
+    raise click.BadParameter(f"{value} is neither 0 nor at least 2")
+
+
 def _format_options(fn):
     fn = click.option(
         "-o",
@@ -260,13 +267,13 @@ def cmd_gen(n, m, d_bound, sign_mode, seed, out):
     "--mc-samples", type=click.IntRange(min=1), default=analytic.MC_SAMPLES, show_default=True
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
+@click.option("--q-max", type=click.IntRange(min=0), help="exact-enumeration support cap")
 @click.option(
     "--compare-statevector",
     is_flag=True,
     help="also evaluate via dense state preparation at -gamma, beta=pi/4",
 )
-@click.option("--n-max", type=int, default=None, help="statevector qubit cap")
+@click.option("--n-max", type=click.IntRange(min=1), help="statevector qubit cap")
 @_format_options
 @_friendly
 def cmd_eval(
@@ -310,7 +317,7 @@ def cmd_eval(
     "--mc-samples", type=click.IntRange(min=1), default=analytic.MC_SAMPLES, show_default=True
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
+@click.option("--q-max", type=click.IntRange(min=0), help="exact-enumeration support cap")
 @_format_options
 @_friendly
 def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
@@ -357,7 +364,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     help='shot count, or "auto" for ceil(m ln m)',
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--n-max", type=int, default=None, help="statevector qubit cap")
+@click.option("--n-max", type=click.IntRange(min=1), help="statevector qubit cap")
 @_format_options
 @_friendly
 def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
@@ -398,10 +405,11 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     type=int,
     default=0,
     show_default=True,
+    callback=_trials,
     help="Monte Carlo trials; 0 enumerates all sign assignments (m <= 20)",
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--q-max", type=int, default=None, help="exact-enumeration support cap")
+@click.option("--q-max", type=click.IntRange(min=0), help="exact-enumeration support cap")
 @_format_options
 @_friendly
 def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):

@@ -20,7 +20,7 @@ File format (text, UTF-8, LF newlines)::
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -127,49 +127,42 @@ class ClauseTopology:
     cancelled: tuple[int, ...]
 
 
-def _build_topology(triples: Sequence[tuple[int, int, int]]) -> tuple[ClauseTopology, ...]:
-    """Partition the other clauses by overlap with each focal triple.
+def _clause_topology(
+    triples: Sequence[tuple[int, int, int]], j: int, near: Iterable[int]
+) -> ClauseTopology:
+    """Partition the clauses ``near`` clause j by their overlap with its triple.
 
     Overlap-1 clauses populate the form keyed by the shared focal variable,
     overlap-2 clauses are recorded as cancelled, overlap-0 clauses are
     ignored.
     """
-    touching: defaultdict[int, list[int]] = defaultdict(list)
-    for j, triple in enumerate(triples):
-        for v in triple:
-            touching[v].append(j)
-    topology = []
-    for j, focal in enumerate(triples):
-        near: set[int] = set()
-        for v in focal:
-            near.update(touching[v])
-        near.discard(j)
-        raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
-        cancelled: list[int] = []
-        support_vars: set[int] = set()
-        for k in sorted(near):
-            other = triples[k]
-            shared = [v for v in other if v in focal]
-            if len(shared) == 1:
-                pair = tuple(v for v in other if v != shared[0])
-                raw_pairs[focal.index(shared[0])].append((pair[0], pair[1], k))
-                support_vars.update(pair)
-            elif len(shared) == 2:
-                cancelled.append(k)
-        support = tuple(sorted(support_vars))
-        pos = {v: i for i, v in enumerate(support)}
-        pairs = tuple(tuple((pos[a], pos[b], k) for a, b, k in form) for form in raw_pairs)
-        topology.append(ClauseTopology(focal, support, pairs, tuple(cancelled)))
-    return tuple(topology)
+    focal = triples[j]
+    raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
+    cancelled: list[int] = []
+    support_vars: set[int] = set()
+    for k in sorted(set(near) - {j}):
+        other = triples[k]
+        shared = [v for v in other if v in focal]
+        if len(shared) == 1:
+            a, b = [v for v in other if v != shared[0]]
+            raw_pairs[focal.index(shared[0])].append((a, b, k))
+            support_vars.update((a, b))
+        elif len(shared) == 2:
+            cancelled.append(k)
+    support = tuple(sorted(support_vars))
+    pos = {v: i for i, v in enumerate(support)}
+    pairs = tuple(tuple([(pos[a], pos[b], k) for a, b, k in form]) for form in raw_pairs)
+    return ClauseTopology(focal, support, pairs, tuple(cancelled))
 
 
 @dataclass(frozen=True)
 class Instance:
     """An E3LIN2 instance: n variables and an ordered clause list.
 
-    What is derived from the clauses (the arrays, the occurrence counts and
-    the neighborhood topology) is a cached property: built on first use and
-    kept as long as the instance.
+    What is derived from the clauses (the arrays, the occurrence counts,
+    every clause's pair total and support size, and each clause's
+    neighborhood topology) is built on first use and kept as long as the
+    instance.
     """
 
     n: int
@@ -197,19 +190,79 @@ class Instance:
         return out
 
     @cached_property
-    def topology(self) -> tuple[ClauseTopology, ...]:
-        """Each clause's :class:`ClauseTopology`.
+    def _by_variable(self) -> tuple[np.ndarray, np.ndarray]:
+        """(variables, clauses) of the 3m triple entries, sorted by variable."""
+        flat = self.triple_array.ravel()
+        order = np.argsort(flat, kind="stable")
+        return flat[order], order // 3
+
+    @cached_property
+    def pair_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each clause's pair total P and support size q, as two read-only (m,) arrays.
+
+        P counts the clauses that share exactly one variable with clause j,
+        and q the distinct variables they bring from outside its triple: the
+        term factorizes when q = 2P. The triples must use three distinct
+        variables each. Two entries of the variable-sorted incidence that
+        are s apart name clauses that share a variable, and past the first s
+        with no such entries there are none; a clause pair that shares one
+        variable is met once. q counts the distinct codes ``j * width + v``
+        of the variables v brought to clause j.
+        """
+        variables, clauses = self._by_variable
+        focal, other = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+        for s in range(1, variables.size):
+            same = variables[s:] == variables[:-s]
+            if not same.any():
+                break
+            a, b = clauses[:-s][same], clauses[s:][same]
+            focal += [a, b]
+            other += [b, a]
+        focal, other = np.concatenate(focal), np.concatenate(other)
+        triples = self.triple_array
+        tf, to = triples[focal], triples[other]
+        # inside[i, y]: variable y of the other triple is in the focal triple
+        inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
+        single = np.count_nonzero(inside, axis=1) == 1
+        focal, to, inside = focal[single], to[single], inside[single]
+        pairs_total = np.bincount(focal, minlength=self.m)
+        low = triples.min(initial=0)
+        width = triples.max(initial=0) - low + 1
+        codes = np.sort(np.repeat(focal, 2) * width + (to[~inside] - low))
+        new = np.ones(codes.size, dtype=bool)
+        new[1:] = codes[1:] != codes[:-1]
+        support_size = np.bincount(codes[new] // width, minlength=self.m)
+        pairs_total.setflags(write=False)
+        support_size.setflags(write=False)
+        return pairs_total, support_size
+
+    @cached_property
+    def _topology_cache(self) -> tuple[tuple, list[int], list[int], dict[int, ClauseTopology]]:
+        """The triples, the variable-sorted incidence as lists, and the topologies built."""
+        variables, clauses = self._by_variable
+        return self.triples(), variables.tolist(), clauses.tolist(), {}
+
+    def clause_topology(self, j: int) -> ClauseTopology:
+        """Clause j's :class:`ClauseTopology`, built on first use and kept.
 
         Only the triples are read, so one topology serves every angle and
-        every sign vector over the same triples.
+        every sign vector over the same triples. The clauses near clause j
+        are found by binary search in the variable-sorted incidence.
         """
-        return _build_topology(self.triples())
+        triples, variables, clauses, built = self._topology_cache
+        if j not in built:
+            near = []
+            for v in triples[j]:
+                lo = bisect_left(variables, v)
+                near += clauses[lo : bisect_right(variables, v, lo)]
+            built[j] = _clause_topology(triples, j, near)
+        return built[j]
 
     @cached_property
     def occurrence(self) -> np.ndarray:
-        """Per-variable clause membership counts (length n)."""
-        inside = [v for t in self.triples() for v in t if 0 <= v < self.n]
-        counts = np.bincount(inside, minlength=self.n)
+        """Per-variable clause membership counts (length n); out-of-range entries are skipped."""
+        flat = self.triple_array.ravel()
+        counts = np.bincount(flat[(flat >= 0) & (flat < self.n)], minlength=self.n)
         counts.setflags(write=False)
         return counts
 

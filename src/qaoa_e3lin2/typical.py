@@ -96,12 +96,10 @@ def clause_mean_closed_form(nbhd, gamma: float) -> float:
 def collection_closed_form(instance: Instance, gamma: float) -> float:
     """Sum of the per-clause closed forms over the whole collection.
 
-    The pair totals are read from ``instance.topology``; no neighborhood
-    is built.
+    The pair totals are read from ``Instance.pair_stats``; no topology and
+    no neighborhood is built.
     """
-    return math.fsum(
-        _factorized_value(sum(map(len, topo.pairs)), gamma) for topo in instance.topology
-    )
+    return math.fsum(_factorized_value(p, gamma) for p in instance.pair_stats[0].tolist())
 
 
 def sandwich_bounds(m: int, d_bound: int, gamma: float) -> tuple[float, float]:

@@ -53,15 +53,13 @@ def dumb_satisfied_count(instance, bits):
     return total
 
 
-def dumb_clause_term(instance, clause_index, gamma):
-    """Per-clause expectation at mixing angle pi/4 by a raw spin-space loop.
+def dumb_neighborhood(instance, clause_index):
+    """(forms, sorted support variables) of a clause, scanning every other clause.
 
-    Rebuilds the neighborhood from scratch and averages the four sines over
-    every assignment of the support spins, one at a time.
+    ``forms[i]`` lists ``(a, b, sign)``, in variables, for the clauses whose
+    one shared variable is focal variable i.
     """
-    focal = instance.clauses[clause_index]
-    fv = focal.triple
-    d = focal.sign
+    fv = instance.clauses[clause_index].triple
     forms = ([], [], [])
     support = set()
     for j, other in enumerate(instance.clauses):
@@ -73,7 +71,17 @@ def dumb_clause_term(instance, clause_index, gamma):
             pair = [v for v in other.triple if v != shared[0]]
             forms[slot].append((pair[0], pair[1], other.sign))
             support.update(pair)
-    sup = sorted(support)
+    return forms, sorted(support)
+
+
+def dumb_clause_term(instance, clause_index, gamma):
+    """Per-clause expectation at mixing angle pi/4 by a raw spin-space loop.
+
+    Rebuilds the neighborhood from scratch and averages the four sines over
+    every assignment of the support spins, one at a time.
+    """
+    d = instance.clauses[clause_index].sign
+    forms, sup = dumb_neighborhood(instance, clause_index)
     q = len(sup)
     total = 0.0
     for code in range(1 << q):

@@ -320,6 +320,16 @@ class TestArgumentRanges:
             (["sample", "{path}", "--gamma", "0.3", "--samples", "abc"], "--samples"),
             (["sample", "{path}", "--gamma", "0.3", "--samples", "0"], "--samples"),
             (["sample", "{path}", "--gamma", "0.3", "--samples", "-3"], "--samples"),
+            (["typical", "{path}", "--trials", "1"], "--trials"),
+            (["typical", "{path}", "--trials", "-4"], "--trials"),
+            (
+                ["eval", "{path}", "--gamma", "0.3", "--compare-statevector", "--n-max", "-1"],
+                "--n-max",
+            ),
+            (["sample", "{path}", "--gamma", "0.3", "--n-max", "0"], "--n-max"),
+            (["eval", "{path}", "--gamma", "0.3", "--q-max", "-1"], "--q-max"),
+            (["scan", "{path}", "--q-max", "-1"], "--q-max"),
+            (["typical", "{path}", "--q-max", "-1"], "--q-max"),
         ],
         ids=lambda v: v if isinstance(v, str) else v[0],
     )

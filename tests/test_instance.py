@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2.instance import (
@@ -22,7 +22,7 @@ from qaoa_e3lin2.instance import (
     with_signs,
 )
 
-from conftest import bit_vectors, dumb_satisfied_count, instances
+from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances
 
 
 class TestClause:
@@ -67,6 +67,10 @@ class TestInstance:
         assert tiny_instance.occurrence[2] == 3
         assert tiny_instance.occurrence[8] == 1
         assert tiny_instance.d_bound == 2
+        # variables outside [0, n) are not counted
+        outside = Instance(n=3, clauses=(Clause(0, 1, 5, 0), Clause(-2, 1, 2, 1)))
+        assert outside.occurrence.tolist() == [1, 2, 1]
+        assert outside.d_bound == 1
 
     def test_d_bound_floor_and_empty(self):
         assert Instance(n=4, clauses=()).d_bound == 0
@@ -76,6 +80,27 @@ class TestInstance:
     def test_triples(self, tiny_instance):
         assert tiny_instance.triples()[0] == (0, 1, 2)
         assert len(tiny_instance.triples()) == 5
+
+
+class TestPairStats:
+    """``pair_stats`` against each clause's neighborhood, built by a different route."""
+
+    @given(inst=instances(max_n=9, max_m=16))
+    @settings(max_examples=80)
+    def test_matches_the_reference_neighborhoods(self, inst):
+        pairs_total, support_size = inst.pair_stats
+        want = [dumb_neighborhood(inst, j) for j in range(inst.m)]
+        assert pairs_total.tolist() == [sum(map(len, forms)) for forms, _ in want]
+        assert support_size.tolist() == [len(support) for _, support in want]
+        assert not pairs_total.flags.writeable and not support_size.flags.writeable
+
+    @pytest.mark.parametrize("n, m, d_bound, seed", [(12000, 8000, 3, 1), (32, 48, 5, 1)])
+    def test_bench_shaped_instances_match_their_topologies(self, n, m, d_bound, seed):
+        inst = generate_random(n, m, d_bound, seed=seed)
+        topologies = [inst.clause_topology(j) for j in range(inst.m)]
+        pairs_total, support_size = inst.pair_stats
+        assert pairs_total.tolist() == [sum(map(len, t.pairs)) for t in topologies]
+        assert support_size.tolist() == [len(t.support) for t in topologies]
 
 
 class TestValidate:

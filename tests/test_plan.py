@@ -152,7 +152,7 @@ class TestRefusals:
     def test_exact_mode_refuses_at_the_first_clause_over_the_cap(self):
         first = next(
             len(t.support)
-            for t in ENTANGLED.topology
+            for t in map(ENTANGLED.clause_topology, range(ENTANGLED.m))
             if 12 < len(t.support) < 2 * sum(map(len, t.pairs))
         )
         with pytest.raises(SupportTooLargeError) as want:

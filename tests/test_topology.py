@@ -1,11 +1,12 @@
-"""One plan per scan and one topology per instance.
+"""One plan per scan and at most one topology per clause of an instance.
 
 The reference loops here take the straightforward path: a fresh
 ``objective_expectation`` per angle, and a fresh ``with_signs`` /
 ``resample_signs`` instance per sign vector, each compiling its own plan
-from its own topology. Shared construction must reproduce them exactly
-(``==``). ``Instance.topology`` is built once per instance, however many
-neighborhoods, plans and ensemble vectors read it.
+from its own topologies. Shared construction must reproduce them exactly
+(``==``). ``Instance.clause_topology(j)`` is built once per instance, on
+first use, however many neighborhoods, plans and ensemble vectors read it,
+and never for a factorized clause that is routed from ``pair_stats``.
 """
 
 import math
@@ -20,7 +21,7 @@ from qaoa_e3lin2.instance import Clause, Instance, generate_random, resample_sig
 from qaoa_e3lin2.schedule import make_schedule, scan
 from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
 
-# dense n=8 octet: every neighborhood is entangled (q < 2 * pairs)
+# dense n=8 octet: every neighborhood but clause 3's, (4, 6, 7), is entangled (q < 2 * pairs)
 OCTET = ((4, 5, 7), (0, 6, 7), (3, 4, 6), (4, 6, 7), (1, 5, 7), (0, 3, 5), (0, 1, 5), (0, 2, 3))
 
 
@@ -64,12 +65,13 @@ class TestScanReusesNeighborhoods:
         inst = _signed(OCTET, seed=5)
         _assert_scan_matches_reference(inst, mode="mc", mc_samples=500, seed=3)
 
-    def test_factorized_scan_builds_one_topology_and_no_neighborhood(self, monkeypatch):
+    def test_factorized_scan_builds_no_topology_and_no_neighborhood(self, monkeypatch):
         inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
-        # built apart from the instance, so that the scan builds its cached topology
-        topology = instance_module._build_topology(inst.triples())
+        # read on a copy, so that the scanned instance has built nothing yet
+        copy = Instance(n=inst.n, clauses=inst.clauses)
+        topology = [copy.clause_topology(j) for j in range(copy.m)]
         assert all(len(t.support) == 2 * sum(map(len, t.pairs)) for t in topology)
-        calls = {"_build_topology": 0, "build_neighborhood": 0}
+        calls = {"_clause_topology": 0, "build_neighborhood": 0}
 
         def counting(module, name):
             real = getattr(module, name)
@@ -80,37 +82,49 @@ class TestScanReusesNeighborhoods:
 
             return wrapper
 
-        for module, name in ((instance_module, "_build_topology"), (analytic, "build_neighborhood")):
+        for module, name in (
+            (instance_module, "_clause_topology"),
+            (analytic, "build_neighborhood"),
+        ):
             monkeypatch.setattr(module, name, counting(module, name))
         result = scan(inst)
         assert len(result.points) == result.schedule.k + 1 > 1
-        assert calls == {"_build_topology": 1, "build_neighborhood": 0}
+        assert calls == {"_clause_topology": 0, "build_neighborhood": 0}
 
 
 class TestTopologyBuiltOncePerInstance:
+    """Each clause's topology is built at most once per instance, and only when it is read."""
+
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        real = instance_module._build_topology
+        real = instance_module._clause_topology
         monkeypatch.setattr(
-            instance_module, "_build_topology", lambda triples: calls.append(triples) or real(triples)
+            instance_module,
+            "_clause_topology",
+            lambda triples, j, near: calls.append(j) or real(triples, j, near),
         )
         return calls
 
     def test_every_neighborhood_of_an_instance_shares_one(self, builds):
         inst = _signed(OCTET, seed=3)
-        for j in range(inst.m):
-            build_neighborhood(inst, j)
-        assert len(builds) == 1
+        for _ in range(2):
+            for j in range(inst.m):
+                build_neighborhood(inst, j)
+        assert sorted(builds) == list(range(inst.m))
 
     def test_exhaustive_ensemble_builds_one(self, builds):
+        # one per enumerated clause, over all 64 sign vectors; clause 3 factorizes
         ensemble_mean_exhaustive(OCTET[:6], 0.4)
-        assert builds == [OCTET[:6]]
+        assert sorted(builds) == [0, 1, 2, 4, 5]
 
     def test_monte_carlo_ensemble_builds_one(self, builds):
-        # q_max 4 sends clauses 1, 6 and 7 to Monte Carlo, whose neighborhoods every trial reads
-        ensemble_mean_mc(OCTET, 0.3, trials=5, seed=1, q_max=4)
-        assert builds == [OCTET]
+        # q_max 4 sends clauses 1, 6 and 7 to Monte Carlo, whose neighborhoods every trial
+        # reads; clause 3 factorizes
+        for trials in (5, 12):
+            builds.clear()
+            ensemble_mean_mc(OCTET, 0.3, trials=trials, seed=1, q_max=4)
+            assert sorted(builds) == [0, 1, 2, 4, 5, 6, 7]
 
 
 class TestEnsemblesShareTopology:
@@ -144,8 +158,9 @@ class TestEnsemblesShareTopology:
 
 
 class TestMismatchRefused:
-    """The topology is read from an instance's own triples, and its signs leave it unchanged."""
+    """The topologies are read from an instance's own triples; its signs leave them unchanged."""
 
     def test_topology_ignores_signs(self, tiny_instance):
         flipped = with_signs(tiny_instance, [1 - cl.rhs for cl in tiny_instance.clauses])
-        assert tiny_instance.topology == flipped.topology
+        for j in range(tiny_instance.m):
+            assert tiny_instance.clause_topology(j) == flipped.clause_topology(j)
