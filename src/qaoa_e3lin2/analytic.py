@@ -28,16 +28,16 @@ the support splits into a high and a low half, and the keys on every code
 matrices, counted with one ``np.bincount``. The histogram depends only on
 the neighborhood, not on gamma, so angle scans reuse it.
 
-Clauses are routed in two steps, and both read the triples alone. First,
-``Instance.pair_stats`` gives every clause's pair total P and support size
-q by array operations on the triple array; a clause with q = 2P
-factorizes, and its route needs nothing more. Second, a clause that reads
-its neighborhood (enumerated, Monte Carlo, or passed to
-:func:`build_neighborhood`) gets its sign-free topology (support, pair
-positions with the neighbor clause of each pair, cancelled clauses) from
-``Instance.clause_topology``, built on first use and kept on the instance.
-Attaching the instance's signs to a topology yields the clause's
-neighborhood.
+Clauses are routed in two steps, and both read the instance's table of the
+clause pairs that share a variable, each classified once by its overlap.
+First, ``Instance.pair_stats`` gives every clause's pair total P and
+support size q from that table; a clause with q = 2P factorizes, and its
+route needs nothing more. Second, a clause that reads its neighborhood
+(enumerated, Monte Carlo, or passed to :func:`build_neighborhood`) gets its
+sign-free topology (support, pair positions with the neighbor clause of
+each pair, cancelled clauses) from ``Instance.clause_topology``: its rows
+of the table, grouped on first use and kept. Its signs attached, a topology
+is the clause's neighborhood.
 
 A clause term depends on a small key only: a factorized clause's on its
 pair total P, an enumerated clause's on its q, its (c1, c2, c3) histogram
@@ -160,8 +160,6 @@ class MomentReport:
 
 def build_neighborhood(instance: Instance, clause_index: int) -> Neighborhood:
     """Attach the instance's clause signs to one clause's ``Instance.clause_topology``."""
-    if not 0 <= clause_index < instance.m:
-        raise IndexError(f"clause_index {clause_index} out of range for m={instance.m}")
     return _signed(instance.clause_topology(clause_index), clause_index, instance.rhs_array)
 
 

@@ -152,17 +152,17 @@ def _friendly(fn):
     return wrapper
 
 
-def _finite_gamma(ctx, param, value):
-    """``--gamma`` as a finite float; the word "auto" passes through."""
+def _finite(ctx, param, value):
+    """An angle option as a finite float; the word "auto" passes through."""
     if value == "auto":
         return value
     try:
-        gamma = float(value)
+        angle = float(value)
     except ValueError:
-        gamma = math.nan
-    if not math.isfinite(gamma):
+        angle = math.nan
+    if not math.isfinite(angle):
         raise click.BadParameter(f"{value!r} is not a finite number")
-    return gamma
+    return angle
 
 
 def _positive_samples(ctx, param, value):
@@ -259,7 +259,7 @@ def cmd_gen(n, m, d_bound, sign_mode, seed, out):
     "--gamma",
     type=float,
     required=True,
-    callback=_finite_gamma,
+    callback=_finite,
     help="analytic-convention angle",
 )
 @click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
@@ -353,9 +353,12 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     "--gamma",
     type=float,
     required=True,
+    callback=_finite,
     help="analytic-convention angle; the state is prepared at -gamma",
 )
-@click.option("--beta", type=float, default=math.pi / 4, help="mixing angle [default: pi/4]")
+@click.option(
+    "--beta", type=float, default=math.pi / 4, callback=_finite, help="mixing angle [default: pi/4]"
+)
 @click.option(
     "--samples",
     default="auto",
@@ -397,7 +400,7 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     "--gamma",
     default="auto",
     show_default=True,
-    callback=_finite_gamma,
+    callback=_finite,
     help='angle, or "auto" for 1/sqrt(3 D) at the derived occurrence bound',
 )
 @click.option(

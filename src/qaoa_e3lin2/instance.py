@@ -20,7 +20,6 @@ File format (text, UTF-8, LF newlines)::
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -127,29 +126,35 @@ class ClauseTopology:
     cancelled: tuple[int, ...]
 
 
-def _clause_topology(
-    triples: Sequence[tuple[int, int, int]], j: int, near: Iterable[int]
-) -> ClauseTopology:
-    """Partition the clauses ``near`` clause j by their overlap with its triple.
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending: one sort and an adjacent-repeat mask."""
+    codes = np.sort(codes)
+    new = np.ones(codes.size, dtype=bool)
+    new[1:] = codes[1:] != codes[:-1]
+    return codes[new]
 
-    Overlap-1 clauses populate the form keyed by the shared focal variable,
-    overlap-2 clauses are recorded as cancelled, overlap-0 clauses are
-    ignored.
+
+def _clause_topology(
+    triples: np.ndarray, j: int, others: np.ndarray, inside: np.ndarray
+) -> ClauseTopology:
+    """Group clause j's rows of the overlap table, of the (m, 3) ``triples``, into its topology.
+
+    ``others`` are the rows' other clauses, ascending, and ``inside`` their
+    mask rows. A clause with one variable inside adds its other two as a
+    pair to the form of the first focal position holding that one; a clause
+    with two is cancelled, and a clause with three is ignored.
     """
-    focal = triples[j]
+    focal = tuple(triples[j].tolist())
     raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
     cancelled: list[int] = []
-    support_vars: set[int] = set()
-    for k in sorted(set(near) - {j}):
-        other = triples[k]
-        shared = [v for v in other if v in focal]
-        if len(shared) == 1:
-            a, b = [v for v in other if v != shared[0]]
-            raw_pairs[focal.index(shared[0])].append((a, b, k))
-            support_vars.update((a, b))
-        elif len(shared) == 2:
+    for k, other, row in zip(others.tolist(), triples[others].tolist(), inside.tolist()):
+        overlap = row.count(True)
+        if overlap == 1:
+            shared = other.pop(row.index(True))
+            raw_pairs[focal.index(shared)].append((*other, k))
+        elif overlap == 2:
             cancelled.append(k)
-    support = tuple(sorted(support_vars))
+    support = tuple(sorted({v for form in raw_pairs for pair in form for v in pair[:2]}))
     pos = {v: i for i, v in enumerate(support)}
     pairs = tuple(tuple([(pos[a], pos[b], k) for a, b, k in form]) for form in raw_pairs)
     return ClauseTopology(focal, support, pairs, tuple(cancelled))
@@ -160,9 +165,9 @@ class Instance:
     """An E3LIN2 instance: n variables and an ordered clause list.
 
     What is derived from the clauses (the arrays, the occurrence counts,
-    every clause's pair total and support size, and each clause's
-    neighborhood topology) is built on first use and kept as long as the
-    instance.
+    the table of clause pairs that share a variable, and each clause's pair
+    total, support size and topology) is built on first use and kept as
+    long as the instance. The last three all read that table.
     """
 
     n: int
@@ -170,6 +175,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(self.clauses))
+        object.__setattr__(self, "_topologies", {})
 
     @property
     def m(self) -> int:
@@ -190,11 +196,30 @@ class Instance:
         return out
 
     @cached_property
-    def _by_variable(self) -> tuple[np.ndarray, np.ndarray]:
-        """(variables, clauses) of the 3m triple entries, sorted by variable."""
-        flat = self.triple_array.ravel()
-        order = np.argsort(flat, kind="stable")
-        return flat[order], order // 3
+    def _overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(focal, other, inside) of each ordered pair of distinct clauses sharing a variable.
+
+        One row per pair, sorted by (focal, other); ``inside[i, y]`` tells
+        whether variable y of row i's other triple is in its focal triple.
+        Entries s apart in the variable-sorted incidence that hold one
+        variable name such a pair; past the first s with none there are no
+        more.
+        """
+        order = np.argsort(self.triple_array, axis=None)
+        variables, clauses = self.triple_array.ravel()[order], order // 3
+        codes = [np.zeros(0, np.intp)]
+        for s in range(1, variables.size):
+            same = variables[s:] == variables[:-s]
+            if not same.any():
+                break
+            a, b = clauses[:-s][same], clauses[s:][same]
+            codes += [a * self.m + b, b * self.m + a]
+        focal, other = np.divmod(_distinct(np.concatenate(codes)), self.m)
+        keep = focal != other
+        focal, other = focal[keep], other[keep]
+        tf, to = self.triple_array[focal], self.triple_array[other]
+        inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
+        return focal, other, inside
 
     @cached_property
     def pair_stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,61 +227,34 @@ class Instance:
 
         P counts the clauses that share exactly one variable with clause j,
         and q the distinct variables they bring from outside its triple: the
-        term factorizes when q = 2P. The triples must use three distinct
-        variables each. Two entries of the variable-sorted incidence that
-        are s apart name clauses that share a variable, and past the first s
-        with no such entries there are none; a clause pair that shares one
-        variable is met once. q counts the distinct codes ``j * width + v``
-        of the variables v brought to clause j.
+        term factorizes when q = 2P. Both count the overlap rows with one
+        variable inside, as clause j's :meth:`clause_topology` does: q as
+        the distinct codes ``v * m + j`` of the variables v they bring.
         """
-        variables, clauses = self._by_variable
-        focal, other = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-        for s in range(1, variables.size):
-            same = variables[s:] == variables[:-s]
-            if not same.any():
-                break
-            a, b = clauses[:-s][same], clauses[s:][same]
-            focal += [a, b]
-            other += [b, a]
-        focal, other = np.concatenate(focal), np.concatenate(other)
-        triples = self.triple_array
-        tf, to = triples[focal], triples[other]
-        # inside[i, y]: variable y of the other triple is in the focal triple
-        inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
+        focal, other, inside = self._overlaps
         single = np.count_nonzero(inside, axis=1) == 1
-        focal, to, inside = focal[single], to[single], inside[single]
+        focal, inside = focal[single], inside[single]
+        codes = _distinct(self.triple_array[other[single]][~inside] * self.m + np.repeat(focal, 2))
         pairs_total = np.bincount(focal, minlength=self.m)
-        low = triples.min(initial=0)
-        width = triples.max(initial=0) - low + 1
-        codes = np.sort(np.repeat(focal, 2) * width + (to[~inside] - low))
-        new = np.ones(codes.size, dtype=bool)
-        new[1:] = codes[1:] != codes[:-1]
-        support_size = np.bincount(codes[new] // width, minlength=self.m)
+        support_size = np.bincount(codes % self.m, minlength=self.m)
         pairs_total.setflags(write=False)
         support_size.setflags(write=False)
         return pairs_total, support_size
-
-    @cached_property
-    def _topology_cache(self) -> tuple[tuple, list[int], list[int], dict[int, ClauseTopology]]:
-        """The triples, the variable-sorted incidence as lists, and the topologies built."""
-        variables, clauses = self._by_variable
-        return self.triples(), variables.tolist(), clauses.tolist(), {}
 
     def clause_topology(self, j: int) -> ClauseTopology:
         """Clause j's :class:`ClauseTopology`, built on first use and kept.
 
         Only the triples are read, so one topology serves every angle and
-        every sign vector over the same triples. The clauses near clause j
-        are found by binary search in the variable-sorted incidence.
+        every sign vector over the same triples. Clause j's rows of the
+        overlap table are found by one binary search on its focal column.
         """
-        triples, variables, clauses, built = self._topology_cache
-        if j not in built:
-            near = []
-            for v in triples[j]:
-                lo = bisect_left(variables, v)
-                near += clauses[lo : bisect_right(variables, v, lo)]
-            built[j] = _clause_topology(triples, j, near)
-        return built[j]
+        if not 0 <= j < self.m:
+            raise IndexError(f"clause_index {j} out of range for m={self.m}")
+        if j not in self._topologies:
+            focal, other, inside = self._overlaps
+            lo, hi = np.searchsorted(focal, (j, j + 1)).tolist()
+            self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], inside[lo:hi])
+        return self._topologies[j]
 
     @cached_property
     def occurrence(self) -> np.ndarray:

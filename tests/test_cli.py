@@ -320,6 +320,8 @@ class TestArgumentRanges:
             (["sample", "{path}", "--gamma", "0.3", "--samples", "abc"], "--samples"),
             (["sample", "{path}", "--gamma", "0.3", "--samples", "0"], "--samples"),
             (["sample", "{path}", "--gamma", "0.3", "--samples", "-3"], "--samples"),
+            (["sample", "{path}", "--gamma", "nan", "--samples", "5"], "--gamma"),
+            (["sample", "{path}", "--gamma", "0.2", "--beta", "inf"], "--beta"),
             (["typical", "{path}", "--trials", "1"], "--trials"),
             (["typical", "{path}", "--trials", "-4"], "--trials"),
             (

@@ -81,6 +81,11 @@ class TestInstance:
         assert tiny_instance.triples()[0] == (0, 1, 2)
         assert len(tiny_instance.triples()) == 5
 
+    @pytest.mark.parametrize("j", [-1, 5])
+    def test_clause_topology_refuses_an_index_outside_the_clauses(self, tiny_instance, j):
+        with pytest.raises(IndexError, match=f"^clause_index {j} out of range for m=5$"):
+            tiny_instance.clause_topology(j)
+
 
 class TestPairStats:
     """``pair_stats`` against each clause's neighborhood, built by a different route."""
@@ -99,6 +104,18 @@ class TestPairStats:
         inst = generate_random(n, m, d_bound, seed=seed)
         topologies = [inst.clause_topology(j) for j in range(inst.m)]
         pairs_total, support_size = inst.pair_stats
+        assert pairs_total.tolist() == [sum(map(len, t.pairs)) for t in topologies]
+        assert support_size.tolist() == [len(t.support) for t in topologies]
+
+    def test_repeated_variable_triple_matches_its_topology(self):
+        # clause 0 meets clause 1 at one variable, entered twice in its own triple;
+        # clause 1 finds two of clause 0's entries inside its triple and cancels it
+        inst = Instance(n=4, clauses=(Clause(0, 0, 1, 0), Clause(0, 2, 3, 0)))
+        pairs_total, support_size = inst.pair_stats
+        want = [dumb_neighborhood(inst, j) for j in range(inst.m)]
+        topologies = [inst.clause_topology(j) for j in range(inst.m)]
+        assert pairs_total.tolist() == [sum(map(len, forms)) for forms, _ in want] == [1, 0]
+        assert support_size.tolist() == [len(support) for _, support in want] == [2, 0]
         assert pairs_total.tolist() == [sum(map(len, t.pairs)) for t in topologies]
         assert support_size.tolist() == [len(t.support) for t in topologies]
 

@@ -102,7 +102,7 @@ class TestTopologyBuiltOncePerInstance:
         monkeypatch.setattr(
             instance_module,
             "_clause_topology",
-            lambda triples, j, near: calls.append(j) or real(triples, j, near),
+            lambda triples, j, others, inside: calls.append(j) or real(triples, j, others, inside),
         )
         return calls
 
