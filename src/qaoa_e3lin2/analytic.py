@@ -22,11 +22,11 @@ Enumeration works by tabulating the joint distribution of the integer
 triple (c1, c2, c3) over all support assignments (each form is bounded by
 its pair count, so the table is tiny) and then evaluating the four sines
 per distinct cell. A cell's key is linear in the pair signs, so the keys of
-a block of assignments are one exact parity grid (``instance.parity_grid``):
-the support splits into a high and a low half, and the keys on every code
-``high | low`` of a block are one float64 product of two +-1 pair-sign
-matrices, counted with one ``np.bincount``. The histogram depends only on
-the neighborhood, not on gamma, so angle scans reuse it.
+all 2^q assignments are the exact parity grids of ``instance.parity_blocks``:
+the support splits into a high and a low half, the low half's +-1 pair-sign
+matrix is built once, and the keys of each block of high codes are one
+float64 product with it, counted with one ``np.bincount``. The histogram
+depends only on the neighborhood, not on gamma, so angle scans reuse it.
 
 Clauses are routed in two steps, and both read the instance's table of the
 clause pairs that share a variable, each classified once by its overlap.
@@ -70,12 +70,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _caps
-from .instance import Clause, ClauseTopology, Instance, code_blocks, parity_grid, term_parity
+from .instance import Clause, ClauseTopology, Instance, parity_blocks, term_parity
 
 #: The four sign patterns applied to (c1, c2, c3) in the clause term.
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-_CHUNK = 1 << 20
 
 #: Samples of a Monte Carlo clause term unless a caller asks for others.
 MC_SAMPLES = 100_000
@@ -247,8 +245,7 @@ def _histogram_cached(
     offset = (p1 * dims[1] + p2) * dims[2] + p3
     terms, weights = _pair_terms(forms, (dims[1] * dims[2], dims[2], 1))
     hist = np.zeros(total_cells, dtype=np.int64)
-    for high, low in code_blocks(q_size, len(terms), _CHUNK):
-        grid = parity_grid(terms, weights, q_size, high, low)
+    for _, grid in parity_blocks(terms, weights, q_size):
         grid += offset
         hist += np.bincount(grid.astype(np.intp).ravel(), minlength=total_cells)
     occupied = np.nonzero(hist)[0]
@@ -511,6 +508,7 @@ class EvaluationPlan:
         chunk adds, each evaluated once. Monte Carlo clauses are drawn as
         :meth:`total` draws them at its defaults.
         """
+        _caps.require_memory(8 * vectors, f"W of {vectors} sign vectors")
         w = np.empty(vectors, dtype=np.float64)
         values: list[float] = []
         step = self.vectors_per_chunk()

@@ -110,6 +110,10 @@ def _write_atomic(path: str, text: str) -> None:
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc.strerror}") from exc
     try:
+        # mkstemp makes the file 0600; give it the mode open() would under the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

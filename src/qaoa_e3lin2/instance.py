@@ -328,6 +328,11 @@ def code_bits(codes: np.ndarray, n: int) -> np.ndarray:
     return ((np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
+def _signs(codes: np.ndarray, width: int, terms: np.ndarray) -> np.ndarray:
+    """The (len(codes), t) float64 matrix of (-1)^parity of each term on each code."""
+    return 1.0 - 2.0 * term_parity(code_bits(codes, width), terms)
+
+
 def parity_grid(
     terms: np.ndarray, weights: np.ndarray, width: int, high: np.ndarray, low: np.ndarray
 ) -> np.ndarray:
@@ -341,26 +346,30 @@ def parity_grid(
     integer weights every partial sum is an integer, so the float64 product
     is exact whatever order BLAS adds in (while the sums stay below 2^53).
     """
-    hi = (1.0 - 2.0 * term_parity(code_bits(high, width), terms)) * weights
-    lo = 1.0 - 2.0 * term_parity(code_bits(low, width), terms)
-    return hi @ lo.T
+    return (_signs(high, width, terms) * weights) @ _signs(low, width, terms).T
 
 
-def code_blocks(width: int, columns: int, chunk: int):
-    """Yield ``(high, low)`` code arrays covering all 2^width codes, in increasing order.
+#: Entries a block of :func:`parity_blocks` holds at most, in its grid and in
+#: each +-1 matrix (unless one code's row alone is longer). Read at call time.
+_PARITY_BLOCK = 1 << 16
 
-    Every code is ``high[i] | low[j]`` of exactly one block, and the codes
-    of a block, read row by row, are consecutive from ``high[0]``. A block's
-    :func:`parity_grid` and each of its two (codes, columns) sign matrices
-    hold at most ``chunk`` entries.
+
+def parity_blocks(terms: np.ndarray, weights: np.ndarray, width: int):
+    """Yield ``(first_code, grid)`` blocks of :func:`parity_grid` over all 2^width codes.
+
+    The codes split into a low half of ``2^low`` codes, whose +-1 matrix is
+    built once, and high codes taken a few rows at a time: entry ``(i, j)``
+    of a block's grid is code ``first_code + i * 2^low + j``, so the blocks,
+    read row by row, give every code once in increasing order.
     """
-    codes = max(chunk // max(columns, 1), 1)
+    codes = max(_PARITY_BLOCK // max(len(terms), 1), 1)
     low = min(width // 2, codes.bit_length() - 1)
-    rows = min(chunk >> low, codes)
+    rows = min(_PARITY_BLOCK >> low, codes)
+    lo = _signs(np.arange(1 << low), width, terms).T
     highs = np.arange(1 << (width - low)) << low
-    lows = np.arange(1 << low)
     for start in range(0, highs.size, rows):
-        yield highs[start : start + rows], lows
+        high = highs[start : start + rows]
+        yield int(high[0]), (_signs(high, width, terms) * weights) @ lo
 
 
 def objective_grid(instance: Instance, high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -485,8 +494,12 @@ def parse(text: str) -> Instance:
     head = lines[0].split(" ")
     if len(head) != 3 or head[0] != "e3lin2":
         raise ParseError(f"malformed header {lines[0]!r}, expected 'e3lin2 <n> <m>'", 1)
+    # int() also reads "+2", "02", "1_0", "1\r" and non-ASCII digits, which
+    # serialize never writes: a line must equal what serialize writes of it
     try:
         n, m = int(head[1]), int(head[2])
+        if lines[0] != f"e3lin2 {n} {m}":
+            raise ValueError
     except ValueError:
         raise ParseError(f"malformed header {lines[0]!r}, counts must be integers", 1) from None
     if n < 0 or m < 0:
@@ -504,6 +517,8 @@ def parse(text: str) -> Instance:
             raise ParseError(f"bad clause line {raw!r}", i)
         try:
             a, b, c, rhs = (int(t) for t in tokens)
+            if raw != f"{a} {b} {c} {rhs}":
+                raise ValueError
         except ValueError:
             raise ParseError(f"bad token in {raw!r}", i) from None
         if rhs not in (0, 1):

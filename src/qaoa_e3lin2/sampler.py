@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _caps
-from .instance import Assignment, Instance, clause_parity, code_blocks, objective_grid
+from .instance import Assignment, Instance, clause_parity, parity_blocks
 from .statevector import AngleParams, expectation, prepare, sample_bits
-
-_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,11 @@ def run(
     """Prepare, measure ``samples`` times, and score every string."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    # a shot peaks at 9n + 8 bytes while drawn (its int64 index and bit row,
+    # and the uint8 row) and at n + 4m while scored (three gathered bits and a
+    # parity per clause): what tracemalloc measures at n = 6 to 12
+    n, m = instance.n, instance.m
+    _caps.require_memory(samples * max(9 * n + 8, n + 4 * m), f"{samples} shots")
     state = prepare(instance, AngleParams(gamma=gamma, beta=beta), n_max=n_max)
     predicted = instance.m / 2.0 + expectation(state, instance)
     bits = sample_bits(state, samples, seed=seed)
@@ -97,13 +100,13 @@ def brute_force_max(instance: Instance, n_max: int | None = None) -> tuple[int, 
     if instance.n > n_max:
         raise ValueError(f"n={instance.n} exceeds brute-force cap {n_max}")
     # blocks come in increasing code order, so the first maximum seen has
-    # the lowest index
+    # the lowest index; an entry counts satisfied minus unsatisfied clauses
     best_value = -math.inf
     best_code = 0
-    for high, low in code_blocks(instance.n, instance.m, _CHUNK):
-        grid = objective_grid(instance, high, low)
+    signs = 1.0 - 2.0 * instance.rhs_array
+    for first, grid in parity_blocks(instance.triple_array, signs, instance.n):
         idx = int(np.argmax(grid))
         if grid.flat[idx] > best_value:
-            best_value, best_code = float(grid.flat[idx]), int(high[0]) + idx
+            best_value, best_code = float(grid.flat[idx]), first + idx
     bits = [(best_code >> v) & 1 for v in range(instance.n)]
-    return int(instance.m / 2.0 + best_value), Assignment(bits)
+    return int((instance.m + best_value) / 2.0), Assignment(bits)

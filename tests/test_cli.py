@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import pathlib
+import stat
 
 import jsonschema
 import pytest
@@ -118,6 +120,13 @@ class TestEval:
     def test_missing_file_exits_two(self, runner):
         result = runner.invoke(main, ["eval", "/nonexistent.e3lin2", "--gamma", "0.3"])
         assert result.exit_code == 2
+
+    def test_malformed_file_exits_two_naming_the_line(self, tmp_path, runner):
+        path = tmp_path / "bad.e3lin2"
+        path.write_text("e3lin2 4 1\n0 1 x 0\n", encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(path), "--gamma", "0.3"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == f"Error: {path}: bad token in '0 1 x 0', line 2"
 
     def test_exact_mode_with_tight_cap_exits_two(self, instance_file, runner):
         result = runner.invoke(
@@ -290,6 +299,17 @@ class TestFileOutput:
         runner.invoke(main, ["scan", instance_file, "-o", str(o1)])
         runner.invoke(main, ["scan", instance_file, "-o", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_honour_the_umask(self, instance_file, tmp_path, runner, umask, mode):
+        previous = os.umask(umask)
+        try:
+            runner.invoke(main, ["gen", "-n", "5", "-m", "3", "-D", "1", "-o", str(tmp_path / "g")])
+            runner.invoke(main, ["scan", instance_file, "-o", str(tmp_path / "s")])
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "g").stat().st_mode) == mode
+        assert stat.S_IMODE((tmp_path / "s").stat().st_mode) == mode
 
     @pytest.mark.parametrize("command", ["gen", "eval"])
     def test_missing_directory_exits_two_naming_the_path(self, instance_file, tmp_path, runner, command):

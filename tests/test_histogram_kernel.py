@@ -3,7 +3,7 @@ replaced.
 
 ``loop_histogram`` and ``conftest.loop_eval_forms`` are the implementation
 the package used before every 2^q enumeration went through
-``instance.parity_grid``: about seven int64 passes over every code per pair.
+``instance.parity_blocks``: about seven int64 passes over every code per pair.
 The tests require the new path to reproduce them exactly, with equal dtypes,
 not within a tolerance. The last class checks that the Monte Carlo clause
 term, the one enumeration-free path, refuses a run larger than physical
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic
+from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import (
     build_neighborhood,
     clause_term_mc,
@@ -128,7 +129,7 @@ class TestHistogramAgainstLoop:
     @settings(max_examples=60)
     def test_matches_loop_for_every_chunk(self, inst, chunk):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analytic, "_CHUNK", chunk)
+            mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
             for nbhd in neighborhoods(inst):
                 assert_same(fresh_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
 
@@ -147,7 +148,7 @@ class TestHistogramAgainstLoop:
         want = loop_histogram(nbhd.q_size, nbhd.forms)
         for chunk in (1 << 10, 3000):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analytic, "_CHUNK", chunk)
+                mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
                 assert_same(fresh_histogram(nbhd), want)
 
     def test_q_zero(self):
@@ -172,12 +173,13 @@ class TestHistogramAgainstLoop:
         pairs = sum(nbhd.pair_counts)
         shapes = []
 
-        def spy(terms, weights, width, high, low):
-            shapes.append((len(high), len(low)))
-            return parity_grid(terms, weights, width, high, low)
+        def spy(terms, weights, width):
+            for first, grid in instance_module.parity_blocks(terms, weights, width):
+                shapes.append(grid.shape)
+                yield first, grid
 
-        monkeypatch.setattr(analytic, "parity_grid", spy)
-        monkeypatch.setattr(analytic, "_CHUNK", 4096)
+        monkeypatch.setattr(analytic, "parity_blocks", spy)
+        monkeypatch.setattr(instance_module, "_PARITY_BLOCK", 4096)
         fresh_histogram(nbhd)
         assert sum(rows * cols for rows, cols in shapes) == 1 << nbhd.q_size
         assert len(shapes) > 1

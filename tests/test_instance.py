@@ -256,12 +256,39 @@ class TestFileFormat:
             ("e3lin2 4 2\n0 1 2 0\n", 3),
             ("e3lin2 4 1\n0 1 2 0\n0 1 3 0\n", 3),
             ("e3lin2 4 1\n0  1 2 0\n", 2),
+            # int() reads these, but serialize never writes them
+            ("e3lin2 12 1\n0 1 1_0 0\n", 2),
+            ("e3lin2 4 1\n0 1 +2 0\n", 2),
+            ("e3lin2 4 1\n0 1 02 0\n", 2),
+            ("e3lin2 4 1\n-0 1 2 0\n", 2),
+            ("e3lin2 4 1\n0 1 2 0\r\n", 2),
+            ("e3lin2 4 1\n0 1 \u0662 0\n", 2),
+            ("e3lin2 +4 1\n0 1 2 0\n", 1),
+            ("e3lin2 04 1\n0 1 2 0\n", 1),
+            ("e3lin2 1_2 1\n0 1 2 0\n", 1),
+            ("e3lin2 4 1\r\n0 1 2 0\n", 1),
+            ("e3lin2 \u0664 1\n0 1 2 0\n", 1),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("e3lin2 12 1\n0 1 1_0 0\n", "bad token in '0 1 1_0 0', line 2"),
+            ("e3lin2 +4 1\n", "malformed header 'e3lin2 +4 1', counts must be integers, line 1"),
+            ("e3lin2 4 1\n0 1 2 -1\n", "rhs must be 0 or 1, got -1, line 2"),
+            ("e3lin2 4 1\n-1 1 2 0\n", "variable index outside [0, 4) in (-1, 1, 2), line 2"),
+            ("e3lin2 -4 1\n", "header counts must be non-negative, line 1"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
 
     def test_tolerates_exactly_one_trailing_newline(self):
         assert parse("e3lin2 3 1\n0 1 2 0\n").m == 1

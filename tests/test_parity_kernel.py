@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, sampler, statevector
+from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import (
     Assignment,
@@ -22,6 +23,7 @@ from qaoa_e3lin2.instance import (
     Instance,
     clause_parity,
     objective_value,
+    parity_grid,
     satisfied_count,
     serialize,
 )
@@ -163,13 +165,61 @@ class TestShots:
             satisfied_count_batch(tiny_instance, np.zeros(shape, dtype=np.uint8))
 
 
+@st.composite
+def weighted_terms(draw):
+    """(terms, weights, width): up to 8 terms of 1 to 3 distinct bits below width, integer weights."""
+    width = draw(st.integers(0, 10))
+    k = draw(st.integers(1, max(min(3, width), 1)))
+    positions = st.lists(st.integers(0, max(width - 1, 0)), min_size=k, max_size=k, unique=True)
+    rows = draw(st.lists(positions, max_size=8 if width else 0))
+    weights = draw(st.lists(st.integers(-8, 8), min_size=len(rows), max_size=len(rows)))
+    terms = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+    return terms, np.array(weights, dtype=np.float64), width
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @given(case=weighted_terms())
+    @settings(max_examples=40)
+    def test_blocks_walk_every_code_once_within_the_block_size(self, case, block):
+        terms, weights, width = case
+        code_bits, term_parity = instance_module.code_bits, instance_module.term_parity
+        bits_calls, sign_sizes = [], []
+
+        def count_code_bits(codes, n):
+            bits_calls.append(len(codes))
+            return code_bits(codes, n)
+
+        def size_term_parity(bits, terms):
+            out = term_parity(bits, terms)
+            sign_sizes.append(out.size)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instance_module, "_PARITY_BLOCK", block)
+            mp.setattr(instance_module, "code_bits", count_code_bits)
+            mp.setattr(instance_module, "term_parity", size_term_parity)
+            blocks = list(instance_module.parity_blocks(terms, weights, width))
+        code = 0
+        for first, grid in blocks:
+            assert first == code and grid.size <= block
+            rows, cols = grid.shape
+            high, low = first + cols * np.arange(rows), np.arange(cols)
+            assert np.array_equal(grid, parity_grid(terms, weights, width, high, low))
+            code += grid.size
+        assert code == 1 << width
+        # one row of a +-1 matrix may alone be longer than the block
+        assert max(sign_sizes) <= max(block, len(terms))
+        assert len(bits_calls) == len(blocks) + 1
+
+
 class TestBruteForceChunks:
     @pytest.mark.parametrize("chunk", [1, 4, 5, 16])
     @given(inst=instances(max_n=9, max_m=8))
     @settings(max_examples=15)
     def test_small_chunks_keep_count_and_lowest_maximizer(self, inst, chunk):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampler, "_CHUNK", chunk)
+            mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
             got = brute_force_max(inst)
         assert got == loop_brute_force_max(inst)
 
@@ -194,6 +244,19 @@ class TestMemoryRefusal:
         path.write_text(serialize(wide), encoding="utf-8")
         result = CliRunner().invoke(
             main, ["sample", str(path), "--gamma", "0.2", "--n-max", "40"]
+        )
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
+
+    def test_refuses_a_trillion_shots_before_preparing(self, tiny_instance, no_dense_arrays):
+        with pytest.raises(_caps.MemoryCapError, match="1000000000000 shots"):
+            run(tiny_instance, 0.3, 0.7, samples=10**12)
+
+    def test_sample_command_refuses_a_trillion_shots(self, tmp_path, tiny_instance, no_dense_arrays):
+        path = tmp_path / "tiny.e3lin2"
+        path.write_text(serialize(tiny_instance), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["sample", str(path), "--gamma", "0.2", "--samples", str(10**12)]
         )
         assert result.exit_code == 2
         assert "physical memory" in result.output

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaoa_e3lin2 import analytic, typical
+from qaoa_e3lin2 import _caps, analytic, typical
 from qaoa_e3lin2.analytic import SupportTooLargeError, build_neighborhood, objective_expectation
-from qaoa_e3lin2.instance import generate_random, resample_signs, with_signs
+from qaoa_e3lin2.cli import main
+from qaoa_e3lin2.instance import generate_random, resample_signs, serialize, with_signs
 from qaoa_e3lin2.typical import (
     EXHAUSTIVE,
     EXHAUSTIVE_MAX_M,
@@ -253,6 +255,24 @@ class TestMonteCarlo:
     def test_rejects_tiny_trials(self):
         with pytest.raises(ValueError):
             ensemble_mean_mc(DEPENDENT_QUAD, 0.4, trials=1)
+
+    @pytest.fixture
+    def no_w_array(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array of W was allocated")
+
+        monkeypatch.setattr(np, "empty", refuse)
+
+    def test_refuses_a_trillion_trials_before_allocating(self, no_w_array):
+        with pytest.raises(_caps.MemoryCapError, match="W of 1000000000000 sign vectors"):
+            ensemble_mean_mc(SPREAD_OCTET, 0.4, trials=10**12)
+
+    def test_typical_command_refuses_a_trillion_trials(self, tmp_path, no_w_array):
+        path = tmp_path / "octet.e3lin2"
+        path.write_text(serialize(base_instance(SPREAD_OCTET)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["typical", str(path), "--trials", str(10**12)])
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
 
 
 class TestAgainstBruteForce:
