@@ -483,6 +483,12 @@ def with_signs(instance: Instance, rhs_bits: Iterable[int]) -> Instance:
     return Instance(n=instance.n, clauses=clauses)
 
 
+def _require_lf(raw: str, line: int) -> None:
+    """Refuse a line that ends in a carriage return, naming its CRLF line ending."""
+    if raw.endswith("\r"):
+        raise ParseError(f"CRLF line ending in {raw!r}, expected LF", line)
+
+
 def parse(text: str) -> Instance:
     """Parse the instance file format; raises ParseError with a line number."""
     lines = text.split("\n")
@@ -491,10 +497,11 @@ def parse(text: str) -> Instance:
     if not lines:
         raise ParseError("empty input", 1)
 
+    _require_lf(lines[0], 1)
     head = lines[0].split(" ")
     if len(head) != 3 or head[0] != "e3lin2":
         raise ParseError(f"malformed header {lines[0]!r}, expected 'e3lin2 <n> <m>'", 1)
-    # int() also reads "+2", "02", "1_0", "1\r" and non-ASCII digits, which
+    # int() also reads "+2", "02", "1_0" and non-ASCII digits, which
     # serialize never writes: a line must equal what serialize writes of it
     try:
         n, m = int(head[1]), int(head[2])
@@ -512,6 +519,7 @@ def parse(text: str) -> Instance:
     clauses: list[Clause] = []
     seen: dict[tuple[int, int, int], int] = {}
     for i, raw in enumerate(lines[1:], start=2):
+        _require_lf(raw, i)
         tokens = raw.split(" ")
         if len(tokens) != 4 or any(t == "" for t in tokens):
             raise ParseError(f"bad clause line {raw!r}", i)

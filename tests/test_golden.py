@@ -18,7 +18,10 @@ the ``gen`` call that wrote ``demo.e3lin2``) were written before the records
 and CSV tables came from the report dataclasses; with them every command
 and ``--format`` has a golden. ``demo_typical_mixed.json`` (``--q-max 8``,
 so some clauses of the Monte Carlo ensemble take Monte Carlo terms) was
-written before the topology became a cached property of the instance. A change that moves any emitted digit,
+written before the topology became a cached property of the instance.
+``state18.e3lin2`` (``gen -n 18 -m 24 -D 3 --seed 1``) has more qubits than
+one mixer tile, so its statevector runs the tiled mixer's high-qubit pass;
+its ``state18_*`` files were written before the mixer was tiled. A change that moves any emitted digit,
 including the 1e-16 ``difference`` of the statevector comparison, fails here.
 """
 
@@ -41,6 +44,8 @@ CASES = {
     "sample_seed0.csv": SAMPLE + ["--seed", "0", "--format", "csv"],
     "sample_seed5.json": SAMPLE + ["--seed", "5"],
     "sample_seed5.csv": SAMPLE + ["--seed", "5", "--format", "csv"],
+    "state18_eval_sv.json": ["eval", "state18.e3lin2", "--gamma", "0.2", "--compare-statevector"],
+    "state18_sample.json": ["sample", "state18.e3lin2", "--gamma", "0.2", "--samples", "2000"],
     "entangled_eval.json": ENTANGLED_EVAL,
     "entangled_eval.csv": ENTANGLED_EVAL + ["--format", "csv"],
     "entangled_eval_mc.json": [

@@ -290,6 +290,18 @@ class TestFileFormat:
             parse(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("e3lin2 4 1\r\n0 1 2 0\r\n", "CRLF line ending in 'e3lin2 4 1\\r', expected LF, line 1"),
+            ("e3lin2 4 1\n0 1 2 0\r\n", "CRLF line ending in '0 1 2 0\\r', expected LF, line 2"),
+        ],
+    )
+    def test_crlf_line_endings_are_named(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_tolerates_exactly_one_trailing_newline(self):
         assert parse("e3lin2 3 1\n0 1 2 0\n").m == 1
         assert parse("e3lin2 3 1\n0 1 2 0").m == 1

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from qaoa_e3lin2.instance import generate_random, serialize
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -25,3 +27,12 @@ def test_grid_scan_experiment(capsys, tmp_path):
     assert load("grid_scan_experiment").main(args) == 0
     assert "best W per equation" in capsys.readouterr().out
     assert rows.read_text().splitlines()[0].startswith("D,n,m,seed")
+
+
+def test_time_statevector(capsys, tmp_path):
+    path = tmp_path / "small.e3lin2"
+    path.write_text(serialize(generate_random(n=8, m=6, d_bound=2, seed=1)))
+    assert load("time_statevector").main([str(path), "--gamma", "0.3", "--repeat", "2"]) == 0
+    out = capsys.readouterr().out
+    for phase in ("uniform_state", "apply_cost_phase", "apply_mixer", "expectation"):
+        assert phase in out

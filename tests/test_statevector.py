@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoa_e3lin2.instance import Assignment, Clause, Instance, objective_value
+from qaoa_e3lin2 import statevector
+from qaoa_e3lin2.instance import Assignment, Clause, Instance, generate_random, objective_value
 from qaoa_e3lin2.statevector import (
     AngleParams,
     QuantumState,
@@ -98,6 +100,59 @@ class TestLayers:
     def test_mixer_preserves_norm(self):
         state = uniform_state(5)
         assert apply_mixer(state, 1.234).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_mixer(amp, n, beta):
+    """The plain per-qubit mixer loop, each qubit over the whole state."""
+    amp = amp.copy()
+    cos_b = math.cos(beta)
+    sin_b = math.sin(beta)
+    for v in range(n):
+        view = amp.reshape(1 << (n - 1 - v), 2, 1 << v)
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = cos_b * a0 - 1j * sin_b * a1
+        view[:, 1, :] = cos_b * a1 - 1j * sin_b * a0
+    return amp
+
+
+def assert_bitwise_equal(got, want):
+    got, want = got.view(np.float64), want.view(np.float64)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTiledMixer:
+    # n runs below, at and above k = tile_bits, and for k = 2 and 3 past 2k,
+    # where a column tile is one column of 2^(n-k) rows
+    @pytest.mark.parametrize("tile_bits", [2, 3, statevector._TILE_BITS])
+    def test_bitwise_equal_to_the_loop(self, tile_bits, monkeypatch):
+        monkeypatch.setattr(statevector, "_TILE_BITS", tile_bits)
+        rng = np.random.default_rng(tile_bits)
+        phase_instance = Instance(n=3, clauses=(Clause(0, 1, 2, 1),))
+        for n in range(1, min(17, 2 * tile_bits + 4) + 1):
+            amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amp /= np.linalg.norm(amp)
+            state = QuantumState(n=n, amplitudes=amp)
+            before = amp.copy()
+            for beta in (0.0, math.pi / 4, math.pi / 2, -1.1, 2.9):
+                assert_bitwise_equal(apply_mixer(state, beta).amplitudes, loop_mixer(before, n, beta))
+            if n >= phase_instance.n:
+                apply_cost_phase(state, phase_instance, 0.7)
+            assert_bitwise_equal(state.amplitudes, before)
+
+    def test_peak_memory_is_within_the_estimate(self):
+        n = 16
+        inst = generate_random(n=n, m=20, d_bound=3, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            expectation(prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4)), inst)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= statevector.PEAK_BYTES_PER_AMPLITUDE << n
 
 
 class TestPrepareAndExpectation:
