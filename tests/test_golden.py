@@ -21,8 +21,9 @@ so some clauses of the Monte Carlo ensemble take Monte Carlo terms) was
 written before the topology became a cached property of the instance.
 ``state18.e3lin2`` (``gen -n 18 -m 24 -D 3 --seed 1``) has more qubits than
 one mixer tile, so its statevector runs the tiled mixer's high-qubit pass;
-its ``state18_*`` files were written before the mixer was tiled. A change that moves any emitted digit,
-including the 1e-16 ``difference`` of the statevector comparison, fails here.
+its ``state18_*`` files were written before the mixer was tiled. A change
+that moves any emitted digit, including the 1e-16 ``difference`` of the
+statevector comparison, fails here.
 """
 
 from pathlib import Path
