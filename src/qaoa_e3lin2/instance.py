@@ -395,6 +395,114 @@ def objective_value(instance: Instance, assignment: Assignment) -> float:
     return (2 * satisfied_count(instance, assignment) - instance.m) / 2.0
 
 
+_LOW32 = 0xFFFFFFFF
+
+
+def _floyd(n: int, a: int, b: int, c: int, k2: int, k1: int) -> list[int]:
+    """Floyd's sample of 3 from draws on [0, n-3], [0, n-2], [0, n-1], then its shuffle.
+
+    A draw already taken is replaced by the top of its range; ``k2`` and
+    ``k1`` (draws on [0, 2] and [0, 1]) are the swaps of ``choice``'s shuffle.
+    """
+    if b == a:
+        b = n - 2
+    if c == a or c == b:
+        c = n - 1
+    picked = [a, b, c]
+    picked[k2], picked[2] = picked[2], picked[k2]
+    picked[k1], picked[1] = picked[1], picked[k1]
+    return picked
+
+
+class _Choice3:
+    """The draws of ``Generator.choice(n, 3, replace=False)``, read from raw PCG64 words.
+
+    For a sample of 3 (and 3 <= n < 2**32), ``choice`` runs Floyd's
+    algorithm: for j = n-3, n-2, n-1 it draws uniformly on [0, j] by
+    Lemire's method, j = 0 drawing nothing, and then shuffles with draws on
+    [0, 2] and [0, 1]. Each Lemire draw reads 32-bit halves of the PCG64
+    words, the low half first, as ``next_uint32`` does. The words are
+    fetched a block at a time, so the bit generator runs ahead until
+    :meth:`sync` puts it where the same ``choice`` calls would have left it.
+    """
+
+    _WORDS = 1024
+
+    def __init__(self, bit_generator: np.random.PCG64, n: int):
+        start = bit_generator.state
+        self._bit_generator = bit_generator
+        self._start = start
+        self._n = n
+        # a half left over by an earlier next_uint32 is read first
+        self._halves = [start["uinteger"]] if start["has_uint32"] else []
+        self._pos = 0
+        self._words = 0
+
+    def _fill(self) -> None:
+        """Keep the unread halves and append the halves of a block of words."""
+        words = self._bit_generator.random_raw(self._WORDS)
+        block = [0] * (2 * self._WORDS)
+        block[0::2] = (words & _LOW32).tolist()
+        block[1::2] = (words >> 32).tolist()
+        self._halves = self._halves[self._pos:] + block
+        self._pos = 0
+        self._words += self._WORDS
+
+    def _bounded(self, top: int) -> int:
+        """Lemire's draw on [0, top].
+
+        A half times top+1 holds the draw in its high 32 bits; it is drawn
+        again while its low 32 bits are below 2**32 mod (top+1).
+        """
+        span = top + 1
+        threshold = (_LOW32 - top) % span
+        while True:
+            if self._pos == len(self._halves):
+                self._fill()
+            product = self._halves[self._pos] * span
+            self._pos += 1
+            if product & _LOW32 >= threshold:
+                return product >> 32
+
+    def draw(self) -> list[int]:
+        """The next ``choice(n, 3, replace=False)``, in its order."""
+        n, pos = self._n, self._pos
+        if len(self._halves) - pos < 5:
+            self._fill()
+            pos = 0
+        h0, h1, h2, h3, h4 = self._halves[pos:pos + 5]
+        p0, p1, p2, p3 = h0 * (n - 2), h1 * (n - 1), h2 * n, h3 * 3
+        if (
+            n > 3
+            and p0 & _LOW32 >= n - 2
+            and p1 & _LOW32 >= n - 1
+            and p2 & _LOW32 >= n
+            and p3 & _LOW32 >= 3
+        ):
+            # the usual case: each low half is at least its span, so above
+            # its threshold, and every draw is accepted at once
+            self._pos = pos + 5
+            return _floyd(n, p0 >> 32, p1 >> 32, p2 >> 32, p3 >> 32, h4 * 2 >> 32)
+        first = self._bounded(n - 3) if n > 3 else 0
+        return _floyd(
+            n, first, self._bounded(n - 2), self._bounded(n - 1), self._bounded(2), self._bounded(1)
+        )
+
+    def sync(self) -> None:
+        """Rewind the bit generator to just after the halves read so far."""
+        bit_generator, unread = self._bit_generator, len(self._halves) - self._pos
+        bit_generator.state = self._start
+        if not self._pos:
+            return  # nothing read yet: every block fetched is read from at once
+        bit_generator.advance(self._words - unread // 2)
+        state = bit_generator.state
+        # next_uint32 keeps the high half of the word it split, also once it
+        # has handed it out: the next half if it is unread, else the last read
+        state["has_uint32"] = unread % 2
+        state["uinteger"] = self._halves[self._pos - 1 + unread % 2]
+        bit_generator.state = state
+
+
 def generate_random(
     n: int,
     m: int,
@@ -408,6 +516,14 @@ def generate_random(
     repeats an existing triple or would push a variable past its occurrence
     cap), so the triple distribution is uniform enough for testing but not
     canonical. Deterministic for a fixed seed.
+
+    Each attempt draws exactly what ``Generator.choice(n, 3, replace=False)``
+    of ``default_rng(seed)`` would, read by :class:`_Choice3` from the raw
+    PCG64 words without the per-call cost of ``choice``; the rhs bits then
+    come from the generator in the state ``choice`` would have left.
+    ``tests/test_instance.py`` checks the draws and that state against
+    ``choice`` (``TestChoiceReader``) and the whole instance against the
+    loop over ``choice`` (``test_matches_the_placement_loop_over_choice``).
     """
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}, got {sign_mode!r}")
@@ -424,9 +540,10 @@ def generate_random(
         raise InfeasibleError(f"m={m} exceeds the {math.comb(n, 3)} distinct triples on n={n}")
 
     rng = np.random.default_rng(seed)
+    draws = _Choice3(rng.bit_generator, n)
     budget = 1000 * m
     cap = d_bound + 1
-    counts = np.zeros(n, dtype=np.int64)
+    counts = [0] * n
     chosen: list[tuple[int, int, int]] = []
     used: set[tuple[int, int, int]] = set()
     attempts = 0
@@ -439,20 +556,22 @@ def generate_random(
         if stall >= 200:
             # greedy placement wedged (tight packings can leave no legal
             # triple); restart from scratch on the shared budget
-            counts[:] = 0
+            counts = [0] * n
             chosen.clear()
             used.clear()
             stall = 0
         attempts += 1
-        triple = tuple(int(v) for v in np.sort(rng.choice(n, size=3, replace=False)))
-        if triple in used or any(counts[v] >= cap for v in triple):
+        a, b, c = triple = tuple(sorted(draws.draw()))
+        if triple in used or counts[a] >= cap or counts[b] >= cap or counts[c] >= cap:
             stall += 1
             continue
         stall = 0
         used.add(triple)
         chosen.append(triple)
-        for v in triple:
-            counts[v] += 1
+        counts[a] += 1
+        counts[b] += 1
+        counts[c] += 1
+    draws.sync()
 
     if sign_mode == "all-zero-rhs":
         rhs = np.zeros(m, dtype=np.int64)

@@ -23,7 +23,9 @@ written before the topology became a cached property of the instance.
 one mixer tile, so its statevector runs the tiled mixer's high-qubit pass;
 its ``state18_*`` files were written before the mixer was tiled. A change
 that moves any emitted digit, including the 1e-16 ``difference`` of the
-statevector comparison, fails here.
+statevector comparison, fails here. So does a change to ``gen``'s draws: the
+four instances are written again by the ``gen`` calls above (``demo.e3lin2``
+by ``gen -n 12 -m 14 -D 3 --seed 7``) and compared byte for byte.
 """
 
 from pathlib import Path
@@ -74,8 +76,14 @@ CASES = {
     "bounds_m7_d1.json": ["bounds", "-m", "7", "-D", "1"],
     "bounds_m7_d1.csv": ["bounds", "-m", "7", "-D", "1", "--format", "csv"],
 }
-#: Run in an empty directory: ``gen`` writes the instance it echoes.
-GEN = ["gen", "-n", "12", "-m", "14", "-D", "3", "--seed", "7", "-o", "demo.e3lin2"]
+#: The ``gen`` calls that wrote the golden instances; each runs in an empty
+#: directory and writes the instance it echoes.
+GENS = {
+    "demo.e3lin2": ["gen", "-n", "12", "-m", "14", "-D", "3", "--seed", "7", "-o", "demo.e3lin2"],
+    "ensemble10.e3lin2": ["gen", "-n", "10", "-m", "10", "-D", "3", "--seed", "1", "-o", "ensemble10.e3lin2"],
+    "entangled.e3lin2": ["gen", "-n", "24", "-m", "36", "-D", "5", "--seed", "1", "-o", "entangled.e3lin2"],
+    "state18.e3lin2": ["gen", "-n", "18", "-m", "24", "-D", "3", "--seed", "1", "-o", "state18.e3lin2"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -86,12 +94,14 @@ def test_output_is_byte_identical(name, monkeypatch):
     assert result.output == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_gen_writes_the_golden_instance(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", sorted(GENS))
+def test_gen_writes_the_golden_instance(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    result = CliRunner().invoke(main, GEN)
+    result = CliRunner().invoke(main, GENS[name])
     assert result.exit_code == 0, result.output
-    assert result.output == (GOLDEN / "gen_demo.json").read_text(encoding="utf-8")
-    assert (tmp_path / "demo.e3lin2").read_bytes() == (GOLDEN / "demo.e3lin2").read_bytes()
+    if name == "demo.e3lin2":
+        assert result.output == (GOLDEN / "gen_demo.json").read_text(encoding="utf-8")
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def _command_and_format(argv):
@@ -104,5 +114,5 @@ def test_every_command_and_format_has_a_golden():
         for name, command in main.commands.items()
         for fmt in next((p.type.choices for p in command.params if p.name == "fmt"), ["json"])
     }
-    covered = {_command_and_format(argv) for argv in [*CASES.values(), GEN]}
+    covered = {_command_and_format(argv) for argv in [*CASES.values(), *GENS.values()]}
     assert offered - covered == set()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from qaoa_e3lin2.instance import (
     InfeasibleError,
     Instance,
     ParseError,
+    RetryExhaustedError,
+    _Choice3,
     generate_random,
     objective_value,
     parse,
@@ -191,6 +194,41 @@ class TestGenerateRandom:
             generate_random(n=10, m=6, d_bound=2, seed=1, sign_mode="whatever")
 
     @pytest.mark.parametrize(
+        "n, m, d_bound, sign_mode, seed",
+        [
+            (18, 24, 3, "uniform-random", 1),  # full packing, many restarts
+            (12, 16, 3, "uniform-random", 1005),
+            (3, 1, 0, "uniform-random", 2),
+            (4, 4, 2, "all-zero-rhs", 3),
+            (20, 26, 3, "all-zero-rhs", 5),
+            (50, 60, 4, "uniform-random", 6),
+            (10, 0, 3, "uniform-random", 7),
+        ],
+    )
+    def test_matches_the_placement_loop_over_choice(self, n, m, d_bound, sign_mode, seed):
+        want = _generate_by_choice(n, m, d_bound, sign_mode, seed)
+        assert generate_random(n, m, d_bound, sign_mode, seed) == want
+
+    @pytest.mark.parametrize(
+        "n, m, d_bound, sign_mode, digest",
+        [
+            (12000, 8000, 3, "uniform-random", "892e9cf4059398584ab83227580df06e7281f31897e19cce49f133fdb9380c63"),
+            (20, 26, 3, "uniform-random", "d46a54ee53cc8ec3aabf5b53c8e0919fbf64caa472c69ae06a25d66b495ed3fd"),
+            (18, 24, 3, "all-zero-rhs", "1c963cde21fb474f63245ca8eb07413946652b53263ac178efec9901dbe3f302"),
+        ],
+    )
+    def test_bench_shaped_outputs_are_pinned(self, n, m, d_bound, sign_mode, digest):
+        # the first two are the benchmark's sparse scan and n=20 statevector instances
+        text = serialize(generate_random(n, m, d_bound, sign_mode, seed=1))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_retry_exhausted_message(self):
+        with pytest.raises(
+            RetryExhaustedError, match=r"^placed 38 of 40 triples in 40000 attempts \(n=24, D=4\)$"
+        ):
+            generate_random(24, 40, 4, "all-zero-rhs", seed=699762)
+
+    @pytest.mark.parametrize(
         "n,m,d",
         [
             (4, 5, 0),  # 15 slots needed, 4 available
@@ -202,6 +240,96 @@ class TestGenerateRandom:
     def test_infeasible(self, n, m, d):
         with pytest.raises(InfeasibleError):
             generate_random(n=n, m=m, d_bound=d, seed=0)
+
+
+def _choice_triples(rng, n, attempts):
+    return [rng.choice(n, size=3, replace=False).tolist() for _ in range(attempts)]
+
+
+def _generate_by_choice(n, m, d_bound, sign_mode="uniform-random", seed=0):
+    """``generate_random``'s placement loop with one ``rng.choice`` call per attempt."""
+    rng = np.random.default_rng(seed)
+    cap = d_bound + 1
+    counts = np.zeros(n, dtype=np.int64)
+    chosen, used = [], set()
+    attempts = stall = 0
+    while len(chosen) < m:
+        assert attempts < 1000 * m, "these cases fit in the budget"
+        if stall >= 200:
+            counts[:] = 0
+            chosen.clear()
+            used.clear()
+            stall = 0
+        attempts += 1
+        triple = tuple(int(v) for v in np.sort(rng.choice(n, size=3, replace=False)))
+        if triple in used or any(counts[v] >= cap for v in triple):
+            stall += 1
+            continue
+        stall = 0
+        used.add(triple)
+        chosen.append(triple)
+        for v in triple:
+            counts[v] += 1
+    rhs = np.zeros(m, dtype=np.int64) if sign_mode == "all-zero-rhs" else rng.integers(0, 2, size=m)
+    return Instance(n=n, clauses=tuple(Clause(a, b, c, int(r)) for (a, b, c), r in zip(chosen, rhs)))
+
+
+def _pcg64_state_before(word, inc, words_ahead):
+    """A PCG64 state whose ``words_ahead``-th next raw word is ``word``.
+
+    PCG64 steps its 128-bit LCG state and then outputs the two 64-bit halves
+    of the new state xor-ed and rotated right by its top 6 bits; with those
+    bits clear the output is the plain xor.
+    """
+    multiplier, modulus = 0x2360ED051FC65DA44385DF649FCCF645, 1 << 128
+    high = 0x0123456789ABCDEF
+    state = high << 64 | (high ^ word)
+    for _ in range(words_ahead):
+        state = (state - inc) * pow(multiplier, -1, modulus) % modulus
+    return state
+
+
+class TestChoiceReader:
+    """``_Choice3`` against ``Generator.choice`` itself: the same triples, then the same state."""
+
+    # n = 3 draws nothing for j = 0; at n = 3e9, 2**32 mod (j+1) is about a
+    # third of 2**32, so Lemire's method redraws often
+    @pytest.mark.parametrize("n", [3, 4, 5, 18, 20, 1000, 12000, 3_000_000_000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draws_and_state_match_choice(self, n, seed):
+        rng, reader_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        reader = _Choice3(reader_rng.bit_generator, n)
+        assert [reader.draw() for _ in range(2001)] == _choice_triples(rng, n, 2001)
+        reader.sync()
+        assert reader_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_a_redraw_on_the_shuffle_range_matches_choice(self):
+        # 2**32 mod 3 = 1, so the draw on [0, 2] redraws a zero half only:
+        # here the fourth half read, the high half of the second word
+        state = np.random.default_rng(0).bit_generator.state
+        state["state"]["state"] = _pcg64_state_before(12345, state["state"]["inc"], 2)
+        rng, reader_rng, check = (np.random.default_rng() for _ in range(3))
+        for generator in (rng, reader_rng, check):
+            generator.bit_generator.state = state
+        assert check.bit_generator.random_raw(2)[1] == 12345
+        reader = _Choice3(reader_rng.bit_generator, 18)
+        assert [reader.draw() for _ in range(3)] == _choice_triples(rng, 18, 3)
+        reader.sync()
+        assert reader_rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("draws", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_sync_hands_on_the_state_choice_leaves(self, draws, pending):
+        rng, reader_rng = np.random.default_rng(4), np.random.default_rng(4)
+        if pending:
+            # a full-range uint32 leaves the high half of its word unread
+            rng.integers(2**32, dtype=np.uint32)
+            reader_rng.integers(2**32, dtype=np.uint32)
+        reader = _Choice3(reader_rng.bit_generator, 18)
+        assert [reader.draw() for _ in range(draws)] == _choice_triples(rng, 18, draws)
+        reader.sync()
+        assert reader_rng.bit_generator.state == rng.bit_generator.state
+        assert reader_rng.integers(0, 2, size=65).tolist() == rng.integers(0, 2, size=65).tolist()
 
 
 class TestSignResampling:
