@@ -31,9 +31,9 @@ from .instance import (
     RetryExhaustedError,
     Violation,
     clause_parity,
+    clause_sum_blocks,
     code_bits,
     generate_random,
-    objective_grid,
     objective_value,
     parity_grid,
     parse,
@@ -103,6 +103,7 @@ __all__ = [
     "chebyshev_node_property",
     "clause_mean_closed_form",
     "clause_parity",
+    "clause_sum_blocks",
     "clause_term_exact",
     "clause_term_mc",
     "code_bits",
@@ -115,7 +116,6 @@ __all__ = [
     "make_schedule",
     "moment_checks",
     "objective_expectation",
-    "objective_grid",
     "objective_value",
     "optimal_gamma_typical",
     "parity_grid",

@@ -284,6 +284,8 @@ def cmd_eval(
     instance_path, gamma, mode, mc_samples, seed, q_max, compare_statevector, n_max, fmt, out
 ):
     """Per-clause and total objective expectation W(gamma)."""
+    if compare_statevector and fmt == "csv":
+        raise click.UsageError("--compare-statevector has no CSV form; drop it or use --format json")
     inst = _load_instance(instance_path)
     report = analytic.objective_expectation(
         inst, gamma, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed

@@ -372,16 +372,13 @@ def parity_blocks(terms: np.ndarray, weights: np.ndarray, width: int):
         yield int(high[0]), (_signs(high, width, terms) * weights) @ lo
 
 
-def objective_grid(instance: Instance, high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """The objective on every code ``high[i] | low[j]``, as a float64 grid.
+def clause_sum_blocks(instance: Instance, width: int):
+    """Yield ``(first_code, grid)`` blocks of twice the objective over all 2^width codes.
 
-    ``high`` and ``low`` must use disjoint bits. Twice the objective is the
-    :func:`parity_grid` of the clause triples weighted by their signs, a sum
-    of at most m integers, so the grid is exact.
+    An entry, satisfied minus unsatisfied clauses, sums at most m integers, so
+    it is exact; bits from ``instance.n`` up change nothing.
     """
-    grid = parity_grid(instance.triple_array, 1.0 - 2.0 * instance.rhs_array, instance.n, high, low)
-    grid *= 0.5
-    return grid
+    return parity_blocks(instance.triple_array, 1.0 - 2.0 * instance.rhs_array, width)
 
 
 def satisfied_count(instance: Instance, assignment: Assignment) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _caps
-from .instance import Assignment, Instance, clause_parity, parity_blocks
+from .instance import Assignment, Instance, clause_parity, clause_sum_blocks
 from .statevector import AngleParams, expectation, prepare, sample_bits
 
 
@@ -103,8 +103,7 @@ def brute_force_max(instance: Instance, n_max: int | None = None) -> tuple[int, 
     # the lowest index; an entry counts satisfied minus unsatisfied clauses
     best_value = -math.inf
     best_code = 0
-    signs = 1.0 - 2.0 * instance.rhs_array
-    for first, grid in parity_blocks(instance.triple_array, signs, instance.n):
+    for first, grid in clause_sum_blocks(instance, instance.n):
         idx = int(np.argmax(grid))
         if grid.flat[idx] > best_value:
             best_value, best_code = float(grid.flat[idx]), first + idx

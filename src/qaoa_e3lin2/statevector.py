@@ -9,13 +9,11 @@ checked against.
 Bit order: variable v is bit v of the basis-state integer index
 (little-endian), so index ``sum_v x_v 2^v`` encodes assignment x.
 
-The cost diagonal splits the register into a high and a low half. A
-clause's parity on an index is the XOR of its parities on the two halves, so
-``cost_values`` runs the parity kernel on the 2^(n/2) codes of each half and
-gets the (2^h, 2^l) grid of C as one exact product of their +-1 clause-sign
-matrices (``instance.objective_grid``). C takes at most 2m+1 half-integer
-levels: ``apply_cost_phase`` evaluates ``exp(-i gamma C)`` once per level
-and gathers the 2^n phases from that table.
+The cost diagonal comes block by block from ``instance.clause_sum_blocks``
+(twice C, exact). C takes at most 2m+1 half-integer levels:
+``apply_cost_phase`` evaluates ``exp(-i gamma C)`` once per level and gathers
+each block's phases from that table. The uniform state is one broadcast
+amplitude, so ``prepare`` holds no 2^n array but the phased state.
 
 The mixer updates the state in place, a cache-sized tile at a time. The low
 ``_TILE_BITS`` qubits pair amplitudes inside one row block of 2^_TILE_BITS,
@@ -35,13 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _caps
-from .instance import Assignment, Instance, code_bits, objective_grid
+from .instance import Assignment, Instance, clause_sum_blocks, code_bits
 
 NORM_TOL = 1e-12
 
 #: Bytes per amplitude that ``prepare`` plus ``expectation`` hold at their
-#: peak, the cost phase's: the uniform and the phased state plus the level
-#: index (tracemalloc measures 40.1).
+#: peak, the expectation's: tracemalloc measures 41.3 at n=16 and 33.2 at
+#: n=20, ``prepare`` alone 32.7 and 24.0 (``scripts/time_statevector.py``).
 PEAK_BYTES_PER_AMPLITUDE = 64
 
 #: log2 of the amplitudes the mixer updates while they stay in cache: a row
@@ -93,17 +91,19 @@ def cost_values(instance: Instance, n: int) -> np.ndarray:
     """Spin objective C(z) for every basis index of an n-qubit register."""
     if n < instance.n:
         raise ValueError(f"register n={n} smaller than instance n={instance.n}")
-    low = n // 2
-    return objective_grid(instance, np.arange(1 << (n - low)) << low, np.arange(1 << low)).ravel()
+    values = np.empty(1 << n)
+    for first, grid in clause_sum_blocks(instance, n):
+        np.multiply(grid.ravel(), 0.5, out=values[first : first + grid.size])
+    return values
 
 
 def uniform_state(n: int, n_max: int | None = None) -> QuantumState:
-    """The uniform superposition |s>, an eigenstate of every X."""
+    """The uniform superposition |s>, an eigenstate of every X, as one broadcast amplitude."""
     n_max = _caps.N_MAX_DEFAULT if n_max is None else n_max
     if not 1 <= n <= n_max:
         raise ValueError(f"n must be in [1, {n_max}], got {n}")
     _caps.require_memory(PEAK_BYTES_PER_AMPLITUDE << n, f"a {n}-qubit statevector")
-    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    amp = np.broadcast_to(np.complex128(2.0 ** (-n / 2.0)), 1 << n)
     return QuantumState(n=n, amplitudes=amp)
 
 
@@ -113,11 +113,13 @@ def apply_cost_phase(state: QuantumState, instance: Instance, gamma: float) -> Q
         raise ValueError(f"state has {state.n} qubits, instance needs {instance.n}")
     levels = np.arange(-instance.m, instance.m + 1) * 0.5
     table = np.exp(-1j * gamma * levels)
-    index = (2 * cost_values(instance, state.n)).astype(np.intp)
-    index += instance.m
-    phased = table[index]
-    del index  # before the norm check allocates its temporaries
-    np.multiply(state.amplitudes, phased, out=phased)
+    phased = np.empty(1 << state.n, dtype=np.complex128)
+    for first, grid in clause_sum_blocks(instance, state.n):
+        grid += instance.m
+        block = phased[first : first + grid.size]
+        np.take(table, grid.astype(np.intp).ravel(), out=block, mode="clip")  # "raise" would buffer
+        np.multiply(state.amplitudes[first : first + grid.size], block, out=block)
+    del grid  # a block may be the whole register; free it before the norm check
     return QuantumState(n=state.n, amplitudes=phased)
 
 

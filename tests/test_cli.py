@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from qaoa_e3lin2 import cli
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import parse
 from qaoa_e3lin2.sampler import recommended_samples
@@ -108,6 +109,19 @@ class TestEval:
         assert sv["state_gamma"] == -0.4
         assert sv["beta"] == pytest.approx(math.pi / 4, rel=1e-11)
         assert sv["difference"] <= 1e-9
+
+    def test_csv_with_statevector_comparison_exits_two_before_preparing(
+        self, instance_file, runner, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was prepared")
+
+        monkeypatch.setattr(cli, "sv_prepare", refuse)
+        result = runner.invoke(
+            main, ["eval", instance_file, "--gamma", "0.3", "--compare-statevector", "--format", "csv"]
+        )
+        assert result.exit_code == 2
+        assert "--compare-statevector" in result.output and "--format" in result.output
 
     def test_csv_body(self, instance_file, runner):
         result = runner.invoke(

@@ -18,7 +18,7 @@ def test_every_exported_name_resolves():
 
 
 def test_kernels_are_exported():
-    kernels = ("term_parity", "parity_grid", "clause_parity", "code_bits", "objective_grid")
+    kernels = ("term_parity", "parity_grid", "clause_parity", "code_bits", "clause_sum_blocks")
     assert set(kernels + ("sample_bits",)) <= set(qaoa_e3lin2.__all__)
 
 

@@ -36,3 +36,9 @@ def test_time_statevector(capsys, tmp_path):
     out = capsys.readouterr().out
     for phase in ("uniform_state", "apply_cost_phase", "apply_mixer", "expectation"):
         assert phase in out
+    header, *rows = out.splitlines()[2:]
+    assert header.split() == ["phase", "median_s", "min_s", "peak_B/amp"]
+    peaks = {row.split()[0]: float(row.split()[3]) for row in rows}
+    assert list(peaks) == ["uniform_state", "apply_cost_phase", "apply_mixer", "prepare", "expectation"]
+    # the phased and the prepared state are new 16-byte amplitudes
+    assert peaks["apply_cost_phase"] >= 16 and peaks["prepare"] >= 16

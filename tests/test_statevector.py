@@ -1,4 +1,5 @@
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2 import statevector
 from qaoa_e3lin2.instance import Assignment, Clause, Instance, generate_random, objective_value
 from qaoa_e3lin2.statevector import (
@@ -21,6 +23,8 @@ from qaoa_e3lin2.statevector import (
 )
 
 from conftest import instances
+
+STATE18 = pathlib.Path(__file__).resolve().parent / "golden" / "state18.e3lin2"
 
 
 def all_assignment_objectives(inst):
@@ -153,6 +157,74 @@ class TestTiledMixer:
         finally:
             tracemalloc.stop()
         assert peak <= statevector.PEAK_BYTES_PER_AMPLITUDE << n
+
+
+def reference_states(inst, amp, gamma, beta):
+    """C on the register of ``amp``, ``amp`` phased, and mixed, each over the whole register at once.
+
+    The phases are gathered from the level table at the index 2C + m of each
+    code, multiplied into ``amp``, and mixed by the plain per-qubit loop.
+    """
+    n = amp.size.bit_length() - 1
+    cost = np.tile(all_assignment_objectives(inst), 1 << (n - inst.n))
+    table = np.exp(-1j * gamma * np.arange(-inst.m, inst.m + 1) * 0.5)
+    phased = amp * table[(2 * cost).astype(np.intp) + inst.m]
+    return cost, phased, loop_mixer(phased, n, beta)
+
+
+class TestManyBlocks:
+    # blocks of 1, 8 and 64 codes split every register below into several
+    @pytest.mark.parametrize("block", [1, 8, 64])
+    @pytest.mark.parametrize(
+        "inst",
+        [Instance(n=4, clauses=()), generate_random(n=7, m=6, d_bound=2, seed=3)],
+        ids=["m0", "n7"],
+    )
+    def test_bitwise_equal_to_the_whole_register(self, inst, block, monkeypatch):
+        monkeypatch.setattr(instance_module, "_PARITY_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for gamma, beta in ((0.0, 0.0), (-0.2, math.pi / 4), (2.9, -1.1)):
+            # the wider register has more qubits than the instance
+            for n in (inst.n, inst.n + 2):
+                uniform = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+                cost, phased, mixed = reference_states(inst, uniform, gamma, beta)
+                assert_bitwise_equal(cost_values(inst, n), cost)
+                assert_bitwise_equal(apply_cost_phase(uniform_state(n), inst, gamma).amplitudes, phased)
+                if n == inst.n:
+                    assert_bitwise_equal(prepare(inst, AngleParams(gamma, beta)).amplitudes, mixed)
+                # a state that is not uniform shows which amplitude meets which
+                # phase; numpy rounds a one-element in-place multiply on its own
+                # path, so blocks of one code may differ in the last bit
+                amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                amp /= np.linalg.norm(amp)
+                _, phased, _ = reference_states(inst, amp, gamma, beta)
+                got = apply_cost_phase(QuantumState(n=n, amplitudes=amp), inst, gamma)
+                np.testing.assert_allclose(got.amplitudes, phased, rtol=1e-15, atol=0)
+
+
+def traced(fn, *args):
+    """``fn(*args)``, the bytes it still holds once it returns, and its peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+class TestMemory:
+    def test_uniform_state_holds_one_amplitude(self):
+        state, held, _ = traced(uniform_state, 18)
+        assert state.amplitudes.shape == (1 << 18,)
+        assert held < 1024
+
+    def test_prepare_peaks_below_32_bytes_per_amplitude(self):
+        inst = instance_module.parse(STATE18.read_text(encoding="utf-8"))
+        _, _, peak = traced(prepare, inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        assert peak < 32 << inst.n
 
 
 class TestPrepareAndExpectation:
