@@ -58,6 +58,9 @@ class Clause:
         if self.rhs not in (0, 1):
             raise ValueError(f"rhs must be 0 or 1, got {self.rhs}")
 
+    def __iter__(self):  # a clause reads as its row (a, b, c, rhs)
+        return iter((self.a, self.b, self.c, self.rhs))
+
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -160,40 +163,61 @@ def _clause_topology(
     return ClauseTopology(focal, support, pairs, tuple(cancelled))
 
 
-@dataclass(frozen=True)
-class Instance:
-    """An E3LIN2 instance: n variables and an ordered clause list.
+def _read_only(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only contiguous array, copied unless it already is one of ``dtype``."""
+    out = np.ascontiguousarray(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
-    What is derived from the clauses (the arrays, the occurrence counts,
+
+class Instance:
+    """An E3LIN2 instance: n variables and m clauses in two read-only arrays, equal when n and rows are.
+
+    ``triple_array`` (m, 3, intp) holds the triples and ``rhs_array`` (m,
+    uint8) the right-hand sides, read from :class:`Clause` objects or
+    ``(a, b, c, rhs)`` rows. The :class:`Clause` view, the occurrence counts,
     the table of clause pairs that share a variable, and each clause's pair
-    total, support size and topology) is built on first use and kept as
-    long as the instance. The last three all read that table.
+    total, support size and topology (all three read that table) are built on
+    first use and kept.
     """
 
-    n: int
-    clauses: tuple[Clause, ...]
+    def __init__(self, n: int, clauses: Iterable[Clause | tuple[int, int, int, int]]):
+        rows = np.array([tuple(row) for row in clauses], dtype=np.intp).reshape(-1, 4)
+        self._hold(n, rows[:, :3], rows[:, 3])
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
-        object.__setattr__(self, "_topologies", {})
+    @classmethod
+    def _from_arrays(cls, n: int, triples: np.ndarray, rhs: np.ndarray) -> Instance:
+        return cls.__new__(cls)._hold(n, triples, rhs)
+
+    def _hold(self, n: int, triples: np.ndarray, rhs: np.ndarray) -> Instance:
+        self.n, self._topologies = n, {}
+        self.triple_array = _read_only(triples, np.intp)
+        self.rhs_array = _read_only(rhs, np.uint8)
+        return self
+
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.triple_array.tobytes(), self.rhs_array.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Instance) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _rows(self) -> list[tuple[int, int, int, int]]:
+        return list(map(tuple, np.column_stack((self.triple_array, self.rhs_array)).tolist()))
+
+    def __repr__(self):
+        return f"Instance(n={self.n}, clauses={self._rows()!r})"
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return self.rhs_array.size
 
     @cached_property
-    def triple_array(self) -> np.ndarray:
-        """The clause triples as a read-only (m, 3) index array."""
-        out = np.array(self.triples(), dtype=np.intp).reshape(self.m, 3)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def rhs_array(self) -> np.ndarray:
-        """The clause right-hand sides as a read-only (m,) uint8 array."""
-        out = np.array([cl.rhs for cl in self.clauses], dtype=np.uint8)
-        out.setflags(write=False)
-        return out
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as :class:`Clause` objects, built on first use."""
+        return tuple(Clause(*row) for row in self._rows())
 
     @cached_property
     def _overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,10 +260,7 @@ class Instance:
         focal, inside = focal[single], inside[single]
         codes = _distinct(self.triple_array[other[single]][~inside] * self.m + np.repeat(focal, 2))
         pairs_total = np.bincount(focal, minlength=self.m)
-        support_size = np.bincount(codes % self.m, minlength=self.m)
-        pairs_total.setflags(write=False)
-        support_size.setflags(write=False)
-        return pairs_total, support_size
+        return _read_only(pairs_total), _read_only(np.bincount(codes % self.m, minlength=self.m))
 
     def clause_topology(self, j: int) -> ClauseTopology:
         """Clause j's :class:`ClauseTopology`, built on first use and kept.
@@ -260,19 +281,15 @@ class Instance:
     def occurrence(self) -> np.ndarray:
         """Per-variable clause membership counts (length n); out-of-range entries are skipped."""
         flat = self.triple_array.ravel()
-        counts = np.bincount(flat[(flat >= 0) & (flat < self.n)], minlength=self.n)
-        counts.setflags(write=False)
-        return counts
+        return _read_only(np.bincount(flat[(flat >= 0) & (flat < self.n)], minlength=self.n))
 
     @cached_property
     def d_bound(self) -> int:
         """Smallest D with every variable in at most D+1 clauses."""
-        if self.m == 0 or self.n == 0:
-            return 0
-        return max(int(self.occurrence.max()) - 1, 0)
+        return max(int(self.occurrence.max(initial=0)) - 1, 0)
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(cl.triple for cl in self.clauses)
+        return tuple(map(tuple, self.triple_array.tolist()))
 
 
 @dataclass(frozen=True)
@@ -286,22 +303,16 @@ def validate(instance: Instance) -> list[Violation]:
     """Collect every invariant violation; an empty list means well-formed."""
     out: list[Violation] = []
     seen: dict[tuple[int, int, int], int] = {}
-    for i, cl in enumerate(instance.clauses):
-        if not (cl.a < cl.b < cl.c):
-            out.append(Violation("unsorted-triple", i, f"clause {i}: triple {cl.triple} is not strictly increasing"))
-        if min(cl.triple) < 0 or max(cl.triple) >= instance.n:
-            out.append(Violation("index-out-of-range", i, f"clause {i}: triple {cl.triple} outside [0, {instance.n})"))
-        key = cl.triple
-        if key in seen:
-            out.append(Violation("duplicate-triple", i, f"clause {i}: triple {cl.triple} repeats clause {seen[key]}"))
+    for i, triple in enumerate(instance.triples()):
+        if not (triple[0] < triple[1] < triple[2]):
+            out.append(Violation("unsorted-triple", i, f"clause {i}: triple {triple} is not strictly increasing"))
+        if min(triple) < 0 or max(triple) >= instance.n:
+            out.append(Violation("index-out-of-range", i, f"clause {i}: triple {triple} outside [0, {instance.n})"))
+        if triple in seen:
+            out.append(Violation("duplicate-triple", i, f"clause {i}: triple {triple} repeats clause {seen[triple]}"))
         else:
-            seen[key] = i
+            seen[triple] = i
     return out
-
-
-def _require_valid_assignment(instance: Instance, assignment: Assignment) -> None:
-    if assignment.n != instance.n:
-        raise ValueError(f"assignment length {assignment.n} != instance n {instance.n}")
 
 
 def term_parity(bits: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -383,7 +394,8 @@ def clause_sum_blocks(instance: Instance, width: int):
 
 def satisfied_count(instance: Instance, assignment: Assignment) -> int:
     """Number of clauses with bits[a]+bits[b]+bits[c] = rhs (mod 2)."""
-    _require_valid_assignment(instance, assignment)
+    if assignment.n != instance.n:
+        raise ValueError(f"assignment length {assignment.n} != instance n {instance.n}")
     return int(np.count_nonzero(clause_parity(instance, assignment.bits) == instance.rhs_array))
 
 
@@ -541,10 +553,8 @@ def generate_random(
     budget = 1000 * m
     cap = d_bound + 1
     counts = [0] * n
-    chosen: list[tuple[int, int, int]] = []
-    used: set[tuple[int, int, int]] = set()
-    attempts = 0
-    stall = 0
+    chosen: dict[tuple[int, int, int], None] = {}  # ordered, and a set of the triples
+    attempts = stall = 0
     while len(chosen) < m:
         if attempts >= budget:
             raise RetryExhaustedError(
@@ -555,27 +565,21 @@ def generate_random(
             # triple); restart from scratch on the shared budget
             counts = [0] * n
             chosen.clear()
-            used.clear()
             stall = 0
         attempts += 1
         a, b, c = triple = tuple(sorted(draws.draw()))
-        if triple in used or counts[a] >= cap or counts[b] >= cap or counts[c] >= cap:
+        if triple in chosen or counts[a] >= cap or counts[b] >= cap or counts[c] >= cap:
             stall += 1
             continue
         stall = 0
-        used.add(triple)
-        chosen.append(triple)
+        chosen[triple] = None
         counts[a] += 1
         counts[b] += 1
         counts[c] += 1
     draws.sync()
 
-    if sign_mode == "all-zero-rhs":
-        rhs = np.zeros(m, dtype=np.int64)
-    else:
-        rhs = rng.integers(0, 2, size=m)
-    clauses = tuple(Clause(a, b, c, int(r)) for (a, b, c), r in zip(chosen, rhs))
-    return Instance(n=n, clauses=clauses)
+    rhs = np.zeros(m, dtype=np.uint8) if sign_mode == "all-zero-rhs" else rng.integers(0, 2, size=m)
+    return Instance._from_arrays(n, np.array(list(chosen), dtype=np.intp).reshape(m, 3), rhs)
 
 
 def random_rhs(m: int, seed: int | Sequence[int] = 0) -> np.ndarray:
@@ -589,14 +593,14 @@ def resample_signs(instance: Instance, seed: int | Sequence[int] = 0) -> Instanc
 
 
 def with_signs(instance: Instance, rhs_bits: Iterable[int]) -> Instance:
-    """Same triples with an explicit rhs vector."""
+    """Same triples, the source's own array, with an explicit rhs vector."""
     rhs = list(rhs_bits)
     if len(rhs) != instance.m:
         raise ValueError(f"need {instance.m} rhs bits, got {len(rhs)}")
-    clauses = tuple(
-        Clause(cl.a, cl.b, cl.c, int(r)) for cl, r in zip(instance.clauses, rhs)
-    )
-    return Instance(n=instance.n, clauses=clauses)
+    for r in rhs:
+        if r not in (0, 1):
+            raise ValueError(f"rhs must be 0 or 1, got {r}")
+    return Instance._from_arrays(instance.n, instance.triple_array, rhs)
 
 
 def _require_lf(raw: str, line: int) -> None:
@@ -627,12 +631,10 @@ def parse(text: str) -> Instance:
         raise ParseError(f"malformed header {lines[0]!r}, counts must be integers", 1) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", 1)
-    if len(lines) - 1 < m:
-        raise ParseError(f"expected {m} clause lines, found {len(lines) - 1}", len(lines) + 1)
-    if len(lines) - 1 > m:
-        raise ParseError(f"expected {m} clause lines, found {len(lines) - 1}", m + 2)
+    if len(lines) - 1 != m:  # named at the first missing or the first extra line
+        raise ParseError(f"expected {m} clause lines, found {len(lines) - 1}", min(len(lines), m + 1) + 1)
 
-    clauses: list[Clause] = []
+    rows: list[tuple[int, int, int, int]] = []
     seen: dict[tuple[int, int, int], int] = {}
     for i, raw in enumerate(lines[1:], start=2):
         _require_lf(raw, i)
@@ -654,13 +656,12 @@ def parse(text: str) -> Instance:
         if (a, b, c) in seen:
             raise ParseError(f"duplicate triple ({a}, {b}, {c}), first at line {seen[(a, b, c)]}", i)
         seen[(a, b, c)] = i
-        clauses.append(Clause(a, b, c, rhs))
-    return Instance(n=n, clauses=tuple(clauses))
+        rows.append((a, b, c, rhs))
+    return Instance(n=n, clauses=rows)
 
 
 def serialize(instance: Instance) -> str:
     """Emit the file format bit-exactly: header plus one line per clause."""
     parts = [f"e3lin2 {instance.n} {instance.m}\n"]
-    for cl in instance.clauses:
-        parts.append(f"{cl.a} {cl.b} {cl.c} {cl.rhs}\n")
+    parts += [f"{a} {b} {c} {rhs}\n" for a, b, c, rhs in instance._rows()]
     return "".join(parts)

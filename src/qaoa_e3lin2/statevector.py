@@ -38,14 +38,19 @@ from .instance import Assignment, Instance, clause_sum_blocks, code_bits
 NORM_TOL = 1e-12
 
 #: Bytes per amplitude that ``prepare`` plus ``expectation`` hold at their
-#: peak, the expectation's: tracemalloc measures 41.3 at n=16 and 33.2 at
-#: n=20, ``prepare`` alone 32.7 and 24.0 (``scripts/time_statevector.py``).
+#: peak: tracemalloc measures 33.4 at n=16 and 25.2 at n=20, ``prepare``
+#: alone 32.7 and 24.0 (``scripts/time_statevector.py``). Their outputs hold
+#: at any BLAS thread count: the cost blocks are exact integer sums, and no
+#: dot in ``expectation`` is long enough for OpenBLAS to thread.
 PEAK_BYTES_PER_AMPLITUDE = 64
 
 #: log2 of the amplitudes the mixer updates while they stay in cache: a row
 #: block for the low qubits, a column tile for the high ones. 2^15 complex128
 #: amplitudes are 512 KiB.
 _TILE_BITS = 15
+
+#: Entries of one dot in ``expectation``; OpenBLAS threads only those above 10,000.
+_DOT_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -185,9 +190,20 @@ def prepare(instance: Instance, params: AngleParams, n_max: int | None = None) -
 
 
 def expectation(state: QuantumState, instance: Instance) -> float:
-    """<state| C |state> for the diagonal spin objective; exactly real."""
+    """<state| C |state> for the diagonal spin objective; exactly real.
+
+    Twice C comes block by block from ``clause_sum_blocks``; ``math.fsum``
+    adds its dots with the probabilities, ``_DOT_CHUNK`` entries at a time,
+    so the value does not depend on the BLAS thread count.
+    """
+    if state.n < instance.n:
+        raise ValueError(f"register n={state.n} smaller than instance n={instance.n}")
     probs = state.probabilities()
-    return float(np.dot(probs, cost_values(instance, state.n)))
+    partials = []
+    for first, grid in clause_sum_blocks(instance, state.n):
+        p, c = probs[first : first + grid.size], grid.ravel()
+        partials += [np.dot(p[i : i + _DOT_CHUNK], c[i : i + _DOT_CHUNK]) for i in range(0, c.size, _DOT_CHUNK)]
+    return 0.5 * math.fsum(partials)
 
 
 def sample_bits(state: QuantumState, count: int, seed: int = 0) -> np.ndarray:

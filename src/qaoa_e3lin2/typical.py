@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import EvaluationPlan, _factorized_value
-from .instance import Clause, Instance, code_bits, random_rhs, validate
+from .instance import Instance, code_bits, random_rhs, validate
 
 EXHAUSTIVE_MAX_M = 20
 
@@ -76,9 +76,8 @@ def base_instance(triples: Sequence[tuple[int, int, int]]) -> Instance:
 
     Raises ``ValueError`` with the first problem ``validate`` finds.
     """
-    clauses = tuple(Clause(a, b, c, 0) for a, b, c in triples)
-    n = 1 + max((max(cl.triple) for cl in clauses), default=2)
-    inst = Instance(n=n, clauses=clauses)
+    n = 1 + max((max(t) for t in triples), default=2)
+    inst = Instance(n=n, clauses=[(a, b, c, 0) for a, b, c in triples])
     problems = validate(inst)
     if problems:
         raise ValueError(problems[0].message)

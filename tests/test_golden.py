@@ -25,14 +25,21 @@ its ``state18_*`` files were written before the mixer was tiled. A change
 that moves any emitted digit, including the 1e-16 ``difference`` of the
 statevector comparison, fails here. So does a change to ``gen``'s draws: the
 four instances are written again by the ``gen`` calls above (``demo.e3lin2``
-by ``gen -n 12 -m 14 -D 3 --seed 7``) and compared byte for byte.
+by ``gen -n 12 -m 14 -D 3 --seed 7``) and compared byte for byte. The
+outputs hold at any BLAS thread count; the ``eval_sv`` commands run once
+more in a fresh process with OpenBLAS on one thread, where a dot split across
+threads would round differently.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qaoa_e3lin2
 from qaoa_e3lin2.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +109,19 @@ def test_gen_writes_the_golden_instance(name, tmp_path, monkeypatch):
     if name == "demo.e3lin2":
         assert result.output == (GOLDEN / "gen_demo.json").read_text(encoding="utf-8")
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if "eval_sv" in name))
+def test_statevector_outputs_hold_on_one_blas_thread(name):
+    """The expectation's sums do not depend on how many threads BLAS runs."""
+    src = str(Path(qaoa_e3lin2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-m", "qaoa_e3lin2.cli", *CASES[name]],
+        cwd=GOLDEN, env=env, capture_output=True, timeout=120, check=True,
+    )
+    assert result.stdout == (GOLDEN / name).read_bytes()
 
 
 def _command_and_format(argv):

@@ -25,6 +25,9 @@ from qaoa_e3lin2.instance import (
     with_signs,
 )
 
+from qaoa_e3lin2.analytic import EvaluationPlan
+from qaoa_e3lin2.schedule import scan
+
 from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances
 
 
@@ -88,6 +91,62 @@ class TestInstance:
     def test_clause_topology_refuses_an_index_outside_the_clauses(self, tiny_instance, j):
         with pytest.raises(IndexError, match=f"^clause_index {j} out of range for m=5$"):
             tiny_instance.clause_topology(j)
+
+
+class TestArrays:
+    """An instance is n and its two arrays; the Clause view is built only when read."""
+
+    def test_parse_plan_scan_and_serialize_build_no_clause_view(self):
+        inst = parse(serialize(generate_random(n=40, m=30, d_bound=3, seed=5)))
+        EvaluationPlan(inst)
+        scan(inst)
+        serialize(inst)
+        validate(inst)
+        assert "clauses" not in vars(inst)
+        assert inst.clauses[0] == Clause(*inst.triples()[0], int(inst.rhs_array[0]))
+
+    def test_equal_with_equal_hashes_exactly_when_n_and_rows_match(self):
+        inst = generate_random(n=10, m=6, d_bound=2, seed=4)
+        rows = [(*t, int(r)) for t, r in zip(inst.triples(), inst.rhs_array.tolist())]
+        zero = generate_random(n=10, m=6, d_bound=2, sign_mode="all-zero-rhs", seed=4)
+        builds = [
+            Instance(inst.n, rows),
+            Instance(inst.n, [Clause(*row) for row in rows]),
+            parse(serialize(inst)),
+            with_signs(zero, inst.rhs_array),
+        ]
+        for other in builds:
+            assert other == inst and hash(other) == hash(inst)
+        flipped = [(a, b, c, 1 - rhs) if i == 2 else (a, b, c, rhs) for i, (a, b, c, rhs) in enumerate(rows)]
+        unequal = [
+            Instance(inst.n + 1, rows),
+            Instance(inst.n, flipped),
+            Instance(inst.n, rows[::-1]),
+            Instance(inst.n, rows[:-1]),
+        ]
+        for other in unequal:
+            assert other != inst
+        assert len({inst, *builds, *unequal}) == 1 + len(unequal)
+
+    def test_repr_rebuilds_the_instance(self):
+        inst = Instance(n=4, clauses=[(0, 1, 2, 1), (1, 2, 3, 0)])
+        assert repr(inst) == "Instance(n=4, clauses=[(0, 1, 2, 1), (1, 2, 3, 0)])"
+        assert eval(repr(inst), {"Instance": Instance}) == inst
+        assert repr(Instance(n=3, clauses=())) == "Instance(n=3, clauses=[])"
+
+    def test_arrays_are_read_only_and_with_signs_shares_the_triples(self, tiny_instance):
+        inst = generate_random(n=10, m=4, d_bound=2, seed=2)
+        signed = with_signs(inst, [1, 0, 1, 0])
+        for built in (tiny_instance, inst, parse(serialize(inst)), signed):
+            assert built.triple_array.dtype == np.intp and built.triple_array.shape == (built.m, 3)
+            assert built.rhs_array.dtype == np.uint8 and built.rhs_array.shape == (built.m,)
+            with pytest.raises(ValueError):
+                built.triple_array[0, 0] = 7
+            with pytest.raises(ValueError):
+                built.rhs_array[0] = 1
+        assert signed.triple_array is inst.triple_array
+        with pytest.raises(ValueError, match="^rhs must be 0 or 1, got 2$"):
+            with_signs(inst, [2, 0, 1, 0])
 
 
 class TestPairStats:

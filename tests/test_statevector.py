@@ -226,6 +226,13 @@ class TestMemory:
         _, _, peak = traced(prepare, inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
         assert peak < 32 << inst.n
 
+    def test_expectation_peaks_below_12_bytes_per_amplitude_above_its_state(self):
+        # the probabilities take 8; no 2^n cost diagonal is held beside them
+        inst = generate_random(n=20, m=26, d_bound=3, seed=1)
+        state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        _, _, peak = traced(expectation, state, inst)
+        assert peak < 12 << inst.n
+
 
 class TestPrepareAndExpectation:
     def test_zero_angles_give_zero_expectation(self, tiny_instance):
