@@ -8,131 +8,87 @@ right-hand side; the satisfied-equation count is m/2 + C(z). W(gamma)
 denotes the objective expectation in the state mixed at angle pi/4 after a
 cost phase at angle -gamma (the sign convention under which the analytic
 module's formulas hold).
+
+The package imports nothing up front: the first use of an exported name
+imports the module that defines it, as listed in ``_EXPORTS``.
 """
 
-from .analytic import (
-    ClauseTerm,
-    EvaluationPlan,
-    ExpectationReport,
-    Neighborhood,
-    SupportTooLargeError,
-    build_neighborhood,
-    clause_term_exact,
-    clause_term_mc,
-    moment_checks,
-    objective_expectation,
-)
-from .instance import (
-    Assignment,
-    Clause,
-    InfeasibleError,
-    Instance,
-    ParseError,
-    RetryExhaustedError,
-    Violation,
-    clause_parity,
-    clause_sum_blocks,
-    code_bits,
-    generate_random,
-    objective_value,
-    parity_grid,
-    parse,
-    resample_signs,
-    satisfied_count,
-    serialize,
-    term_parity,
-    validate,
-    with_signs,
-)
-from .sampler import SampleReport, brute_force_max, recommended_samples, run
-from .schedule import (
-    AngleSchedule,
-    GuaranteeReport,
-    NodeCheck,
-    ScanResult,
-    chebyshev_node_property,
-    guarantee,
-    hypercontractive_bound,
-    make_schedule,
-    remainder_bound,
-    scan,
-)
-from .statevector import (
-    AngleParams,
-    QuantumState,
-    expectation,
-    prepare,
-    sample,
-    sample_bits,
-    uniform_state,
-)
-from .typical import (
-    EnsembleReport,
-    clause_mean_closed_form,
-    ensemble_mean_exhaustive,
-    ensemble_mean_mc,
-    optimal_gamma_typical,
-    typical_guarantee,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleParams",
-    "AngleSchedule",
-    "Assignment",
-    "Clause",
-    "ClauseTerm",
-    "EnsembleReport",
-    "EvaluationPlan",
-    "ExpectationReport",
-    "GuaranteeReport",
-    "InfeasibleError",
-    "Instance",
-    "Neighborhood",
-    "NodeCheck",
-    "ParseError",
-    "QuantumState",
-    "RetryExhaustedError",
-    "SampleReport",
-    "ScanResult",
-    "SupportTooLargeError",
-    "Violation",
-    "brute_force_max",
-    "build_neighborhood",
-    "chebyshev_node_property",
-    "clause_mean_closed_form",
-    "clause_parity",
-    "clause_sum_blocks",
-    "clause_term_exact",
-    "clause_term_mc",
-    "code_bits",
-    "ensemble_mean_exhaustive",
-    "ensemble_mean_mc",
-    "expectation",
-    "generate_random",
-    "guarantee",
-    "hypercontractive_bound",
-    "make_schedule",
-    "moment_checks",
-    "objective_expectation",
-    "objective_value",
-    "optimal_gamma_typical",
-    "parity_grid",
-    "parse",
-    "prepare",
-    "recommended_samples",
-    "remainder_bound",
-    "resample_signs",
-    "run",
-    "sample",
-    "sample_bits",
-    "satisfied_count",
-    "scan",
-    "serialize",
-    "term_parity",
-    "typical_guarantee",
-    "uniform_state",
-    "validate",
-    "with_signs",
-]
+#: Every exported name and the module that defines it.
+_EXPORTS = {
+    "AngleParams": "statevector",
+    "AngleSchedule": "schedule",
+    "Assignment": "instance",
+    "Clause": "instance",
+    "ClauseTerm": "analytic",
+    "EnsembleReport": "typical",
+    "EvaluationPlan": "analytic",
+    "ExpectationReport": "analytic",
+    "GuaranteeReport": "schedule",
+    "InfeasibleError": "instance",
+    "Instance": "instance",
+    "Neighborhood": "analytic",
+    "NodeCheck": "schedule",
+    "ParseError": "instance",
+    "QuantumState": "statevector",
+    "RetryExhaustedError": "instance",
+    "SampleReport": "sampler",
+    "ScanResult": "schedule",
+    "SupportTooLargeError": "analytic",
+    "Violation": "instance",
+    "brute_force_max": "sampler",
+    "build_neighborhood": "analytic",
+    "chebyshev_node_property": "schedule",
+    "clause_mean_closed_form": "typical",
+    "clause_parity": "instance",
+    "clause_sum_blocks": "instance",
+    "clause_term_exact": "analytic",
+    "clause_term_mc": "analytic",
+    "code_bits": "instance",
+    "ensemble_mean_exhaustive": "typical",
+    "ensemble_mean_mc": "typical",
+    "expectation": "statevector",
+    "generate_random": "instance",
+    "guarantee": "schedule",
+    "hypercontractive_bound": "schedule",
+    "make_schedule": "schedule",
+    "moment_checks": "analytic",
+    "objective_expectation": "analytic",
+    "objective_value": "instance",
+    "optimal_gamma_typical": "typical",
+    "parity_grid": "instance",
+    "parse": "instance",
+    "prepare": "statevector",
+    "recommended_samples": "sampler",
+    "remainder_bound": "schedule",
+    "resample_signs": "instance",
+    "run": "sampler",
+    "sample": "statevector",
+    "sample_bits": "statevector",
+    "satisfied_count": "instance",
+    "scan": "schedule",
+    "serialize": "instance",
+    "term_parity": "instance",
+    "typical_guarantee": "typical",
+    "uniform_state": "statevector",
+    "validate": "instance",
+    "with_signs": "instance",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the module that owns an exported name, and keep the name here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

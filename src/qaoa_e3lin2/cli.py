@@ -14,6 +14,9 @@ Records and CSV tables come from the report dataclasses: a per-clause term,
 a scan point, the angle schedule and the guarantee are emitted as their
 fields in declaration order (``_record``, ``_table``), so the output follows
 the dataclass and no field list is copied here.
+
+Only ``analytic``, ``instance`` and ``statevector`` load with this module;
+a command imports ``schedule``, ``typical`` or ``sampler`` when it runs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import tempfile
 import click
 import numpy as np
 
-from . import analytic, sampler, schedule, typical
+from . import analytic
 from .instance import (
     SIGN_MODES,
     InfeasibleError,
@@ -328,6 +331,8 @@ def cmd_eval(
 @_friendly
 def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
     """Evaluate the full gamma grid and report the best node plus bounds."""
+    from . import schedule
+
     inst = _load_instance(instance_path)
     result = schedule.scan(inst, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed)
     report = schedule.guarantee(inst.m, result.schedule.d_bound)
@@ -378,6 +383,8 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
 @_friendly
 def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     """Measure shots and score satisfied equations per string."""
+    from . import sampler
+
     inst = _load_instance(instance_path)
     count = sampler.recommended_samples(inst.m) if samples == "auto" else samples
     rep = sampler.run(inst, gamma=-gamma, beta=beta, samples=count, seed=seed, n_max=n_max)
@@ -423,6 +430,8 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
 @_friendly
 def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
     """Sign-ensemble mean of W over the instance's triple collection."""
+    from . import typical
+
     inst = _load_instance(instance_path)
     g = typical.optimal_gamma_typical(max(1, inst.d_bound)) if gamma == "auto" else gamma
     if trials == 0:
@@ -456,6 +465,8 @@ def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
 @_friendly
 def cmd_bounds(m, d_bound, fmt, out):
     """Worst-case and sign-ensemble guarantees for an (m, D) family."""
+    from . import schedule, typical
+
     report = schedule.guarantee(m, d_bound)
     t_gamma = typical.optimal_gamma_typical(d_bound)
     advantage = typical.typical_guarantee(m, d_bound)

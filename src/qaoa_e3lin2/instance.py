@@ -28,6 +28,9 @@ import numpy as np
 
 SIGN_MODES = ("uniform-random", "all-zero-rhs")
 
+#: The largest variable index or count an instance can hold (numpy's intp).
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
 
 class InfeasibleError(ValueError):
     """Requested generator parameters cannot produce a valid instance."""
@@ -135,6 +138,15 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     new = np.ones(codes.size, dtype=bool)
     new[1:] = codes[1:] != codes[:-1]
     return codes[new]
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the distinct values of an integer array, in the array's shape."""
+    order = np.argsort(values, axis=None)
+    ordered = values.ravel()[order]
+    rank = np.zeros(values.size, dtype=np.intp)
+    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    return rank.reshape(values.shape)
 
 
 def _clause_topology(
@@ -253,12 +265,17 @@ class Instance:
         and q the distinct variables they bring from outside its triple: the
         term factorizes when q = 2P. Both count the overlap rows with one
         variable inside, as clause j's :meth:`clause_topology` does: q as
-        the distinct codes ``v * m + j`` of the variables v they bring.
+        the distinct codes ``rank * m + j`` of the variables they bring,
+        where a variable's rank among the instance's variables stands for
+        its label, so no label, however large, is multiplied.
         """
+        # ranked before the overlap table is built: ranked after it, the
+        # sparse n=12000 scan peaked 0.5 MB higher in RSS
+        rank = _ranks(self.triple_array)
         focal, other, inside = self._overlaps
         single = np.count_nonzero(inside, axis=1) == 1
         focal, inside = focal[single], inside[single]
-        codes = _distinct(self.triple_array[other[single]][~inside] * self.m + np.repeat(focal, 2))
+        codes = _distinct(rank[other[single]][~inside] * self.m + np.repeat(focal, 2))
         pairs_total = np.bincount(focal, minlength=self.m)
         return _read_only(pairs_total), _read_only(np.bincount(codes % self.m, minlength=self.m))
 
@@ -277,16 +294,24 @@ class Instance:
             self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], inside[lo:hi])
         return self._topologies[j]
 
+    def _in_range(self) -> np.ndarray:
+        """The triple entries in [0, n), flattened; out-of-range entries are skipped."""
+        flat = self.triple_array.ravel()
+        return flat[(flat >= 0) & (flat < self.n)]
+
     @cached_property
     def occurrence(self) -> np.ndarray:
         """Per-variable clause membership counts (length n); out-of-range entries are skipped."""
-        flat = self.triple_array.ravel()
-        return _read_only(np.bincount(flat[(flat >= 0) & (flat < self.n)], minlength=self.n))
+        return _read_only(np.bincount(self._in_range(), minlength=self.n))
 
     @cached_property
     def d_bound(self) -> int:
-        """Smallest D with every variable in at most D+1 clauses."""
-        return max(int(self.occurrence.max(initial=0)) - 1, 0)
+        """Smallest D with every variable in at most D+1 clauses.
+
+        Counted over the variables in use, so nothing of length n is built.
+        """
+        counts = np.bincount(_ranks(self._in_range()))
+        return max(int(counts.max(initial=0)) - 1, 0)
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(map(tuple, self.triple_array.tolist()))
@@ -631,6 +656,9 @@ def parse(text: str) -> Instance:
         raise ParseError(f"malformed header {lines[0]!r}, counts must be integers", 1) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", 1)
+    # with n in range every index below it is too, so no clause line can overflow
+    if max(n, m) > _INDEX_MAX:
+        raise ParseError(f"header counts must be at most {_INDEX_MAX}", 1)
     if len(lines) - 1 != m:  # named at the first missing or the first extra line
         raise ParseError(f"expected {m} clause lines, found {len(lines) - 1}", min(len(lines), m + 1) + 1)
 

@@ -179,8 +179,10 @@ def ensemble_mean_mc(
 
     Trial t draws its rhs bits by :func:`random_rhs` with seed ``[seed, t]``,
     as :func:`resample_signs` does. W of every trial is read from the key
-    codes as in the exhaustive mean; a Monte Carlo clause term is drawn
-    afresh for every trial.
+    codes as in the exhaustive mean. A Monte Carlo clause j draws the same
+    ``analytic.MC_SAMPLES`` spin samples, from ``(0, j)``, in every trial, so
+    ``seed`` seeds only the sign draws and two trials with equal signs give
+    the same W.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +27,13 @@ from qaoa_e3lin2.instance import (
 )
 
 from qaoa_e3lin2.analytic import EvaluationPlan
+from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.schedule import scan
 
 from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances
+
+#: The largest count or variable index an instance file may hold.
+INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 class TestClause:
@@ -180,6 +185,29 @@ class TestPairStats:
         assert support_size.tolist() == [len(support) for _, support in want] == [2, 0]
         assert pairs_total.tolist() == [sum(map(len, t.pairs)) for t in topologies]
         assert support_size.tolist() == [len(t.support) for t in topologies]
+
+    @given(
+        inst=instances(min_n=8, max_n=14, max_m=20),
+        offset=st.integers(1 << 62, (1 << 62) + (1 << 40)),
+        stride=st.integers(1, 1 << 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_huge_labels_give_what_their_small_originals_give(self, inst, offset, stride):
+        # labels past 2^63 / m: a code v * m + j would overflow int64
+        rows = [(offset + a * stride, offset + b * stride, offset + c * stride, r)
+                for a, b, c, r in inst._rows()]
+        huge = Instance(n=offset + inst.n * stride, clauses=rows)
+        for got, want in zip(huge.pair_stats, inst.pair_stats):
+            assert got.tobytes() == want.tobytes()
+        assert huge.d_bound == inst.d_bound
+        plan, want = EvaluationPlan(huge), EvaluationPlan(inst)
+        assert plan.keys == want.keys
+        assert plan.total(0.3) == want.total(0.3)
+
+    def test_d_bound_counts_only_the_variables_in_use(self):
+        # an occurrence array of length n would take 8 TB here
+        inst = parse("e3lin2 1000000000000 2\n0 1 2 0\n0 1 999999999999 1\n")
+        assert inst.d_bound == 1
 
 
 class TestValidate:
@@ -470,12 +498,35 @@ class TestFileFormat:
             ("e3lin2 4 1\n0 1 2 -1\n", "rhs must be 0 or 1, got -1, line 2"),
             ("e3lin2 4 1\n-1 1 2 0\n", "variable index outside [0, 4) in (-1, 1, 2), line 2"),
             ("e3lin2 -4 1\n", "header counts must be non-negative, line 1"),
+            # counts past the index range, refused before any clause line is read
+            (
+                "e3lin2 100000000000000000000000 1\n0 1 99999999999999999999999 0\n",
+                f"header counts must be at most {INDEX_MAX}, line 1",
+            ),
+            (
+                f"e3lin2 {INDEX_MAX + 1} 1\n0 1 {INDEX_MAX} 0\n",
+                f"header counts must be at most {INDEX_MAX}, line 1",
+            ),
+            (f"e3lin2 4 {INDEX_MAX + 1}\n0 1 2 0\n", f"header counts must be at most {INDEX_MAX}, line 1"),
         ],
     )
     def test_refusals_keep_their_messages(self, text, message):
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message
+
+    def test_the_largest_index_count_parses(self):
+        inst = parse(f"e3lin2 {INDEX_MAX} 1\n0 1 {INDEX_MAX - 1} 0\n")
+        assert inst.triple_array.tolist() == [[0, 1, INDEX_MAX - 1]]
+
+    def test_eval_of_an_overflowing_file_exits_two(self, tmp_path):
+        path = tmp_path / "huge.e3lin2"
+        path.write_text("e3lin2 100000000000000000000000 1\n0 1 99999999999999999999999 0\n")
+        result = CliRunner().invoke(main, ["eval", str(path), "--gamma", "0.2"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            f"Error: {path}: header counts must be at most {INDEX_MAX}, line 1"
+        )
 
     @pytest.mark.parametrize(
         "text,message",

@@ -1,0 +1,79 @@
+"""The package resolves each export on first use, and the CLI loads only the
+modules its commands share.
+
+Each check that depends on what is already imported runs in a fresh
+interpreter, since the rest of the suite imports every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qaoa_e3lin2
+
+COMMAND_MODULES = {"qaoa_e3lin2.sampler", "qaoa_e3lin2.schedule", "qaoa_e3lin2.typical"}
+
+
+def fresh(code: str):
+    """The JSON that ``code`` prints, run in a new interpreter on this checkout's package."""
+    src = str(Path(qaoa_e3lin2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_importing_the_cli_loads_no_command_module():
+    loaded = fresh("import json, sys, qaoa_e3lin2.cli; print(json.dumps(sorted(sys.modules)))")
+    assert {"qaoa_e3lin2.analytic", "qaoa_e3lin2.instance", "qaoa_e3lin2.statevector"} <= set(loaded)
+    assert COMMAND_MODULES.isdisjoint(loaded)
+
+
+def test_importing_the_package_loads_no_module():
+    loaded = fresh("import json, sys, qaoa_e3lin2; print(json.dumps(sorted(sys.modules)))")
+    assert [name for name in loaded if name.startswith("qaoa_e3lin2.")] == []
+
+
+def test_dir_lists_every_export_before_any_is_used():
+    listed = fresh("import json, qaoa_e3lin2; print(json.dumps(dir(qaoa_e3lin2)))")
+    assert set(qaoa_e3lin2.__all__) <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_star_import_binds_every_export_to_its_owner():
+    code = (
+        "import json\n"
+        "from qaoa_e3lin2 import *\n"
+        "import qaoa_e3lin2\n"
+        "owners = {name: getattr(globals()[name], '__module__', None) for name in qaoa_e3lin2.__all__}\n"
+        "print(json.dumps(owners))\n"
+    )
+    owners = fresh(code)
+    assert sorted(owners) == qaoa_e3lin2.__all__
+    # every export is a class or function defined in the module the table names
+    assert owners == {
+        name: f"qaoa_e3lin2.{module}" for name, module in qaoa_e3lin2._EXPORTS.items()
+    }
+
+
+def test_an_export_is_kept_after_its_first_use():
+    from qaoa_e3lin2 import schedule
+
+    assert qaoa_e3lin2.scan is schedule.scan
+    assert vars(qaoa_e3lin2)["scan"] is schedule.scan
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'qaoa_e3lin2' has no attribute 'nope'"):
+        qaoa_e3lin2.nope
+    assert not hasattr(qaoa_e3lin2, "nope")

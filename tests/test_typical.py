@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from qaoa_e3lin2 import _caps, analytic, typical
 from qaoa_e3lin2.analytic import SupportTooLargeError, build_neighborhood, objective_expectation
 from qaoa_e3lin2.cli import main
-from qaoa_e3lin2.instance import generate_random, resample_signs, serialize, with_signs
+from qaoa_e3lin2.instance import generate_random, parse, resample_signs, serialize, with_signs
 from qaoa_e3lin2.typical import (
     EXHAUSTIVE,
     EXHAUSTIVE_MAX_M,
@@ -51,6 +52,8 @@ SPREAD_OCTET = (
     (0, 1, 5),
     (0, 2, 3),
 )
+
+ENTANGLED_PATH = Path(__file__).parent / "golden" / "entangled.e3lin2"
 
 # neighbors (0, 3, 4) and (1, 3, 4) of clause (0, 1, 2) carry the same
 # pair (3, 4) into two of its forms; (2, 3, 5) and (2, 4, 5) close cycles
@@ -255,6 +258,21 @@ class TestMonteCarlo:
     def test_rejects_tiny_trials(self):
         with pytest.raises(ValueError):
             ensemble_mean_mc(DEPENDENT_QUAD, 0.4, trials=1)
+
+    def test_monte_carlo_clauses_draw_the_same_spins_in_every_trial(self, monkeypatch):
+        # at q_max=8 all 36 clauses of the entangled golden are Monte Carlo;
+        # give every trial the same signs: W then repeats bitwise, whatever
+        # the seed, and equals W of that one signed instance drawn at seed 0
+        inst = parse(ENTANGLED_PATH.read_text(encoding="utf-8"))
+        assert len(analytic.EvaluationPlan(inst, "auto", 8).mc) == inst.m == 36
+        row = typical.random_rhs(inst.m, [5, 0])
+        monkeypatch.setattr(typical, "random_rhs", lambda m, seed: row)
+        monkeypatch.setattr(analytic, "MC_SAMPLES", 1000)
+        reports = [ensemble_mean_mc(inst.triples(), 0.3, 2, seed=s, q_max=8) for s in (1, 2)]
+        assert reports[0] == reports[1]
+        assert reports[0].variance == 0.0
+        signed = analytic.EvaluationPlan(with_signs(inst, row), "auto", 8)
+        assert reports[0].mean_w == signed.total(0.3, mc_samples=1000, seed=0)[0]
 
     @pytest.fixture
     def no_w_array(self, monkeypatch):
