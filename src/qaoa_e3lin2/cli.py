@@ -15,8 +15,8 @@ a scan point, the angle schedule and the guarantee are emitted as their
 fields in declaration order (``_record``, ``_table``), so the output follows
 the dataclass and no field list is copied here.
 
-Only ``analytic``, ``instance`` and ``statevector`` load with this module;
-a command imports ``schedule``, ``typical`` or ``sampler`` when it runs.
+Only ``analytic`` and ``instance`` load with this module; a command imports
+``schedule``, ``typical``, ``sampler`` or ``statevector`` when it runs.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .instance import (
     parse,
     serialize,
 )
-from .statevector import AngleParams
-from .statevector import expectation as sv_expectation
-from .statevector import prepare as sv_prepare
 
 #: Significant digits kept in every emitted float.
 OUTPUT_DIGITS = 12
@@ -308,8 +305,10 @@ def cmd_eval(
         "terms": [_record(t) for t in report.terms],
     }
     if compare_statevector:
-        state = sv_prepare(inst, AngleParams(gamma=-gamma, beta=math.pi / 4), n_max=n_max)
-        sv_value = sv_expectation(state, inst)
+        from . import statevector
+
+        params = statevector.AngleParams(gamma=-gamma, beta=math.pi / 4)
+        sv_value = statevector.expectation(statevector.prepare(inst, params, n_max=n_max), inst)
         payload["statevector"] = {
             "state_gamma": -gamma,
             "beta": math.pi / 4,

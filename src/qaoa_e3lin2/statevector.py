@@ -18,11 +18,15 @@ amplitude, so ``prepare`` holds no 2^n array but the phased state.
 The mixer updates the state in place, a cache-sized tile at a time. The low
 ``_TILE_BITS`` qubits pair amplitudes inside one row block of 2^_TILE_BITS,
 so each block takes all of them while it is in cache. The high qubits then
-run over column tiles, copied into a contiguous buffer and back. Every amplitude
-still goes through qubits 0..n-1 in order, with the same ufunc calls and
-scalars as ``cos(beta) a0 - 1j sin(beta) a1``, so the amplitudes are bitwise
-those of the plain per-qubit loop, sign bits included. Fusing gates would be
-faster but moves amplitudes by rounding.
+run over column tiles, copied into a contiguous buffer and back. Each qubit
+is three whole-block ufunc calls: ``i sin(beta) a`` of every amplitude into
+one scratch buffer, ``cos(beta) a`` in place, and a subtraction of each
+pair's partner from the scratch buffer through a view with the pair
+reversed. Every amplitude so gets ``cos(beta) a0 - 1j sin(beta) a1`` with the
+same scalars and operand order as the plain per-qubit loop, and goes through
+qubits 0..n-1 in order, so the amplitudes are bitwise those of that loop,
+sign bits included. Fusing gates would be faster but moves amplitudes by
+rounding.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ from .instance import Assignment, Instance, clause_sum_blocks, code_bits
 NORM_TOL = 1e-12
 
 #: Bytes per amplitude that ``prepare`` plus ``expectation`` hold at their
-#: peak: tracemalloc measures 33.4 at n=16 and 25.2 at n=20, ``prepare``
-#: alone 32.7 and 24.0 (``scripts/time_statevector.py``). Their outputs hold
-#: at any BLAS thread count: the cost blocks are exact integer sums, and no
-#: dot in ``expectation`` is long enough for OpenBLAS to thread.
+#: peak: tracemalloc measures 32.7 at n=16 and 17.2 at n=20, which is the
+#: peak of ``prepare`` alone, since ``expectation`` takes only 1.2 above its
+#: state at n=20 (``scripts/time_statevector.py``). At n=16 the block walk's
+#: own buffers are 9 of the 32.7. Their outputs hold at any BLAS thread
+#: count: the cost blocks are exact integer sums, and no dot in
+#: ``expectation`` is long enough for OpenBLAS to thread.
 PEAK_BYTES_PER_AMPLITUDE = 64
 
 #: log2 of the amplitudes the mixer updates while they stay in cache: a row
@@ -87,7 +93,17 @@ class QuantumState:
 
 
 def _check_norm(amp: np.ndarray) -> None:
-    err = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
+    """Refuse a state whose squared norm is off 1 by more than ``NORM_TOL``.
+
+    A contiguous state is summed in one pass over its float64 view, with no
+    temporary; the broadcast uniform state has no such view.
+    """
+    if amp.flags.c_contiguous:
+        f = amp.view(np.float64)
+        sq_norm = np.einsum("i,i->", f, f)
+    else:
+        sq_norm = np.sum(np.abs(amp) ** 2)
+    err = abs(float(sq_norm) - 1.0)
     if err > NORM_TOL:
         raise FloatingPointError(f"state norm drifted by {err:.3e} (> {NORM_TOL})")
 
@@ -128,25 +144,17 @@ def apply_cost_phase(state: QuantumState, instance: Instance, gamma: float) -> Q
     return QuantumState(n=state.n, amplitudes=phased)
 
 
-def _mix_bits(block: np.ndarray, bits: range, cos_b: float, isin_b: complex, t1: np.ndarray, t2: np.ndarray) -> None:
+def _mix_bits(block: np.ndarray, bits: range, cos_b: float, isin_b: complex, tmp: np.ndarray) -> None:
     """exp(-i beta X) in place on the given bits of a contiguous block, in order.
 
-    ``t1`` and ``t2`` hold at least half the block each.
+    ``tmp`` holds at least the block.
     """
-    half = block.size >> 1
+    tmp = tmp[: block.size]
     for bit in bits:
-        view = block.reshape(-1, 2, 1 << bit)
-        a0 = view[:, 0, :]
-        a1 = view[:, 1, :]
-        new0 = t1[:half].reshape(a0.shape)
-        tmp = t2[:half].reshape(a0.shape)
-        np.multiply(cos_b, a0, out=new0)
-        np.multiply(isin_b, a1, out=tmp)
-        np.subtract(new0, tmp, out=new0)
-        np.multiply(cos_b, a1, out=tmp)
-        np.multiply(isin_b, a0, out=a1)
-        np.subtract(tmp, a1, out=a1)
-        a0[...] = new0
+        np.multiply(isin_b, block, out=tmp)
+        np.multiply(cos_b, block, out=block)
+        pairs = block.reshape(-1, 2, 1 << bit)
+        np.subtract(pairs, tmp.reshape(pairs.shape)[:, ::-1, :], out=pairs)
 
 
 def _mix_in_place(amp: np.ndarray, n: int, beta: float) -> None:
@@ -157,18 +165,17 @@ def _mix_in_place(amp: np.ndarray, n: int, beta: float) -> None:
     high = n - low
     # A column tile has 2^high rows, and at least one column when high > low.
     col_bits = max(0, low - high)
-    t1 = np.empty(1 << (max(low, high) - 1), dtype=np.complex128)
-    t2 = np.empty_like(t1)
+    tmp = np.empty(1 << max(low, high), dtype=np.complex128)
     rows = amp.reshape(1 << high, 1 << low)
     for row in rows:
-        _mix_bits(row, range(low), cos_b, isin_b, t1, t2)
+        _mix_bits(row, range(low), cos_b, isin_b, tmp)
     if not high:
         return
     cols = 1 << col_bits
     tile = np.empty((1 << high, cols), dtype=np.complex128)
     for c0 in range(0, 1 << low, cols):
         np.copyto(tile, rows[:, c0 : c0 + cols])
-        _mix_bits(tile.reshape(-1), range(col_bits, col_bits + high), cos_b, isin_b, t1, t2)
+        _mix_bits(tile.reshape(-1), range(col_bits, col_bits + high), cos_b, isin_b, tmp)
         np.copyto(rows[:, c0 : c0 + cols], tile)
 
 
@@ -193,16 +200,18 @@ def expectation(state: QuantumState, instance: Instance) -> float:
     """<state| C |state> for the diagonal spin objective; exactly real.
 
     Twice C comes block by block from ``clause_sum_blocks``; ``math.fsum``
-    adds its dots with the probabilities, ``_DOT_CHUNK`` entries at a time,
-    so the value does not depend on the BLAS thread count.
+    adds its dots with the probabilities, which are squared ``_DOT_CHUNK``
+    amplitudes at a time, so no 2^n array is held and the value does not
+    depend on the BLAS thread count.
     """
     if state.n < instance.n:
         raise ValueError(f"register n={state.n} smaller than instance n={instance.n}")
-    probs = state.probabilities()
     partials = []
     for first, grid in clause_sum_blocks(instance, state.n):
-        p, c = probs[first : first + grid.size], grid.ravel()
-        partials += [np.dot(p[i : i + _DOT_CHUNK], c[i : i + _DOT_CHUNK]) for i in range(0, c.size, _DOT_CHUNK)]
+        a, c = state.amplitudes[first : first + grid.size], grid.ravel()
+        partials += [
+            np.dot(np.abs(a[i : i + _DOT_CHUNK]) ** 2, c[i : i + _DOT_CHUNK]) for i in range(0, c.size, _DOT_CHUNK)
+        ]
     return 0.5 * math.fsum(partials)
 
 

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from qaoa_e3lin2 import cli
+from qaoa_e3lin2 import statevector
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import parse
 from qaoa_e3lin2.sampler import recommended_samples
@@ -116,7 +116,7 @@ class TestEval:
         def refuse(*args, **kwargs):
             raise AssertionError("a state was prepared")
 
-        monkeypatch.setattr(cli, "sv_prepare", refuse)
+        monkeypatch.setattr(statevector, "prepare", refuse)
         result = runner.invoke(
             main, ["eval", instance_file, "--gamma", "0.3", "--compare-statevector", "--format", "csv"]
         )

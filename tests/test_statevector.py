@@ -145,6 +145,24 @@ class TestTiledMixer:
                 apply_cost_phase(state, phase_instance, 0.7)
             assert_bitwise_equal(state.amplitudes, before)
 
+    @pytest.mark.parametrize("tile_bits", [2, 3, statevector._TILE_BITS])
+    def test_signed_zero_imaginary_parts_are_bitwise_those_of_the_loop(self, tile_bits, monkeypatch):
+        # a real state with imaginary parts of +0 and -0, phased at gamma=0,
+        # keeps them; beta=0 and pi/2 then add products that are zeros too
+        monkeypatch.setattr(statevector, "_TILE_BITS", tile_bits)
+        rng = np.random.default_rng(tile_bits)
+        inst = generate_random(n=5, m=6, d_bound=3, seed=2)
+        for n in (inst.n, min(17, 2 * tile_bits + 3)):
+            amp = np.empty(1 << n, dtype=np.complex128)
+            amp.real = rng.normal(size=1 << n)
+            amp.real /= np.linalg.norm(amp.real)
+            amp.imag = np.copysign(0.0, rng.normal(size=1 << n))
+            state = apply_cost_phase(QuantumState(n=n, amplitudes=amp), inst, 0.0)
+            signs = np.signbit(state.amplitudes.imag)
+            assert signs.any() and not signs.all() and not state.amplitudes.imag.any()
+            for beta in (0.0, math.pi / 2):
+                assert_bitwise_equal(apply_mixer(state, beta).amplitudes, loop_mixer(state.amplitudes, n, beta))
+
     def test_peak_memory_is_within_the_estimate(self):
         n = 16
         inst = generate_random(n=n, m=20, d_bound=3, seed=1)
@@ -227,11 +245,20 @@ class TestMemory:
         assert peak < 32 << inst.n
 
     def test_expectation_peaks_below_12_bytes_per_amplitude_above_its_state(self):
-        # the probabilities take 8; no 2^n cost diagonal is held beside them
+        # no 2^n probabilities or cost diagonal are held
         inst = generate_random(n=20, m=26, d_bound=3, seed=1)
         state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
         _, _, peak = traced(expectation, state, inst)
         assert peak < 12 << inst.n
+
+
+    def test_expectation_peaks_below_2_bytes_per_amplitude_above_its_state(self):
+        # one _DOT_CHUNK of probabilities and one cost block at a time; the
+        # block walk's own buffers alone are 9 bytes per amplitude at n=16
+        inst = generate_random(n=20, m=26, d_bound=3, seed=1)
+        state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        _, _, peak = traced(expectation, state, inst)
+        assert peak < 2 << inst.n
 
 
 class TestPrepareAndExpectation:
@@ -255,11 +282,35 @@ class TestPrepareAndExpectation:
         with pytest.raises(ValueError):
             prepare(tiny_instance, AngleParams(0.1, 0.2), n_max=5)
 
+    def test_expectation_is_bitwise_that_of_the_whole_probability_array(self):
+        # the dots and their fsum as when the probabilities were one 2^n array
+        inst = instance_module.parse(STATE18.read_text(encoding="utf-8"))
+        state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        probs, chunk, partials = state.probabilities(), statevector._DOT_CHUNK, []
+        for first, grid in instance_module.clause_sum_blocks(inst, inst.n):
+            p, c = probs[first : first + grid.size], grid.ravel()
+            partials += [np.dot(p[i : i + chunk], c[i : i + chunk]) for i in range(0, c.size, chunk)]
+        assert expectation(state, inst) == 0.5 * math.fsum(partials)
+
 
 class TestNormGuard:
     def test_corrupted_state_rejected(self):
         with pytest.raises(FloatingPointError):
             QuantumState(n=2, amplitudes=np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+
+    def test_a_norm_off_by_1e_11_is_rejected_on_both_paths(self):
+        n = 10
+        rng = np.random.default_rng(3)
+        amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amp /= np.linalg.norm(amp)
+        uniform = np.broadcast_to(np.complex128(2.0 ** (-n / 2.0)), 1 << n)
+        assert amp.flags.c_contiguous and not uniform.flags.c_contiguous
+        for unit in (amp, uniform):
+            QuantumState(n=n, amplitudes=unit)
+            with pytest.raises(FloatingPointError):
+                QuantumState(n=n, amplitudes=unit * math.sqrt(1.0 + 1e-11))
+            with pytest.raises(FloatingPointError):
+                QuantumState(n=n, amplitudes=np.broadcast_to(unit * math.sqrt(1.0 - 1e-11), 1 << n))
 
 
 class TestSample:
