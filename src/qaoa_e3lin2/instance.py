@@ -20,6 +20,7 @@ File format (text, UTF-8, LF newlines)::
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -140,13 +141,34 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[new]
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Each entry's rank among the distinct values of an integer array, in the array's shape."""
-    order = np.argsort(values, axis=None)
-    ordered = values.ravel()[order]
-    rank = np.zeros(values.size, dtype=np.intp)
-    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
-    return rank.reshape(values.shape)
+def _overlap_table(triples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rank, focal, other, inside) of an (m, 3) triple array, from one argsort of its entries.
+
+    ``rank`` holds each entry's rank among the distinct variables, in the
+    array's shape. The table has one row per ordered pair of distinct
+    clauses sharing a variable, sorted by (focal, other); ``inside[i, y]``
+    tells whether variable y of row i's other triple is in its focal triple.
+    Entries s apart in the variable-sorted incidence that hold one variable
+    name such a pair; past the first s with none there are no more.
+    """
+    m, order = len(triples), np.argsort(triples, axis=None)
+    variables, clauses = triples.ravel()[order], order // 3
+    codes = [np.zeros(0, np.intp)]
+    for s in range(1, variables.size):
+        same = variables[s:] == variables[:-s]
+        if not same.any():
+            break
+        a, b = clauses[:-s][same], clauses[s:][same]
+        codes += [a * m + b, b * m + a]
+    focal, other = np.divmod(_distinct(np.concatenate(codes)), m)
+    keep = focal != other
+    focal, other = focal[keep], other[keep]
+    tf, to = triples[focal], triples[other]
+    inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
+    del tf, to  # rank is built after these are freed: built first, the peaks were higher
+    rank = np.zeros(triples.size, dtype=np.intp)
+    rank[order[1:]] = np.cumsum(variables[1:] != variables[:-1])
+    return rank.reshape(triples.shape), focal, other, inside
 
 
 def _clause_topology(
@@ -202,6 +224,9 @@ class Instance:
         return cls.__new__(cls)._hold(n, triples, rhs)
 
     def _hold(self, n: int, triples: np.ndarray, rhs: np.ndarray) -> Instance:
+        bad = rhs[(rhs != 0) & (rhs != 1)]
+        if bad.size:
+            raise ValueError(f"rhs must be 0 or 1, got {bad[0]}")
         self.n, self._topologies = n, {}
         self.triple_array = _read_only(triples, np.intp)
         self.rhs_array = _read_only(rhs, np.uint8)
@@ -232,52 +257,26 @@ class Instance:
         return tuple(Clause(*row) for row in self._rows())
 
     @cached_property
-    def _overlaps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(focal, other, inside) of each ordered pair of distinct clauses sharing a variable.
+    def _overlaps(self) -> tuple[np.ndarray, ...]:
+        """:func:`_overlap_table`'s (focal, other, inside), then the two :attr:`pair_stats` counts."""
+        # q counts the codes rank * m + j, which multiply no label; the table is built apart, as
+        # beside its temporaries the sparse n=12000 file peaked 2.2 MB higher (tracemalloc)
+        rank, focal, other, inside = _overlap_table(self.triple_array)
+        single, m = np.count_nonzero(inside, axis=1) == 1, self.m
+        support = _distinct(rank[other[single]][~inside[single]] * m + np.repeat(focal[single], 2)) % m
+        pair_stats = np.bincount(focal[single], minlength=m), np.bincount(support, minlength=m)
+        return focal, other, inside, *map(_read_only, pair_stats)
 
-        One row per pair, sorted by (focal, other); ``inside[i, y]`` tells
-        whether variable y of row i's other triple is in its focal triple.
-        Entries s apart in the variable-sorted incidence that hold one
-        variable name such a pair; past the first s with none there are no
-        more.
-        """
-        order = np.argsort(self.triple_array, axis=None)
-        variables, clauses = self.triple_array.ravel()[order], order // 3
-        codes = [np.zeros(0, np.intp)]
-        for s in range(1, variables.size):
-            same = variables[s:] == variables[:-s]
-            if not same.any():
-                break
-            a, b = clauses[:-s][same], clauses[s:][same]
-            codes += [a * self.m + b, b * self.m + a]
-        focal, other = np.divmod(_distinct(np.concatenate(codes)), self.m)
-        keep = focal != other
-        focal, other = focal[keep], other[keep]
-        tf, to = self.triple_array[focal], self.triple_array[other]
-        inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
-        return focal, other, inside
-
-    @cached_property
+    @property
     def pair_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Each clause's pair total P and support size q, as two read-only (m,) arrays.
 
         P counts the clauses that share exactly one variable with clause j,
         and q the distinct variables they bring from outside its triple: the
         term factorizes when q = 2P. Both count the overlap rows with one
-        variable inside, as clause j's :meth:`clause_topology` does: q as
-        the distinct codes ``rank * m + j`` of the variables they bring,
-        where a variable's rank among the instance's variables stands for
-        its label, so no label, however large, is multiplied.
+        variable inside, as clause j's :meth:`clause_topology` does.
         """
-        # ranked before the overlap table is built: ranked after it, the
-        # sparse n=12000 scan peaked 0.5 MB higher in RSS
-        rank = _ranks(self.triple_array)
-        focal, other, inside = self._overlaps
-        single = np.count_nonzero(inside, axis=1) == 1
-        focal, inside = focal[single], inside[single]
-        codes = _distinct(rank[other[single]][~inside] * self.m + np.repeat(focal, 2))
-        pairs_total = np.bincount(focal, minlength=self.m)
-        return _read_only(pairs_total), _read_only(np.bincount(codes % self.m, minlength=self.m))
+        return self._overlaps[3:]
 
     def clause_topology(self, j: int) -> ClauseTopology:
         """Clause j's :class:`ClauseTopology`, built on first use and kept.
@@ -289,7 +288,7 @@ class Instance:
         if not 0 <= j < self.m:
             raise IndexError(f"clause_index {j} out of range for m={self.m}")
         if j not in self._topologies:
-            focal, other, inside = self._overlaps
+            focal, other, inside = self._overlaps[:3]
             lo, hi = np.searchsorted(focal, (j, j + 1)).tolist()
             self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], inside[lo:hi])
         return self._topologies[j]
@@ -310,8 +309,9 @@ class Instance:
 
         Counted over the variables in use, so nothing of length n is built.
         """
-        counts = np.bincount(_ranks(self._in_range()))
-        return max(int(counts.max(initial=0)) - 1, 0)
+        values = np.sort(self._in_range())
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        return max(int(np.diff(starts, append=values.size).max()) - 1, 0)
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(map(tuple, self.triple_array.tolist()))
@@ -451,13 +451,15 @@ def _floyd(n: int, a: int, b: int, c: int, k2: int, k1: int) -> list[int]:
 class _Choice3:
     """The draws of ``Generator.choice(n, 3, replace=False)``, read from raw PCG64 words.
 
-    For a sample of 3 (and 3 <= n < 2**32), ``choice`` runs Floyd's
+    For a sample of 3 (and 3 <= n <= 2**32), ``choice`` runs Floyd's
     algorithm: for j = n-3, n-2, n-1 it draws uniformly on [0, j] by
     Lemire's method, j = 0 drawing nothing, and then shuffles with draws on
     [0, 2] and [0, 1]. Each Lemire draw reads 32-bit halves of the PCG64
     words, the low half first, as ``next_uint32`` does. The words are
     fetched a block at a time, so the bit generator runs ahead until
     :meth:`sync` puts it where the same ``choice`` calls would have left it.
+    Above 2**32 ``choice`` draws [0, n-1] from 64-bit words, while here no half
+    would clear :meth:`_bounded`'s threshold and :meth:`draw` would never return.
     """
 
     _WORDS = 1024
@@ -475,9 +477,7 @@ class _Choice3:
     def _fill(self) -> None:
         """Keep the unread halves and append the halves of a block of words."""
         words = self._bit_generator.random_raw(self._WORDS)
-        block = [0] * (2 * self._WORDS)
-        block[0::2] = (words & _LOW32).tolist()
-        block[1::2] = (words >> 32).tolist()
+        block = np.stack((words & _LOW32, words >> 32), axis=1).ravel().tolist()
         self._halves = self._halves[self._pos:] + block
         self._pos = 0
         self._words += self._WORDS
@@ -563,6 +563,8 @@ def generate_random(
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}, got {sign_mode!r}")
     if n < 0 or m < 0 or d_bound < 0:
         raise InfeasibleError(f"n, m, d_bound must be non-negative, got ({n}, {m}, {d_bound})")
+    if n > 2**32:  # the most that _Choice3 draws for
+        raise InfeasibleError(f"n must be at most 2**32 = {2**32}, got {n}")
     if m > 0 and n < 3:
         raise InfeasibleError(f"need at least 3 variables for any clause, got n={n}")
     if 3 * m > n * (d_bound + 1):
@@ -577,7 +579,7 @@ def generate_random(
     draws = _Choice3(rng.bit_generator, n)
     budget = 1000 * m
     cap = d_bound + 1
-    counts = [0] * n
+    counts: defaultdict[int, int] = defaultdict(int)  # of the variables in use only
     chosen: dict[tuple[int, int, int], None] = {}  # ordered, and a set of the triples
     attempts = stall = 0
     while len(chosen) < m:
@@ -588,7 +590,7 @@ def generate_random(
         if stall >= 200:
             # greedy placement wedged (tight packings can leave no legal
             # triple); restart from scratch on the shared budget
-            counts = [0] * n
+            counts.clear()
             chosen.clear()
             stall = 0
         attempts += 1
@@ -619,12 +621,9 @@ def resample_signs(instance: Instance, seed: int | Sequence[int] = 0) -> Instanc
 
 def with_signs(instance: Instance, rhs_bits: Iterable[int]) -> Instance:
     """Same triples, the source's own array, with an explicit rhs vector."""
-    rhs = list(rhs_bits)
+    rhs = np.array(list(rhs_bits))
     if len(rhs) != instance.m:
         raise ValueError(f"need {instance.m} rhs bits, got {len(rhs)}")
-    for r in rhs:
-        if r not in (0, 1):
-            raise ValueError(f"rhs must be 0 or 1, got {r}")
     return Instance._from_arrays(instance.n, instance.triple_array, rhs)
 
 

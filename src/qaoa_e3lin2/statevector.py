@@ -222,10 +222,9 @@ def sample_bits(state: QuantumState, count: int, seed: int = 0) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
     probs = state.probabilities()
-    probs = probs / probs.sum()
-    return code_bits(rng.choice(probs.size, size=count, p=probs), state.n)
+    probs /= probs.sum()  # in place: no second 2^n array
+    return code_bits(np.random.default_rng(seed).choice(probs.size, size=count, p=probs), state.n)
 
 
 def sample(state: QuantumState, count: int, seed: int = 0) -> list[Assignment]:

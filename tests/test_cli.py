@@ -3,11 +3,14 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import qaoa_e3lin2
 from qaoa_e3lin2 import statevector
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import parse
@@ -80,6 +83,21 @@ class TestGen:
             ["gen", "-n", "10", "-m", "40", "-D", "1", "-o", str(tmp_path / "x")],
         )
         assert result.exit_code == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("n, m, d", [("4294967297", "1", "0"), (str(10**23), "2", "1")])
+    def test_an_n_above_2_to_the_32_exits_two_at_once(self, tmp_path, n, m, d):
+        # in a new interpreter with a timeout, so that a draw loop that never
+        # returns fails the test instead of holding the suite
+        src = str(pathlib.Path(qaoa_e3lin2.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qaoa_e3lin2.cli", "gen", "-n", n, "-m", m, "-D", d, "-o", "x"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1] == f"Error: n must be at most 2**32 = 4294967296, got {n}"
         assert not (tmp_path / "x").exists()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ class TestArrays:
         with pytest.raises(ValueError, match="^rhs must be 0 or 1, got 2$"):
             with_signs(inst, [2, 0, 1, 0])
 
+    @pytest.mark.parametrize("rhs", [256, -1])
+    def test_every_build_refuses_an_rhs_outside_0_and_1(self, rhs):
+        # held as uint8, 256 would read 0 and -1 would read 255
+        message = f"^rhs must be 0 or 1, got {rhs}$"
+        with pytest.raises(ValueError, match=message):
+            Instance(3, [(0, 1, 2, rhs)])
+        with pytest.raises(ValueError, match=message):
+            Instance(4, [(0, 1, 2, 0), (1, 2, 3, rhs)])
+        with pytest.raises(ValueError, match=message):
+            with_signs(Instance(3, [(0, 1, 2, 0)]), [rhs])
+
 
 class TestPairStats:
     """``pair_stats`` against each clause's neighborhood, built by a different route."""
@@ -204,10 +216,67 @@ class TestPairStats:
         assert plan.keys == want.keys
         assert plan.total(0.3) == want.total(0.3)
 
+    @given(
+        inst=instances(max_n=12, max_m=20),
+        labels=st.permutations(range(12)),
+        offset=st.integers(1 << 62, (1 << 62) + (1 << 40)),
+        stride=st.integers(1, 1 << 40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equal_to_the_counts_of_a_separate_ranking_sort(self, inst, labels, offset, stride):
+        # labels from 2^62 up, in an order unrelated to the small originals'
+        rows = [(*(offset + labels[v] * stride for v in (a, b, c)), r) for a, b, c, r in inst._rows()]
+        huge = Instance(n=offset + 12 * stride, clauses=rows)
+        for got, want in zip(huge.pair_stats, two_sort_pair_stats(huge)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(
+        n=st.integers(0, 12),
+        triples=st.lists(st.tuples(*[st.integers(-4, 16)] * 3), max_size=24),
+    )
+    def test_d_bound_is_the_largest_in_range_count_less_one(self, n, triples):
+        inst = Instance(n, [(*t, 0) for t in triples])
+        counts = Counter(v for t in triples for v in t if 0 <= v < n)
+        assert inst.d_bound == max(max(counts.values(), default=0) - 1, 0)
+
     def test_d_bound_counts_only_the_variables_in_use(self):
         # an occurrence array of length n would take 8 TB here
         inst = parse("e3lin2 1000000000000 2\n0 1 2 0\n0 1 999999999999 1\n")
         assert inst.d_bound == 1
+
+
+def two_sort_pair_stats(inst):
+    """(P, q) from the overlap table of one argsort and variable ranks from a second one.
+
+    The table's rows with exactly one variable inside give P by focal
+    clause; q counts the distinct codes ``rank * m + focal`` of the two
+    variables each such row brings.
+    """
+    m, triples = inst.m, inst.triple_array
+    order = np.argsort(triples, axis=None)
+    variables, clauses = triples.ravel()[order], order // 3
+    codes = [np.zeros(0, np.intp)]
+    for s in range(1, variables.size):
+        same = variables[s:] == variables[:-s]
+        if not same.any():
+            break
+        a, b = clauses[:-s][same], clauses[s:][same]
+        codes += [a * m + b, b * m + a]
+    focal, other = np.divmod(np.unique(np.concatenate(codes)), m)
+    focal, other = focal[focal != other], other[focal != other]
+    tf, to = triples[focal], triples[other]
+    inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
+
+    order = np.argsort(triples, axis=None)
+    ordered = triples.ravel()[order]
+    rank = np.zeros(triples.size, dtype=np.intp)
+    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    rank = rank.reshape(triples.shape)
+
+    single = np.count_nonzero(inside, axis=1) == 1
+    focal, inside = focal[single], inside[single]
+    support = np.unique(rank[other[single]][~inside] * m + np.repeat(focal, 2))
+    return np.bincount(focal, minlength=m), np.bincount(support % m, minlength=m)
 
 
 class TestValidate:
@@ -309,6 +378,17 @@ class TestGenerateRandom:
         text = serialize(generate_random(n, m, d_bound, sign_mode, seed=1))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_the_largest_n_matches_the_placement_loop_over_choice(self, seed):
+        want = _generate_by_choice(2**32, 2, 1, seed=seed)
+        assert generate_random(n=2**32, m=2, d_bound=1, seed=seed) == want
+
+    @pytest.mark.parametrize("n", [2**32 + 1, 10**23])
+    def test_refuses_an_n_above_2_to_the_32(self, n):
+        # refused whatever m is, before anything is drawn
+        with pytest.raises(InfeasibleError, match=f"^n must be at most 2\\*\\*32 = 4294967296, got {n}$"):
+            generate_random(n=n, m=0, d_bound=0, seed=0)
+
     def test_retry_exhausted_message(self):
         with pytest.raises(
             RetryExhaustedError, match=r"^placed 38 of 40 triples in 40000 attempts \(n=24, D=4\)$"
@@ -337,13 +417,13 @@ def _generate_by_choice(n, m, d_bound, sign_mode="uniform-random", seed=0):
     """``generate_random``'s placement loop with one ``rng.choice`` call per attempt."""
     rng = np.random.default_rng(seed)
     cap = d_bound + 1
-    counts = np.zeros(n, dtype=np.int64)
+    counts = Counter()
     chosen, used = [], set()
     attempts = stall = 0
     while len(chosen) < m:
         assert attempts < 1000 * m, "these cases fit in the budget"
         if stall >= 200:
-            counts[:] = 0
+            counts.clear()
             chosen.clear()
             used.clear()
             stall = 0
@@ -380,8 +460,9 @@ class TestChoiceReader:
     """``_Choice3`` against ``Generator.choice`` itself: the same triples, then the same state."""
 
     # n = 3 draws nothing for j = 0; at n = 3e9, 2**32 mod (j+1) is about a
-    # third of 2**32, so Lemire's method redraws often
-    @pytest.mark.parametrize("n", [3, 4, 5, 18, 20, 1000, 12000, 3_000_000_000])
+    # third of 2**32, so Lemire's method redraws often; at n = 2**32 the top
+    # range [0, 2**32 - 1] is the last that choice draws from 32-bit halves
+    @pytest.mark.parametrize("n", [3, 4, 5, 18, 20, 1000, 12000, 3_000_000_000, 2**32 - 1, 2**32])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_draws_and_state_match_choice(self, n, seed):
         rng, reader_rng = np.random.default_rng(seed), np.random.default_rng(seed)

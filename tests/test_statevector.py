@@ -19,6 +19,7 @@ from qaoa_e3lin2.statevector import (
     expectation,
     prepare,
     sample,
+    sample_bits,
     uniform_state,
 )
 
@@ -259,6 +260,23 @@ class TestMemory:
         state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
         _, _, peak = traced(expectation, state, inst)
         assert peak < 2 << inst.n
+
+
+    def test_sample_bits_peaks_below_17_bytes_per_amplitude_above_its_state(self):
+        # the 2^n probabilities, normalised in place, and choice's cumulative
+        # array beside them, plus the shots
+        inst = instance_module.parse(STATE18.read_text(encoding="utf-8"))
+        state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        sample_bits(state, 1)  # the first draw imports numpy.random, which tracemalloc counts
+        _, _, peak = traced(sample_bits, state, 10000, 1)
+        assert peak < 17 << inst.n
+
+    def test_the_in_place_normalisation_draws_the_same_shots(self):
+        inst = instance_module.parse(STATE18.read_text(encoding="utf-8"))
+        state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        probs = state.probabilities()
+        codes = np.random.default_rng(3).choice(probs.size, size=500, p=probs / probs.sum())
+        assert np.array_equal(sample_bits(state, 500, 3), instance_module.code_bits(codes, inst.n))
 
 
 class TestPrepareAndExpectation:
