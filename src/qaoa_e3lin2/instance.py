@@ -23,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,9 +82,10 @@ class Assignment:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
+        arr = np.asarray(self.bits)
+        if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():  # checked before a cast can wrap 257 to 1
             raise ValueError("bits must be a flat vector over {0, 1}")
+        arr = arr.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -209,7 +210,7 @@ class Instance:
 
     ``triple_array`` (m, 3, intp) holds the triples and ``rhs_array`` (m,
     uint8) the right-hand sides, read from :class:`Clause` objects or
-    ``(a, b, c, rhs)`` rows. The :class:`Clause` view, the occurrence counts,
+    ``(a, b, c, rhs)`` rows. The :class:`Clause` view, the occurrence bound,
     the table of clause pairs that share a variable, and each clause's pair
     total, support size and topology (all three read that table) are built on
     first use and kept.
@@ -293,23 +294,14 @@ class Instance:
             self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], inside[lo:hi])
         return self._topologies[j]
 
-    def _in_range(self) -> np.ndarray:
-        """The triple entries in [0, n), flattened; out-of-range entries are skipped."""
-        flat = self.triple_array.ravel()
-        return flat[(flat >= 0) & (flat < self.n)]
-
-    @cached_property
-    def occurrence(self) -> np.ndarray:
-        """Per-variable clause membership counts (length n); out-of-range entries are skipped."""
-        return _read_only(np.bincount(self._in_range(), minlength=self.n))
-
     @cached_property
     def d_bound(self) -> int:
-        """Smallest D with every variable in at most D+1 clauses.
+        """Smallest D with every variable in at most D+1 clauses; out-of-range entries are skipped.
 
         Counted over the variables in use, so nothing of length n is built.
         """
-        values = np.sort(self._in_range())
+        flat = self.triple_array.ravel()
+        values = np.sort(flat[(flat >= 0) & (flat < self.n)])
         starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
         return max(int(np.diff(starts, append=values.size).max()) - 1, 0)
 
@@ -429,7 +421,8 @@ def objective_value(instance: Instance, assignment: Assignment) -> float:
     return (2 * satisfied_count(instance, assignment) - instance.m) / 2.0
 
 
-_LOW32 = 0xFFFFFFFF
+#: Attempts :func:`generate_random` draws at a time. Read at call time.
+_CHOICE_BLOCK = 1024
 
 
 def _floyd(n: int, a: int, b: int, c: int, k2: int, k1: int) -> list[int]:
@@ -448,93 +441,16 @@ def _floyd(n: int, a: int, b: int, c: int, k2: int, k1: int) -> list[int]:
     return picked
 
 
-class _Choice3:
-    """The draws of ``Generator.choice(n, 3, replace=False)``, read from raw PCG64 words.
+def _choices(rng: np.random.Generator, n: int, count: int) -> Iterator[list[int]]:
+    """What ``count`` calls of ``rng.choice(n, 3, replace=False)`` return, drawn in one call.
 
-    For a sample of 3 (and 3 <= n <= 2**32), ``choice`` runs Floyd's
-    algorithm: for j = n-3, n-2, n-1 it draws uniformly on [0, j] by
-    Lemire's method, j = 0 drawing nothing, and then shuffles with draws on
-    [0, 2] and [0, 1]. Each Lemire draw reads 32-bit halves of the PCG64
-    words, the low half first, as ``next_uint32`` does. The words are
-    fetched a block at a time, so the bit generator runs ahead until
-    :meth:`sync` puts it where the same ``choice`` calls would have left it.
-    Above 2**32 ``choice`` draws [0, n-1] from 64-bit words, while here no half
-    would clear :meth:`_bounded`'s threshold and :meth:`draw` would never return.
+    For a sample of 3, ``choice`` draws on [0, n-3], [0, n-2] and [0, n-1]
+    for Floyd's algorithm, then on [0, 2] and [0, 1] for its shuffle, each by
+    the bounded draw that ``integers`` makes for an array of upper bounds, so
+    ``rng`` is left where those calls leave it. The samples are built lazily.
     """
-
-    _WORDS = 1024
-
-    def __init__(self, bit_generator: np.random.PCG64, n: int):
-        start = bit_generator.state
-        self._bit_generator = bit_generator
-        self._start = start
-        self._n = n
-        # a half left over by an earlier next_uint32 is read first
-        self._halves = [start["uinteger"]] if start["has_uint32"] else []
-        self._pos = 0
-        self._words = 0
-
-    def _fill(self) -> None:
-        """Keep the unread halves and append the halves of a block of words."""
-        words = self._bit_generator.random_raw(self._WORDS)
-        block = np.stack((words & _LOW32, words >> 32), axis=1).ravel().tolist()
-        self._halves = self._halves[self._pos:] + block
-        self._pos = 0
-        self._words += self._WORDS
-
-    def _bounded(self, top: int) -> int:
-        """Lemire's draw on [0, top].
-
-        A half times top+1 holds the draw in its high 32 bits; it is drawn
-        again while its low 32 bits are below 2**32 mod (top+1).
-        """
-        span = top + 1
-        threshold = (_LOW32 - top) % span
-        while True:
-            if self._pos == len(self._halves):
-                self._fill()
-            product = self._halves[self._pos] * span
-            self._pos += 1
-            if product & _LOW32 >= threshold:
-                return product >> 32
-
-    def draw(self) -> list[int]:
-        """The next ``choice(n, 3, replace=False)``, in its order."""
-        n, pos = self._n, self._pos
-        if len(self._halves) - pos < 5:
-            self._fill()
-            pos = 0
-        h0, h1, h2, h3, h4 = self._halves[pos:pos + 5]
-        p0, p1, p2, p3 = h0 * (n - 2), h1 * (n - 1), h2 * n, h3 * 3
-        if (
-            n > 3
-            and p0 & _LOW32 >= n - 2
-            and p1 & _LOW32 >= n - 1
-            and p2 & _LOW32 >= n
-            and p3 & _LOW32 >= 3
-        ):
-            # the usual case: each low half is at least its span, so above
-            # its threshold, and every draw is accepted at once
-            self._pos = pos + 5
-            return _floyd(n, p0 >> 32, p1 >> 32, p2 >> 32, p3 >> 32, h4 * 2 >> 32)
-        first = self._bounded(n - 3) if n > 3 else 0
-        return _floyd(
-            n, first, self._bounded(n - 2), self._bounded(n - 1), self._bounded(2), self._bounded(1)
-        )
-
-    def sync(self) -> None:
-        """Rewind the bit generator to just after the halves read so far."""
-        bit_generator, unread = self._bit_generator, len(self._halves) - self._pos
-        bit_generator.state = self._start
-        if not self._pos:
-            return  # nothing read yet: every block fetched is read from at once
-        bit_generator.advance(self._words - unread // 2)
-        state = bit_generator.state
-        # next_uint32 keeps the high half of the word it split, also once it
-        # has handed it out: the next half if it is unread, else the last read
-        state["has_uint32"] = unread % 2
-        state["uinteger"] = self._halves[self._pos - 1 + unread % 2]
-        bit_generator.state = state
+    draws = rng.integers(0, np.tile([n - 2, n - 1, n, 3, 2], count), dtype=np.int64)
+    return (_floyd(n, *row) for row in draws.reshape(count, 5).tolist())
 
 
 def generate_random(
@@ -552,18 +468,22 @@ def generate_random(
     canonical. Deterministic for a fixed seed.
 
     Each attempt draws exactly what ``Generator.choice(n, 3, replace=False)``
-    of ``default_rng(seed)`` would, read by :class:`_Choice3` from the raw
-    PCG64 words without the per-call cost of ``choice``; the rhs bits then
-    come from the generator in the state ``choice`` would have left.
-    ``tests/test_instance.py`` checks the draws and that state against
-    ``choice`` (``TestChoiceReader``) and the whole instance against the
-    loop over ``choice`` (``test_matches_the_placement_loop_over_choice``).
+    of ``default_rng(seed)`` would: :func:`_choices` draws a block of
+    ``_CHOICE_BLOCK`` attempts in one ``integers`` call, and when placement
+    ends inside a block the generator is rewound to the block's start and
+    only the attempts used are drawn again. The rhs bits then come from the
+    generator in the state ``choice`` would have left. ``tests/test_instance.py``
+    checks the draws and that state against ``choice`` (``TestChoiceReader``)
+    and the whole instance against the loop over ``choice``
+    (``test_matches_the_placement_loop_over_choice``, also at blocks of 1, 2 and 7).
     """
     if sign_mode not in SIGN_MODES:
         raise ValueError(f"sign_mode must be one of {SIGN_MODES}, got {sign_mode!r}")
     if n < 0 or m < 0 or d_bound < 0:
         raise InfeasibleError(f"n, m, d_bound must be non-negative, got ({n}, {m}, {d_bound})")
-    if n > 2**32:  # the most that _Choice3 draws for
+    # a limit gen has always kept: integers draws as choice does above it too,
+    # but lifting it would change which inputs gen accepts
+    if n > 2**32:
         raise InfeasibleError(f"n must be at most 2**32 = {2**32}, got {n}")
     if m > 0 and n < 3:
         raise InfeasibleError(f"need at least 3 variables for any clause, got n={n}")
@@ -576,7 +496,6 @@ def generate_random(
         raise InfeasibleError(f"m={m} exceeds the {math.comb(n, 3)} distinct triples on n={n}")
 
     rng = np.random.default_rng(seed)
-    draws = _Choice3(rng.bit_generator, n)
     budget = 1000 * m
     cap = d_bound + 1
     counts: defaultdict[int, int] = defaultdict(int)  # of the variables in use only
@@ -593,8 +512,10 @@ def generate_random(
             counts.clear()
             chosen.clear()
             stall = 0
+        if attempts % _CHOICE_BLOCK == 0:
+            start, draws = rng.bit_generator.state, _choices(rng, n, _CHOICE_BLOCK)
         attempts += 1
-        a, b, c = triple = tuple(sorted(draws.draw()))
+        a, b, c = triple = tuple(sorted(next(draws)))
         if triple in chosen or counts[a] >= cap or counts[b] >= cap or counts[c] >= cap:
             stall += 1
             continue
@@ -603,7 +524,9 @@ def generate_random(
         counts[a] += 1
         counts[b] += 1
         counts[c] += 1
-    draws.sync()
+    if attempts % _CHOICE_BLOCK:  # ended inside a block: redraw only the attempts made of it
+        rng.bit_generator.state = start
+        _choices(rng, n, attempts % _CHOICE_BLOCK)
 
     rhs = np.zeros(m, dtype=np.uint8) if sign_mode == "all-zero-rhs" else rng.integers(0, 2, size=m)
     return Instance._from_arrays(n, np.array(list(chosen), dtype=np.intp).reshape(m, 3), rhs)

@@ -16,7 +16,7 @@ from qaoa_e3lin2.instance import (
     Instance,
     ParseError,
     RetryExhaustedError,
-    _Choice3,
+    _choices,
     generate_random,
     objective_value,
     parse,
@@ -27,6 +27,7 @@ from qaoa_e3lin2.instance import (
     with_signs,
 )
 
+from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import EvaluationPlan
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.schedule import scan
@@ -71,17 +72,28 @@ class TestAssignment:
         with pytest.raises(ValueError):
             a.bits[0] = 1
 
+    @pytest.mark.parametrize(
+        "bits",
+        [np.array([257, 256, 1]), np.array([0.5, 1.0, 0.0]), [256, 1, 0], [-1, 0, 1], [[0, 1]]],
+    )
+    def test_refuses_values_outside_0_and_1_before_casting(self, bits):
+        # a uint8 cast would wrap 257 to 1, truncate 0.5 to 0 and overflow on 256
+        with pytest.raises(ValueError, match=r"^bits must be a flat vector over \{0, 1\}$"):
+            Assignment(bits)
+
+    def test_bools_are_bits(self):
+        a = Assignment(np.array([True, False, True]))
+        assert a.to_string() == "101"
+        assert a.bits.dtype == np.uint8
+
 
 class TestInstance:
     def test_counts_and_occurrence(self, tiny_instance):
         assert tiny_instance.m == 5
-        # variable 2 sits in clauses 0, 2, 3
-        assert tiny_instance.occurrence[2] == 3
-        assert tiny_instance.occurrence[8] == 1
+        # variable 2 sits in clauses 0, 2, 3, and no variable in more
         assert tiny_instance.d_bound == 2
-        # variables outside [0, n) are not counted
+        # variables outside [0, n) are not counted: only variable 1 is in two clauses
         outside = Instance(n=3, clauses=(Clause(0, 1, 5, 0), Clause(-2, 1, 2, 1)))
-        assert outside.occurrence.tolist() == [1, 2, 1]
         assert outside.d_bound == 1
 
     def test_d_bound_floor_and_empty(self):
@@ -323,6 +335,17 @@ class TestObjective:
         assert sat == pytest.approx(inst.m / 2 + objective_value(inst, a))
 
 
+CHOICE_LOOP_CASES = [
+    (18, 24, 3, "uniform-random", 1),  # full packing, many restarts
+    (12, 16, 3, "uniform-random", 1005),
+    (3, 1, 0, "uniform-random", 2),
+    (4, 4, 2, "all-zero-rhs", 3),
+    (20, 26, 3, "all-zero-rhs", 5),
+    (50, 60, 4, "uniform-random", 6),
+    (10, 0, 3, "uniform-random", 7),
+]
+
+
 class TestGenerateRandom:
     def test_deterministic(self):
         a = generate_random(n=10, m=8, d_bound=2, seed=5)
@@ -334,13 +357,13 @@ class TestGenerateRandom:
         for seed in range(10):
             inst = generate_random(n=9, m=8, d_bound=2, seed=seed)
             assert inst.m == 8
-            assert inst.occurrence.max() <= 3
+            assert inst.d_bound <= 2
             assert validate(inst) == []
 
     def test_tight_packing_succeeds(self):
         inst = generate_random(n=12, m=16, d_bound=3, seed=1005)
         assert inst.m == 16
-        assert inst.occurrence.max() <= 4
+        assert inst.d_bound <= 3
 
     def test_sign_modes(self):
         zero = generate_random(n=10, m=6, d_bound=2, seed=1, sign_mode="all-zero-rhs")
@@ -349,18 +372,7 @@ class TestGenerateRandom:
         with pytest.raises(ValueError):
             generate_random(n=10, m=6, d_bound=2, seed=1, sign_mode="whatever")
 
-    @pytest.mark.parametrize(
-        "n, m, d_bound, sign_mode, seed",
-        [
-            (18, 24, 3, "uniform-random", 1),  # full packing, many restarts
-            (12, 16, 3, "uniform-random", 1005),
-            (3, 1, 0, "uniform-random", 2),
-            (4, 4, 2, "all-zero-rhs", 3),
-            (20, 26, 3, "all-zero-rhs", 5),
-            (50, 60, 4, "uniform-random", 6),
-            (10, 0, 3, "uniform-random", 7),
-        ],
-    )
+    @pytest.mark.parametrize("n, m, d_bound, sign_mode, seed", CHOICE_LOOP_CASES)
     def test_matches_the_placement_loop_over_choice(self, n, m, d_bound, sign_mode, seed):
         want = _generate_by_choice(n, m, d_bound, sign_mode, seed)
         assert generate_random(n, m, d_bound, sign_mode, seed) == want
@@ -394,6 +406,14 @@ class TestGenerateRandom:
             RetryExhaustedError, match=r"^placed 38 of 40 triples in 40000 attempts \(n=24, D=4\)$"
         ):
             generate_random(24, 40, 4, "all-zero-rhs", seed=699762)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_of_any_size_give_the_same_instances(self, monkeypatch, block):
+        # attempts then end both on and inside a block, with and without a rewind
+        monkeypatch.setattr(instance_module, "_CHOICE_BLOCK", block)
+        for case in CHOICE_LOOP_CASES:
+            self.test_matches_the_placement_loop_over_choice(*case)
+        self.test_retry_exhausted_message()
 
     @pytest.mark.parametrize(
         "n,m,d",
@@ -457,7 +477,7 @@ def _pcg64_state_before(word, inc, words_ahead):
 
 
 class TestChoiceReader:
-    """``_Choice3`` against ``Generator.choice`` itself: the same triples, then the same state."""
+    """``_choices`` against ``Generator.choice`` itself: the same triples, then the same state."""
 
     # n = 3 draws nothing for j = 0; at n = 3e9, 2**32 mod (j+1) is about a
     # third of 2**32, so Lemire's method redraws often; at n = 2**32 the top
@@ -466,9 +486,8 @@ class TestChoiceReader:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_draws_and_state_match_choice(self, n, seed):
         rng, reader_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        reader = _Choice3(reader_rng.bit_generator, n)
-        assert [reader.draw() for _ in range(2001)] == _choice_triples(rng, n, 2001)
-        reader.sync()
+        got = [*_choices(reader_rng, n, 1000), *_choices(reader_rng, n, 1001)]
+        assert got == _choice_triples(rng, n, 2001)
         assert reader_rng.bit_generator.state == rng.bit_generator.state
 
     def test_a_redraw_on_the_shuffle_range_matches_choice(self):
@@ -480,9 +499,7 @@ class TestChoiceReader:
         for generator in (rng, reader_rng, check):
             generator.bit_generator.state = state
         assert check.bit_generator.random_raw(2)[1] == 12345
-        reader = _Choice3(reader_rng.bit_generator, 18)
-        assert [reader.draw() for _ in range(3)] == _choice_triples(rng, 18, 3)
-        reader.sync()
+        assert list(_choices(reader_rng, 18, 3)) == _choice_triples(rng, 18, 3)
         assert reader_rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("draws", [0, 1, 2, 3])
@@ -493,9 +510,7 @@ class TestChoiceReader:
             # a full-range uint32 leaves the high half of its word unread
             rng.integers(2**32, dtype=np.uint32)
             reader_rng.integers(2**32, dtype=np.uint32)
-        reader = _Choice3(reader_rng.bit_generator, 18)
-        assert [reader.draw() for _ in range(draws)] == _choice_triples(rng, 18, draws)
-        reader.sync()
+        assert list(_choices(reader_rng, 18, draws)) == _choice_triples(rng, 18, draws)
         assert reader_rng.bit_generator.state == rng.bit_generator.state
         assert reader_rng.integers(0, 2, size=65).tolist() == rng.integers(0, 2, size=65).tolist()
 

@@ -276,8 +276,14 @@ class TestMonteCarlo:
 
     @pytest.fixture
     def no_w_array(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("an array of W was allocated")
+        # refuse only an allocation the size of the trillion-entry W; numpy's
+        # own smaller np.empty calls pass through
+        empty = np.empty
+
+        def refuse(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) >= 10**12:
+                raise AssertionError("an array of W was allocated")
+            return empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", refuse)
 
