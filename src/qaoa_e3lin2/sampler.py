@@ -81,7 +81,7 @@ def run(
         samples=samples,
         mean_satisfied=float(np.mean(counts)),
         best_satisfied=int(counts[best_idx]),
-        best_string=Assignment(bits[best_idx].copy()),
+        best_string=Assignment(bits[best_idx]),
         predicted_mean=predicted,
         seed=seed,
     )

@@ -14,6 +14,10 @@ term needs (9/10)^k to beat 1/k). At desk scale it is negative, which makes
 the guarantee vacuous; it is reported as-is, never clamped, with a flag.
 The companion large-D simplification m / (101 sqrt(D) ln D) is heuristic at
 small D and undefined at D = 1.
+
+The grid is mirror-symmetric, gamma_{k-r} = -gamma_r exactly, and W is odd,
+so :func:`scan` evaluates the first half of the grid and negates it for the
+second: one pass over the distinct |gamma|.
 """
 
 from __future__ import annotations
@@ -190,14 +194,26 @@ def scan(
     (floored at 1 so isolated-clause instances still get a grid). The
     clause routes and term keys do not depend on gamma, so one plan is
     built and each angle evaluates its distinct terms once.
+
+    W is odd in gamma, and the plan's total at -gamma is bitwise
+    (-W, stderr) of its total at gamma (Monte Carlo draws too, as they
+    depend on the seed alone). So a node whose mirror ``gammas[k - r]``
+    equals ``-gammas[r]`` exactly, as on the default grid, takes that
+    node's result instead of calling the plan, unless W there is zero,
+    whose negation would print as -0.0.
     """
     if schedule is None:
         schedule = make_schedule(max(1, instance.d_bound))
     plan = EvaluationPlan(instance, mode=mode, q_max=q_max)
+    k = schedule.k
     points: list[ScanPoint] = []
     best: tuple[int, int, float] | None = None
     for r, gamma in enumerate(schedule.gammas):
-        total, stderr = plan.total(gamma, mc_samples=mc_samples, seed=seed)
+        mirror = points[k - r] if k - r < r else None
+        if mirror is not None and mirror.gamma == -gamma and mirror.value != 0.0:
+            total, stderr = -mirror.value, mirror.stderr
+        else:
+            total, stderr = plan.total(gamma, mc_samples=mc_samples, seed=seed)
         points.append(ScanPoint(r=r, gamma=gamma, value=total, stderr=stderr))
         sign = 1 if total >= 0 else -1
         if best is None or abs(total) > best[2]:

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from qaoa_e3lin2.instance import (
     satisfied_count,
     serialize,
     validate,
+    Violation,
     with_signs,
 )
 
@@ -31,6 +36,7 @@ from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import EvaluationPlan
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.schedule import scan
+from qaoa_e3lin2.typical import base_instance
 
 from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances
 
@@ -71,6 +77,12 @@ class TestAssignment:
         a = Assignment([0, 1])
         with pytest.raises(ValueError):
             a.bits[0] = 1
+
+    def test_the_callers_array_stays_writable(self):
+        bits = np.array([0, 1, 1], dtype=np.uint8)
+        a = Assignment(bits)
+        bits[0] = 1
+        assert bits.flags.writeable and a.to_string() == "011"
 
     @pytest.mark.parametrize(
         "bits",
@@ -307,6 +319,51 @@ class TestValidate:
         )
         kinds = {v.kind for v in validate(inst)}
         assert kinds == {"unsorted-triple", "index-out-of-range", "duplicate-triple"}
+
+    def test_a_repeat_names_the_first_clause_holding_its_triple(self):
+        inst = Instance(n=4, clauses=[(0, 1, 2, 0), (2, 1, 0, 0), (0, 1, 2, 1), (2, 1, 0, 1), (0, 1, 2, 0)])
+        assert validate(inst) == loop_validate(inst)
+        assert [v.message for v in validate(inst) if v.kind == "duplicate-triple"] == [
+            "clause 2: triple (0, 1, 2) repeats clause 0",
+            "clause 3: triple (2, 1, 0) repeats clause 1",
+            "clause 4: triple (0, 1, 2) repeats clause 0",
+        ]
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(0, 4),
+        rows=st.lists(st.tuples(*[st.integers(-1, 4)] * 3, st.integers(0, 1)), max_size=20),
+    )
+    def test_equals_the_loop_on_unsorted_out_of_range_and_repeated_rows(self, n, rows):
+        inst = Instance(n=n, clauses=rows)
+        assert validate(inst) == loop_validate(inst)
+
+    @given(triples=st.lists(st.tuples(*[st.integers(-1, 6)] * 3), min_size=1, max_size=8))
+    def test_base_instance_raises_the_first_violation_of_the_loop(self, triples):
+        n = 1 + max(max(t) for t in triples)
+        expected = loop_validate(Instance(n=n, clauses=[(*t, 0) for t in triples]))
+        if expected:
+            with pytest.raises(ValueError) as info:
+                base_instance(triples)
+            assert str(info.value) == expected[0].message
+        else:
+            assert base_instance(triples).triples() == tuple(triples)
+
+
+def loop_validate(instance):
+    """The per-clause loop ``validate`` ran before the array row check: the reference."""
+    out = []
+    seen = {}
+    for i, triple in enumerate(instance.triples()):
+        if not (triple[0] < triple[1] < triple[2]):
+            out.append(Violation("unsorted-triple", i, f"clause {i}: triple {triple} is not strictly increasing"))
+        if min(triple) < 0 or max(triple) >= instance.n:
+            out.append(Violation("index-out-of-range", i, f"clause {i}: triple {triple} outside [0, {instance.n})"))
+        if triple in seen:
+            out.append(Violation("duplicate-triple", i, f"clause {i}: triple {triple} repeats clause {seen[triple]}"))
+        else:
+            seen[triple] = i
+    return out
 
 
 class TestObjective:
@@ -641,3 +698,156 @@ class TestFileFormat:
         assert parse("e3lin2 3 1\n0 1 2 0").m == 1
         with pytest.raises(ParseError):
             parse("e3lin2 3 1\n0 1 2 0\n\n")
+
+    @settings(max_examples=400)
+    @given(inst=instances(max_m=6), data=st.data())
+    def test_parse_equals_the_scalar_parser_on_mutated_files(self, inst, data):
+        lines = serialize(inst).split("\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 3))):
+            name = data.draw(st.sampled_from(sorted(MUTATIONS)))
+            i = data.draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # a clause line if any
+            lines = MUTATIONS[name](lines, i, data)
+        text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+        assert outcome(parse, text) == outcome(scalar_parse, text)
+
+    def test_a_malformed_body_reports_only_the_usage_error(self, tmp_path):
+        # in a new interpreter showing every warning, as a numpy warning would print one
+        path = tmp_path / "bad.e3lin2"
+        path.write_text("e3lin2 4 2\n0 1 2 0\n0 1 +3 0\n")
+        src = str(Path(instance_module.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "qaoa_e3lin2.cli", "scan", path.name],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "Usage: python -m qaoa_e3lin2.cli scan [OPTIONS] INSTANCE_PATH\n"
+            "Try 'python -m qaoa_e3lin2.cli scan --help' for help.\n\n"
+            "Error: bad.e3lin2: bad token in '0 1 +3 0', line 3\n"
+        )
+
+
+def outcome(reader, text):
+    """What ``reader`` makes of ``text``: the instance, or the refusal's type, message and line."""
+    try:
+        return reader(text)
+    except ParseError as err:
+        return type(err), str(err), err.line
+
+
+def _token_mutation(change, position=None):
+    """A mutation that rewrites one token of line i, drawn unless ``position`` names it, with ``change(token, lines)``."""
+
+    def mutate(lines, i, data):
+        tokens = lines[i].split(" ")
+        t = data.draw(st.integers(0, len(tokens) - 1)) if position is None else min(position, len(tokens) - 1)
+        tokens[t] = change(tokens[t], lines)
+        return [*lines[:i], " ".join(tokens), *lines[i + 1 :]]
+
+    return mutate
+
+
+def _space_mutation(replacement):
+    def mutate(lines, i, data):
+        return [*lines[:i], lines[i].replace(" ", replacement, 1), *lines[i + 1 :]]
+
+    return mutate
+
+
+def _repeat_a_row(lines, i, data):
+    """Overwrite line i with a drawn clause line, so the count stays."""
+    if len(lines) < 2:
+        return lines
+    row = lines[data.draw(st.integers(1, len(lines) - 1))]
+    return [*lines[:max(i, 1)], row, *lines[max(i, 1) + 1 :]]
+
+
+def _append_a_repeat(lines, i, data):
+    """Append a copy of a clause line and count it in the header."""
+    if len(lines) < 2:
+        return lines
+    head = lines[0].split(" ")
+    head[2] = str(len(lines))
+    return [" ".join(head), *lines[1:], lines[max(i, 1)]]
+
+
+#: Edits of a serialized file: what int() or numpy reads but serialize never
+#: writes, rows that repeat, indices outside the header's range, and the
+#: largest index an instance can hold.
+MUTATIONS = {
+    "plus": _token_mutation(lambda t, lines: "+" + t),
+    "leading-zero": _token_mutation(lambda t, lines: "0" + t),
+    "underscore": _token_mutation(lambda t, lines: "1_0"),
+    "arabic-indic-digit": _token_mutation(lambda t, lines: "\u0662"),
+    "minus-zero": _token_mutation(lambda t, lines: "-0"),
+    "minus": _token_mutation(lambda t, lines: "-" + t),
+    "rhs-two": _token_mutation(lambda t, lines: "2"),
+    "twenty-digits": _token_mutation(lambda t, lines: "9" * 20),
+    "index-max-less-one": _token_mutation(lambda t, lines: str(INDEX_MAX - 1)),
+    "index-max": _token_mutation(lambda t, lines: str(INDEX_MAX)),
+    "past-n": _token_mutation(lambda t, lines: lines[0].split(" ")[-2], position=2),
+    "plus-one": _token_mutation(lambda t, lines: str(int(t) + 1) if t.isdigit() else t),
+    "tab": _space_mutation("\t"),
+    "double-space": _space_mutation("  "),
+    "cr": lambda lines, i, data: [*lines[:i], lines[i] + "\r", *lines[i + 1 :]],
+    "repeat-row": _repeat_a_row,
+    "append-repeat": _append_a_repeat,
+    "header-n-index-max": lambda lines, i, data: [f"e3lin2 {INDEX_MAX} {lines[0].split(' ')[2]}", *lines[1:]],
+}
+
+
+def scalar_parse(text):
+    """The per-line parser ``parse`` replaced: the reference for its messages and line numbers."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("empty input", 1)
+
+    if lines[0].endswith("\r"):
+        raise ParseError(f"CRLF line ending in {lines[0]!r}, expected LF", 1)
+    head = lines[0].split(" ")
+    if len(head) != 3 or head[0] != "e3lin2":
+        raise ParseError(f"malformed header {lines[0]!r}, expected 'e3lin2 <n> <m>'", 1)
+    try:
+        n, m = int(head[1]), int(head[2])
+        if lines[0] != f"e3lin2 {n} {m}":
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"malformed header {lines[0]!r}, counts must be integers", 1) from None
+    if n < 0 or m < 0:
+        raise ParseError("header counts must be non-negative", 1)
+    if max(n, m) > INDEX_MAX:
+        raise ParseError(f"header counts must be at most {INDEX_MAX}", 1)
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} clause lines, found {len(lines) - 1}", min(len(lines), m + 1) + 1)
+
+    rows = []
+    seen = {}
+    for i, raw in enumerate(lines[1:], start=2):
+        if raw.endswith("\r"):
+            raise ParseError(f"CRLF line ending in {raw!r}, expected LF", i)
+        tokens = raw.split(" ")
+        if len(tokens) != 4 or any(t == "" for t in tokens):
+            raise ParseError(f"bad clause line {raw!r}", i)
+        try:
+            a, b, c, rhs = (int(t) for t in tokens)
+            if raw != f"{a} {b} {c} {rhs}":
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"bad token in {raw!r}", i) from None
+        if rhs not in (0, 1):
+            raise ParseError(f"rhs must be 0 or 1, got {rhs}", i)
+        if not (a < b < c):
+            raise ParseError(f"unsorted triple ({a}, {b}, {c})", i)
+        if a < 0 or c >= n:
+            raise ParseError(f"variable index outside [0, {n}) in ({a}, {b}, {c})", i)
+        if (a, b, c) in seen:
+            raise ParseError(f"duplicate triple ({a}, {b}, {c}), first at line {seen[(a, b, c)]}", i)
+        seen[(a, b, c)] = i
+        rows.append((a, b, c, rhs))
+    return Instance(n=n, clauses=rows)

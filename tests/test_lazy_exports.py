@@ -82,3 +82,19 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'qaoa_e3lin2' has no attribute 'nope'"):
         qaoa_e3lin2.nope
     assert not hasattr(qaoa_e3lin2, "nope")
+
+
+@pytest.mark.parametrize("args", [["scan"], ["eval", "--gamma", "0.2"]])
+def test_scan_and_eval_of_a_file_never_load_numpy_ma(args):
+    # numpy.ma costs about 13 ms to import, and np.unique on a void array loads it
+    path = Path(__file__).parent / "golden" / "entangled.e3lin2"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from qaoa_e3lin2.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({[args[0], str(path), *args[1:]]!r}, standalone_mode=False)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = fresh(code)
+    assert "qaoa_e3lin2.instance" in loaded
+    assert [name for name in loaded if name == "numpy.ma" or name.startswith("numpy.ma.")] == []

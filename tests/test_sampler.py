@@ -19,7 +19,7 @@ from qaoa_e3lin2.sampler import (
     run,
     satisfied_count_batch,
 )
-from qaoa_e3lin2.statevector import AngleParams, expectation, prepare
+from qaoa_e3lin2.statevector import AngleParams, expectation, prepare, sample_bits
 
 from conftest import bit_vectors, dumb_satisfied_count, instances
 
@@ -112,6 +112,13 @@ class TestRun:
         report = run(tiny_instance, 0.3, 0.8, samples=64, seed=11)
         assert satisfied_count(tiny_instance, report.best_string) == report.best_satisfied
         assert report.best_satisfied <= tiny_instance.m
+
+    def test_best_string_is_a_copy_of_the_first_best_shot(self, tiny_instance):
+        report = run(tiny_instance, 0.3, 0.8, samples=64, seed=11)
+        bits = sample_bits(prepare(tiny_instance, AngleParams(gamma=0.3, beta=0.8)), 64, seed=11)
+        best = int(np.argmax(satisfied_count_batch(tiny_instance, bits)))
+        assert report.best_string.bits.tolist() == bits[best].tolist()
+        assert report.best_string.bits.base is None
 
     def test_rejects_bad_samples(self, tiny_instance):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qaoa_e3lin2.analytic import (
     SIGN_PATTERNS,
+    EvaluationPlan,
     build_neighborhood,
     combo_abs_moment,
     moment_checks,
@@ -231,6 +232,45 @@ class TestScan:
         a = scan(inst, mode="mc", mc_samples=300, seed=2)
         b = scan(inst, mode="mc", mc_samples=300, seed=2)
         assert a == b
+
+
+class TestOnePassScan:
+    """``scan`` against the plan's total called at every node, compared with ``==`` and by sign bit."""
+
+    INST = generate_random(n=14, m=16, d_bound=3, seed=9)
+    # each with the plan calls it needs: every node not exactly the negation of its mirror;
+    # at q_max 8, auto draws 8 of the 16 clauses by Monte Carlo
+    SCHEDULES = [
+        (make_schedule(3), 4),
+        (AngleSchedule(d_bound=3, k=5, gammas=(0.11, 0.07, 0.02, -0.03, -0.07, -0.1)), 5),
+        (AngleSchedule(d_bound=3, k=5, gammas=(0.11, 0.07, 0.02, -0.03, -0.06, -0.1)), 6),
+    ]
+
+    def pin(self, monkeypatch, inst, schedule, mode, q_max=None):
+        """Assert the scan equals the plan node by node; return how many nodes called the plan."""
+        plan = EvaluationPlan(inst, mode=mode, q_max=q_max)
+        want = [plan.total(g, mc_samples=200, seed=4) for g in schedule.gammas]
+        calls = []
+        real = EvaluationPlan.total
+        monkeypatch.setattr(EvaluationPlan, "total", lambda self, g, **kw: calls.append(g) or real(self, g, **kw))
+        result = scan(inst, schedule, mode=mode, q_max=q_max, mc_samples=200, seed=4)
+        got = [(p.value, p.stderr) for p in result.points]
+        assert got == want
+        assert [math.copysign(1.0, v) for v, _ in got] == [math.copysign(1.0, v) for v, _ in want]
+        return len(calls)
+
+    @pytest.mark.parametrize("schedule, calls", SCHEDULES)
+    @pytest.mark.parametrize("mode, q_max", [("exact", None), ("auto", 8), ("mc", None)])
+    def test_mirrored_nodes_take_their_mirrors_result(self, monkeypatch, schedule, calls, mode, q_max):
+        assert self.pin(monkeypatch, self.INST, schedule, mode, q_max) == calls
+
+    @pytest.mark.parametrize("mode", ["exact", "auto", "mc"])
+    def test_a_zero_w_is_never_mirrored(self, monkeypatch, mode):
+        # W is 0.0 on the empty instance and at gamma 0: mirrored, it would read -0.0
+        empty = make_schedule(1)
+        assert self.pin(monkeypatch, Instance(n=3, clauses=()), empty, mode) == empty.k + 1
+        zeros = AngleSchedule(d_bound=1, k=3, gammas=(0.1, 0.0, -0.0, -0.1))
+        assert self.pin(monkeypatch, self.INST, zeros, mode) == 3
 
 
 class TestChebyshevNodeProperty:

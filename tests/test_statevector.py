@@ -337,6 +337,13 @@ class TestSample:
         assert sample(state, 12, seed=3) == sample(state, 12, seed=3)
         assert sample(state, 12, seed=3) != sample(state, 12, seed=4)
 
+    def test_each_draw_is_a_read_only_copy_of_its_sample_bits_row(self):
+        state = prepare(generate_random(n=6, m=5, d_bound=2, seed=3), AngleParams(gamma=0.4, beta=math.pi / 8))
+        bits = sample_bits(state, 40, seed=2)
+        draws = sample(state, 40, seed=2)
+        assert [a.bits.tolist() for a in draws] == bits.tolist()
+        assert all(not a.bits.flags.writeable and a.bits.base is None for a in draws)
+
     def test_assignment_shape(self):
         state = uniform_state(5)
         draws = sample(state, 7, seed=0)
