@@ -21,12 +21,17 @@ D instead of the instance size n.
 Enumeration works by tabulating the joint distribution of the integer
 triple (c1, c2, c3) over all support assignments (each form is bounded by
 its pair count, so the table is tiny) and then evaluating the four sines
-per distinct cell. A cell's key is linear in the pair signs, so the keys of
-all 2^q assignments are the exact parity grids of ``instance.parity_blocks``:
-the support splits into a high and a low half, the low half's +-1 pair-sign
-matrix is built once, and the keys of each block of high codes are one
-float64 product with it, counted with one ``np.bincount``. The histogram
-depends only on the neighborhood, not on gamma, so angle scans reuse it.
+per distinct cell. A cell's key is linear in the pair signs. On a small
+support (q <= ``_WALK_MAX_Q``) the keys of all 2^q assignments are the exact
+parity grids of ``instance.parity_blocks``: the support splits into a high
+and a low half, the low half's +-1 pair-sign matrix is built once, and the
+keys of each block of high codes are one float64 product with it, counted
+with one ``np.bincount``. A larger support goes by the connected components
+of its pair graph, whose spins are independent: a tree's pair signs are
+independent and uniform, so its pairs add binomials, and only a component
+with a cycle is walked, over its own bits. The parts combine by exact int64
+convolutions of their key counts. The histogram depends only on the
+neighborhood, not on gamma, so angle scans reuse it.
 
 Clauses are routed in two steps, and both read the instance's table of the
 clause pairs that share a variable, each classified once by its overlap.
@@ -62,6 +67,7 @@ terms; Monte Carlo clauses keep their own neighborhood and their
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -231,23 +237,83 @@ def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
     return _histogram_cached(nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms))
 
 
+#: Supports up to this size walk all 2^q codes; larger ones go by component.
+#: Read at call time. Per key over the enumerated keys of the benchmark's
+#: files (in-process on a 2-vCPU Xeon VM, BLAS on one thread, median of 15),
+#: the walk wins up to q = 11 and ties at q = 12 (124 vs 122 us); the
+#: component route wins from q = 13 (142 -> 119 us) and takes 0.18 ms
+#: against 9.2 ms at q = 21.
+_WALK_MAX_Q = 12
+
+
+def _walk_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """Counts of sum_t w_t (-1)^parity_t over all 2^width codes, at index value + sum_t |w_t|.
+
+    With integer weights every grid entry is an exact integer in float64.
+    """
+    span = int(np.abs(weights).sum())
+    hist = np.zeros(2 * span + 1, dtype=np.int64)
+    for _, grid in parity_blocks(terms, weights, width):
+        grid += span
+        hist += np.bincount(grid.astype(np.intp).ravel(), minlength=hist.size)
+    return hist
+
+
+def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
+    """:func:`_walk_counts`, built from the components of the pair graph.
+
+    Spins in different components are independent, so the counts are the
+    exact int64 convolution of the components' counts. A tree's V spins map
+    2-to-1 onto its V - 1 pair signs, which are independent and uniform, so
+    the f tree pairs of weight +-w add a binomial: 2kw with count C(f, k).
+    Only a component with a cycle is walked, over its own bits. The parts
+    count 2^(walked bits + tree pairs) codes; a final shift restores 2^width.
+    """
+    root = list(range(width))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in terms.tolist():
+        root[find(a)] = find(b)
+    label = np.array([find(v) for v in range(width)], dtype=np.intp)
+    of_pair = label[terms[:, 0]]
+    # per component root: its bits and its pairs; a tree has one pair fewer than bits
+    bits = np.bincount(label, minlength=width)
+    pairs = np.bincount(of_pair, minlength=width)
+    cyclic = np.flatnonzero((pairs >= bits) & (pairs > 0))
+    hist = np.ones(1, dtype=np.int64)
+    for r in cyclic.tolist():
+        own_bits, own_pairs = np.flatnonzero(label == r), np.flatnonzero(of_pair == r)
+        local = np.searchsorted(own_bits, terms[own_pairs])
+        hist = np.convolve(hist, _walk_counts(local, weights[own_pairs], own_bits.size))
+    tree = (pairs < bits)[of_pair]
+    for w, f in Counter(np.abs(weights[tree]).astype(np.intp).tolist()).items():
+        out = np.zeros(hist.size + 2 * f * w, dtype=np.int64)
+        for k in range(f + 1):
+            out[2 * k * w : 2 * k * w + hist.size] += math.comb(f, k) * hist
+        hist = out
+    return hist << (width - int(bits[cyclic].sum()) - int(tree.sum()))
+
+
 @lru_cache(maxsize=4096)
 def _histogram_cached(
     q_size: int, forms: tuple[tuple[tuple[int, int, int], ...], ...]
 ) -> tuple[np.ndarray, np.ndarray]:
+    if q_size > 62:
+        # a tree-only support of that size is quick to count, but its counts need not fit
+        raise SupportTooLargeError(f"q={q_size}: the counts of 2^q assignments overflow int64")
     pairs = tuple(len(f) for f in forms)
     p1, p2, p3 = pairs
     dims = (2 * p1 + 1, 2 * p2 + 1, 2 * p3 + 1)
-    total_cells = dims[0] * dims[1] * dims[2]
-    # the cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3) is the offset below
-    # plus c1*d2*d3 + c2*d3 + c3, a parity grid of the pairs weighted by
-    # their signs times their form's scale; its integers are exact in float64
-    offset = (p1 * dims[1] + p2) * dims[2] + p3
+    # the cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3) is
+    # (p1*d2 + p2)*d3 + p3 = sum_t |w_t| plus c1*d2*d3 + c2*d3 + c3, a parity
+    # grid of the pairs weighted by their signs times their form's scale
     terms, weights = _pair_terms(forms, (dims[1] * dims[2], dims[2], 1))
-    hist = np.zeros(total_cells, dtype=np.int64)
-    for _, grid in parity_blocks(terms, weights, q_size):
-        grid += offset
-        hist += np.bincount(grid.astype(np.intp).ravel(), minlength=total_cells)
+    counts_of = _walk_counts if q_size <= _WALK_MAX_Q else _component_counts
+    hist = counts_of(terms, weights, q_size)
     occupied = np.nonzero(hist)[0]
     counts = hist[occupied]
     v1, rem = np.divmod(occupied, dims[1] * dims[2])

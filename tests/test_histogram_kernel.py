@@ -1,32 +1,45 @@
-"""Neighborhood histograms on the parity grid, against the loops they
-replaced.
+"""Neighborhood histograms on the parity grid and by pair-graph component,
+against the loops they replaced.
 
 ``loop_histogram`` and ``conftest.loop_eval_forms`` are the implementation
 the package used before every 2^q enumeration went through
 ``instance.parity_blocks``: about seven int64 passes over every code per pair.
-The tests require the new path to reproduce them exactly, with equal dtypes,
-not within a tolerance. The last class checks that the Monte Carlo clause
+The tests require both routes, the walk over all 2^q codes and the
+component route above ``analytic._WALK_MAX_Q``, to reproduce them exactly,
+with equal dtypes, not within a tolerance, and the component route to agree
+with the statevector. The last class checks that the Monte Carlo clause
 term, the one enumeration-free path, refuses a run larger than physical
 memory before it draws a spin.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic
 from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import (
+    EvaluationPlan,
     build_neighborhood,
     clause_term_mc,
     combo_histogram,
+    objective_expectation,
 )
 from qaoa_e3lin2.cli import main
-from qaoa_e3lin2.instance import Clause, Instance, parity_grid, parse, term_parity
+from qaoa_e3lin2.instance import (
+    Clause,
+    Instance,
+    generate_random,
+    parity_grid,
+    parse,
+    term_parity,
+)
+from qaoa_e3lin2.statevector import AngleParams, expectation, prepare
 
 from conftest import instances, loop_eval_forms
 
@@ -148,6 +161,7 @@ class TestHistogramAgainstLoop:
         want = loop_histogram(nbhd.q_size, nbhd.forms)
         for chunk in (1 << 10, 3000):
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analytic, "_WALK_MAX_Q", nbhd.q_size)
                 mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
                 assert_same(fresh_histogram(nbhd), want)
 
@@ -179,6 +193,7 @@ class TestHistogramAgainstLoop:
                 yield first, grid
 
         monkeypatch.setattr(analytic, "parity_blocks", spy)
+        monkeypatch.setattr(analytic, "_WALK_MAX_Q", nbhd.q_size)
         monkeypatch.setattr(instance_module, "_PARITY_BLOCK", 4096)
         fresh_histogram(nbhd)
         assert sum(rows * cols for rows, cols in shapes) == 1 << nbhd.q_size
@@ -186,6 +201,137 @@ class TestHistogramAgainstLoop:
         for rows, cols in shapes:
             assert rows * cols <= 4096
             assert rows * pairs <= 4096 and cols * pairs <= 4096
+
+
+@st.composite
+def component_forms(draw):
+    """(q, forms) whose pair graph mixes trees, cycles, repeated pairs and lone bits.
+
+    Each component is a random tree over its bits plus a few random pairs,
+    which close cycles or repeat a pair; a one-bit component has no pair.
+    The bits are then shuffled, and each pair goes to a random form with a
+    random sign.
+    """
+    pairs, q_size = [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1, 5))
+        bits = range(q_size, q_size + size)
+        pairs += [(draw(st.integers(q_size, v - 1)), v) for v in bits[1:]]
+        for _ in range(draw(st.integers(0, 3)) if size > 1 else 0):
+            pairs.append(tuple(draw(st.lists(st.sampled_from(bits), min_size=2, max_size=2, unique=True))))
+        q_size += size
+    order = draw(st.permutations(range(q_size)))
+    forms = ([], [], [])
+    for a, b in draw(st.permutations(pairs)):
+        forms[draw(st.integers(0, 2))].append((order[a], order[b], draw(st.sampled_from((1, -1)))))
+    return q_size, tuple(tuple(form) for form in forms)
+
+
+def cyclic_component_bits(q_size, forms):
+    """The bit count of each component of the pair graph that holds a cycle."""
+    pairs = [(a, b) for form in forms for a, b, _ in form]
+    seen, sizes = set(), []
+    for root in range(q_size):
+        if root in seen:
+            continue
+        component, queue = {root}, [root]
+        for v in queue:
+            for a, b in pairs:
+                for x, y in ((a, b), (b, a)):
+                    if x == v and y not in component:
+                        component.add(y)
+                        queue.append(y)
+        seen |= component
+        if sum(a in component for a, _ in pairs) >= len(component):
+            sizes.append(len(component))
+    return sizes
+
+
+def routed_histogram(q_size, forms, walk_max_q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_WALK_MAX_Q", walk_max_q)
+        analytic._histogram_cached.cache_clear()
+        got = analytic._histogram_cached(q_size, forms)
+    assert not got[0].flags.writeable and not got[1].flags.writeable
+    return got
+
+
+class TestComponentRoute:
+    @given(case=component_forms(), chunk=st.sampled_from((1, 8, 64, 1 << 16)))
+    @example(case=(0, ((), (), ())), chunk=1 << 16)
+    @example(case=(3, ((), (), ())), chunk=1 << 16)
+    @example(case=(4, (((0, 1, 1), (1, 2, -1)), ((2, 3, 1),), ())), chunk=8)
+    @example(case=(3, (((0, 1, 1),), ((1, 2, 1),), ((0, 2, -1),))), chunk=1)
+    @example(case=(2, (((0, 1, 1),), ((0, 1, -1),), ())), chunk=8)
+    @example(case=(2, (((0, 1, 1), (1, 0, 1)), (), ())), chunk=8)
+    @example(
+        case=(9, (((0, 1, 1), (3, 4, 1)), ((1, 2, -1), (5, 6, 1)), ((0, 2, 1), (6, 7, -1)))),
+        chunk=64,
+    )
+    @settings(max_examples=80)
+    def test_matches_loop(self, case, chunk):
+        q_size, forms = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
+            got = routed_histogram(q_size, forms, -1)
+        assert_same(got, loop_histogram(q_size, forms))
+
+    @pytest.mark.parametrize("name", ["dense32", "entangled"])
+    def test_every_key_of_the_bench_files(self, name):
+        inst = generate_random(32, 48, 5, seed=1) if name == "dense32" else ENTANGLED
+        keys = [key for key in EvaluationPlan(inst, "exact", 30).keys if not isinstance(key, int)]
+        assert max(q_size for q_size, _, _ in keys) > analytic._WALK_MAX_Q
+        for q_size, forms, _ in keys:
+            want = loop_histogram(q_size, forms)
+            for walk_max_q in (-1, analytic._WALK_MAX_Q):
+                assert_same(routed_histogram(q_size, forms, walk_max_q), want)
+
+    def test_walks_only_the_cyclic_components(self, monkeypatch):
+        walked = []
+
+        def spy(terms, weights, width):
+            for first, grid in instance_module.parity_blocks(terms, weights, width):
+                walked.append(grid.size)
+                yield first, grid
+
+        monkeypatch.setattr(analytic, "parity_blocks", spy)
+        monkeypatch.setattr(instance_module, "_PARITY_BLOCK", 64)
+        codes = 0
+        for nbhd in neighborhoods(ENTANGLED):
+            walked.clear()
+            routed_histogram(nbhd.q_size, nbhd.forms, -1)
+            assert sum(walked) == sum(1 << size for size in cyclic_component_bits(nbhd.q_size, nbhd.forms))
+            codes += sum(walked)
+        assert 0 < codes < sum(1 << nbhd.q_size for nbhd in neighborhoods(ENTANGLED))
+
+
+    def test_counts_stay_within_int64(self):
+        def path(q_size):
+            return tuple((i, i + 1, 1) for i in range(q_size - 1)), (), ()
+
+        values, counts = routed_histogram(62, path(62), analytic._WALK_MAX_Q)
+        assert counts.min() > 0 and sum(counts.tolist()) == 1 << 62
+        with pytest.raises(analytic.SupportTooLargeError, match="q=63"):
+            routed_histogram(63, path(63), analytic._WALK_MAX_Q)
+
+
+class TestComponentRouteAgainstStatevector:
+    def test_exact_w_matches_the_statevector(self, monkeypatch):
+        inst = generate_random(18, 36, 5, seed=1)
+        pairs_total, support = inst.pair_stats
+        largest = int(support[support != 2 * pairs_total].max())
+        assert largest > analytic._WALK_MAX_Q
+        widths = []
+        counts = analytic._component_counts
+        monkeypatch.setattr(
+            analytic, "_component_counts", lambda *args: widths.append(args[2]) or counts(*args)
+        )
+        analytic._histogram_cached.cache_clear()
+        for gamma in (-0.5, 0.17, 0.3, 0.9):
+            w = objective_expectation(inst, gamma, mode="exact").total
+            state = prepare(inst, AngleParams(gamma=-gamma, beta=math.pi / 4))
+            assert abs(w - expectation(state, inst)) <= 1e-9
+        assert max(widths) == largest
 
 
 def _refuse_rng(*args, **kwargs):
