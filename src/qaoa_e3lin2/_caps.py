@@ -4,6 +4,9 @@ Defaults are desk-scale; a caller raises one through the matching argument
 (``n_max=``, ``q_max=``) or CLI flag (``--n-max``, ``--q-max``). Whatever the
 caps, a dense allocation whose estimated peak exceeds physical memory is
 refused before anything is allocated.
+
+The clause routes and the Monte Carlo sample default live here too, so that
+the CLI can list them without loading ``analytic``, which re-exports them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,12 @@ import os
 N_MAX_DEFAULT = 24
 Q_MAX_DEFAULT = 26
 BRUTE_FORCE_N_MAX_DEFAULT = 28
+
+#: Clause routes: every clause exact, Monte Carlo above the support cap, or all Monte Carlo.
+MODES = ("exact", "auto", "mc")
+
+#: Samples of a Monte Carlo clause term unless a caller asks for others.
+MC_SAMPLES = 100_000
 
 
 class MemoryCapError(ValueError):

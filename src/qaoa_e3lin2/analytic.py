@@ -31,7 +31,10 @@ of its pair graph, whose spins are independent: a tree's pair signs are
 independent and uniform, so its pairs add binomials, and only a component
 with a cycle is walked, over its own bits. The parts combine by exact int64
 convolutions of their key counts. The histogram depends only on the
-neighborhood, not on gamma, so angle scans reuse it.
+neighborhood, not on gamma, so angle scans reuse it. Histograms whose forms
+differ only in their signs share a pair layout (q and the pair positions):
+one set of terms and a (K, t) stack of weights, so the small supports of a
+layout are counted in one walk.
 
 Clauses are routed in two steps, and both read the instance's table of the
 clause pairs that share a variable, each classified once by its overlap.
@@ -57,8 +60,14 @@ parities of the rhs bits. The plan routes every clause once, keys each
 non-Monte-Carlo clause by P or by (q, canonical forms, d), and evaluates
 each distinct key once per angle, at the instance's own signs or on a whole
 chunk of sign vectors with one ``term_parity`` call
-(:meth:`EvaluationPlan.ensemble_w`); ``math.fsum`` is correctly rounded, so
-W expanded from the distinct values is bitwise the per-clause sum. The plan
+(:meth:`EvaluationPlan.ensemble_w`). A chunk's code bits pack into one
+integer per clause (above its layout's number), one sort finds the distinct
+codes, and only codes not met before are decoded to keys. The keys of an
+angle are evaluated together (:func:`_key_values`): one four-sine bracket
+over the joined cells of their histograms, and one dot product per key over
+its own slice, so each value is the one the key gives alone. ``math.fsum``
+is correctly rounded, so W expanded from the distinct values is bitwise the
+per-clause sum. The plan
 is the one place where W is assembled from key values and Monte Carlo
 terms; Monte Carlo clauses keep their own neighborhood and their
 ``(seed, clause_index)`` stream.
@@ -67,22 +76,21 @@ terms; Monte Carlo clauses keep their own neighborhood and their
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict, defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from . import _caps
+# defined with the caps, so that the CLI lists them without loading this module
+from ._caps import MC_SAMPLES, MODES
 from .instance import Clause, ClauseTopology, Instance, parity_blocks, term_parity
 
 #: The four sign patterns applied to (c1, c2, c3) in the clause term.
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-#: Samples of a Monte Carlo clause term unless a caller asks for others.
-MC_SAMPLES = 100_000
 
 #: Bytes of arrays one chunk of sign vectors holds while its key codes are read.
 _CODE_CHUNK_BYTES = 1 << 22
@@ -92,11 +100,12 @@ _CODE_CHUNK_BYTES = 1 << 22
 #: sines; tracemalloc measures q + 56 at q = 9 to 18).
 MC_PEAK_BYTES_PER_SAMPLE = 56
 
-#: Clause routes: every clause exact, Monte Carlo above the support cap, or all Monte Carlo.
-MODES = ("exact", "auto", "mc")
-
 EXACT_METHOD = "exact-enumeration"
 MC_METHOD = "monte-carlo"
+
+
+#: What ``_histogram_cached.cache_info()`` returns, as ``functools.lru_cache`` does.
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class SupportTooLargeError(ValueError):
@@ -174,15 +183,6 @@ def _signed(topo: ClauseTopology, clause_index: int, rhs) -> Neighborhood:
     return Neighborhood(clause_index, focal, topo.support, forms, topo.cancelled)
 
 
-def _pair_terms(forms, scales) -> tuple[np.ndarray, np.ndarray]:
-    """(t, 2) support positions of the forms' pairs, each weighted by sign * its form's scale."""
-    terms = np.array([(a, b) for form in forms for a, b, _ in form], dtype=np.intp).reshape(-1, 2)
-    weights = np.array(
-        [s * scale for form, scale in zip(forms, scales) for _, _, s in form], dtype=np.float64
-    )
-    return terms, weights
-
-
 def _gauge_rows(q_size: int, pairs) -> list[list[int]]:
     """For each pair, the pairs whose signs multiply to its gauge-canonical sign.
 
@@ -249,18 +249,24 @@ _WALK_MAX_Q = 12
 def _walk_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
     """Counts of sum_t w_t (-1)^parity_t over all 2^width codes, at index value + sum_t |w_t|.
 
-    With integer weights every grid entry is an exact integer in float64.
+    ``weights`` is a (K, t) stack whose rows share their |w_t|; row k of the
+    (K, 2 sum_t |w_t| + 1) result counts row k's sums, and one walk serves
+    the stack. With integer weights every grid entry is an exact integer in
+    float64.
     """
-    span = int(np.abs(weights).sum())
-    hist = np.zeros(2 * span + 1, dtype=np.int64)
+    span = int(np.abs(weights[0]).sum())
+    size = 2 * span + 1
+    hist = np.zeros(len(weights) * size, dtype=np.int64)
+    # row k's sums land in its own stretch of one bincount
+    offsets = np.arange(span, hist.size, size, dtype=np.float64)[:, None, None]
     for _, grid in parity_blocks(terms, weights, width):
-        grid += span
+        grid += offsets
         hist += np.bincount(grid.astype(np.intp).ravel(), minlength=hist.size)
-    return hist
+    return hist.reshape(len(weights), size)
 
 
 def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
-    """:func:`_walk_counts`, built from the components of the pair graph.
+    """One row of :func:`_walk_counts`, built from the components of the pair graph.
 
     Spins in different components are independent, so the counts are the
     exact int64 convolution of the components' counts. A tree's V spins map
@@ -288,7 +294,7 @@ def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.
     for r in cyclic.tolist():
         own_bits, own_pairs = np.flatnonzero(label == r), np.flatnonzero(of_pair == r)
         local = np.searchsorted(own_bits, terms[own_pairs])
-        hist = np.convolve(hist, _walk_counts(local, weights[own_pairs], own_bits.size))
+        hist = np.convolve(hist, _walk_counts(local, weights[None, own_pairs], own_bits.size)[0])
     tree = (pairs < bits)[of_pair]
     for w, f in Counter(np.abs(weights[tree]).astype(np.intp).tolist()).items():
         out = np.zeros(hist.size + 2 * f * w, dtype=np.int64)
@@ -298,37 +304,94 @@ def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.
     return hist << (width - int(bits[cyclic].sum()) - int(tree.sum()))
 
 
-@lru_cache(maxsize=4096)
-def _histogram_cached(
-    q_size: int, forms: tuple[tuple[tuple[int, int, int], ...], ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def _layout(forms) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The forms' pair positions, signs aside; with q, a pair layout."""
+    return tuple(tuple([(a, b) for a, b, _ in form]) for form in forms)
+
+
+def _layout_histograms(q_size: int, group: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(values, counts)`` of every member of ``group``: forms that share one pair layout.
+
+    The cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3) is (p1*d2 + p2)*d3 + p3
+    = sum_t |w_t| plus c1*d2*d3 + c2*d3 + c3, a parity grid of the pairs
+    weighted by their signs times their form's scale: one set of terms for
+    the group and a (K, t) stack of weights, counted in one walk.
+    """
     if q_size > 62:
         # a tree-only support of that size is quick to count, but its counts need not fit
         raise SupportTooLargeError(f"q={q_size}: the counts of 2^q assignments overflow int64")
-    pairs = tuple(len(f) for f in forms)
-    p1, p2, p3 = pairs
+    p1, p2, p3 = (len(f) for f in group[0])
     dims = (2 * p1 + 1, 2 * p2 + 1, 2 * p3 + 1)
-    # the cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3) is
-    # (p1*d2 + p2)*d3 + p3 = sum_t |w_t| plus c1*d2*d3 + c2*d3 + c3, a parity
-    # grid of the pairs weighted by their signs times their form's scale
-    terms, weights = _pair_terms(forms, (dims[1] * dims[2], dims[2], 1))
-    counts_of = _walk_counts if q_size <= _WALK_MAX_Q else _component_counts
-    hist = counts_of(terms, weights, q_size)
-    occupied = np.nonzero(hist)[0]
-    counts = hist[occupied]
+    terms = np.array([(a, b) for form in group[0] for a, b, _ in form], np.intp).reshape(-1, 2)
+    scales = np.repeat([dims[1] * dims[2], dims[2], 1], (p1, p2, p3)).astype(np.float64)
+    weights = np.array([[s for form in forms for _, _, s in form] for forms in group]) * scales
+    if q_size <= _WALK_MAX_Q:
+        hists = _walk_counts(terms, weights, q_size)
+    else:
+        hists = np.stack([_component_counts(terms, row, q_size) for row in weights])
+    of_key, occupied = np.nonzero(hists)
+    counts = hists[of_key, occupied]
     v1, rem = np.divmod(occupied, dims[1] * dims[2])
     v2, v3 = np.divmod(rem, dims[2])
     values = np.stack([v1 - p1, v2 - p2, v3 - p3], axis=1)
     values.setflags(write=False)
     counts.setflags(write=False)
-    return values, counts
+    ends = np.cumsum(np.count_nonzero(hists, axis=1)).tolist()
+    return [(values[i:j], counts[i:j]) for i, j in zip([0] + ends, ends)]
 
 
-def _four_sine_bracket(gamma: float, d: int, c1, c2, c3):
+class _HistogramCache:
+    """Histograms keyed on ``(q, gauge-canonical forms)``, least recently used dropped first.
+
+    :meth:`many` counts the keys it misses in one walk per pair layout;
+    ``cache_info`` and ``cache_clear`` read as ``functools.lru_cache``'s.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._held: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._held))
+
+    def __call__(self, q_size: int, forms) -> tuple[np.ndarray, np.ndarray]:
+        return self.many([(q_size, forms)])[0]
+
+    def many(self, keys: list) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The histogram of every ``(q, forms)`` key; a key met again is a hit."""
+        found = dict.fromkeys(keys)
+        self.hits += len(keys) - len(found)
+        missed = defaultdict(list)
+        for key in found:
+            if key in self._held:
+                self.hits += 1
+                self._held.move_to_end(key)
+                found[key] = self._held[key]
+            else:
+                missed[key[0], _layout(key[1])].append(key[1])
+        for (q_size, _), group in missed.items():
+            for forms, hist in zip(group, _layout_histograms(q_size, group)):
+                found[q_size, forms] = self._held[q_size, forms] = hist
+                self.misses += 1
+        while len(self._held) > self.maxsize:
+            self._held.popitem(last=False)
+        return [found[key] for key in keys]
+
+
+_histogram_cached = _HistogramCache(maxsize=4096)
+
+
+def _four_sine_bracket(gamma: float, d, c1, c2, c3):
+    """The four sines summed per cell; ``d`` is the focal sign, one int or one per cell."""
     total = None
     for s1, s2, s3 in SIGN_PATTERNS:
-        term = np.sin(gamma * (d + s1 * c1 + s2 * c2 + s3 * c3))
-        total = term if total is None else total + term
+        term = np.multiply(gamma, d + s1 * c1 + s2 * c2 + s3 * c3)
+        np.sin(term, out=term)
+        total = term if total is None else np.add(total, term, out=total)
     return total
 
 
@@ -350,24 +413,30 @@ def _require_enumerable(q_size: int, q_max: int | None) -> None:
         )
 
 
-def _enumerated_value(key: tuple, gamma: float) -> float:
-    """The term of an enumerated key (q, gauge-canonical forms, d).
+def _key_values(keys, gamma: float) -> list[float]:
+    """The terms of plan keys at one angle: a pair total P factorizes, (q, forms, d) is enumerated.
 
-    That is (d/8) times the four-sine bracket averaged over the histogram of
-    the forms.
+    An enumerated key's term is (d/8) times the four-sine bracket averaged
+    over the histogram of its forms. One bracket covers the joined cells of
+    every enumerated key, with d given per cell; each key's mean is its own
+    dot product over its slice, so it is the value the key gives alone.
     """
-    q_size, forms, d = key
-    values, counts = _histogram_cached(q_size, forms)
-    bracket = _four_sine_bracket(gamma, d, values[:, 0], values[:, 1], values[:, 2])
-    mean = float(np.dot(counts.astype(np.float64), bracket)) / float(1 << q_size)
-    return d / 8.0 * mean
-
-
-def _key_value(key, gamma: float) -> float:
-    """The term of a plan key: a pair total P factorizes, anything else is enumerated."""
-    if isinstance(key, int):
-        return _factorized_value(key, gamma)
-    return _enumerated_value(key, gamma)
+    enumerated = [key for key in keys if not isinstance(key, int)]
+    means = iter(())
+    if enumerated:
+        hists = _histogram_cached.many([key[:2] for key in enumerated])
+        sizes = [counts.size for _, counts in hists]
+        # int32 cells and int8 signs keep the joined arrays small; a cell's sums are bounded
+        # by its pair counts, so they stay exact
+        c1, c2, c3 = (np.concatenate([v[:, i] for v, _ in hists], dtype=np.int32) for i in range(3))
+        d = np.repeat(np.array([key[2] for key in enumerated], dtype=np.int8), sizes)
+        bracket = _four_sine_bracket(gamma, d, c1, c2, c3)
+        ends = np.cumsum(sizes).tolist()
+        means = (
+            key[2] / 8.0 * (float(np.dot(counts.astype(np.float64), bracket[i:j])) / (1 << key[0]))
+            for key, (_, counts), i, j in zip(enumerated, hists, [0] + ends, ends)
+        )
+    return [_factorized_value(key, gamma) if isinstance(key, int) else next(means) for key in keys]
 
 
 def clause_term_exact(
@@ -385,7 +454,7 @@ def clause_term_exact(
     if nbhd.q_size != 2 * key:
         _require_enumerable(nbhd.q_size, q_max)
         key = (nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms), nbhd.focal.sign)
-    return ClauseTerm(nbhd.focal_index, _key_value(key, gamma), EXACT_METHOD)
+    return ClauseTerm(nbhd.focal_index, _key_values([key], gamma)[0], EXACT_METHOD)
 
 
 def clause_term_mc(
@@ -433,13 +502,17 @@ class EvaluationPlan:
     clause (q = 2P) needs no topology and no neighborhood.
 
     A factorized clause's key is its pair total P. An enumerated clause's
-    key (q, gauge-canonical forms, d) is fixed by GF(2) parities of the rhs
-    bits: its own bit (d), then each row of :func:`_gauge_rows` with every
-    pair read as the neighbor clause that carries it. ``rows`` holds them
-    padded with m; :meth:`key_indices` points m at an all-zero column, so
-    one :func:`term_parity` gives the codes of a chunk of sign vectors,
-    which decode to keys. ``index`` numbers the distinct keys as first met
-    and ``keys`` lists them; ``mc`` lists the Monte Carlo clauses.
+    key (q, gauge-canonical forms, d) is fixed by its pair layout (q and
+    the pair positions of its forms) and by GF(2) parities of the rhs bits:
+    its own bit (d), then each nonempty row of :func:`_gauge_rows` (a forest
+    pair's row is empty, its sign +1), with every pair read as the neighbor
+    clause that carries it. The gauge rows are found once per layout.
+    ``rows`` holds the parities padded with m; :meth:`key_indices` points m
+    at an all-zero column, so one :func:`term_parity` gives the code bits of
+    a chunk of sign vectors. A clause's code packs, above its layout's
+    number, into int64 words of 63 bits, and only the distinct packed codes
+    are decoded to keys. ``index`` numbers the distinct keys as first
+    decoded and ``keys`` lists them; ``mc`` lists the Monte Carlo clauses.
     ``key_of[j]`` is clause j's key index at the instance's own signs, read
     on first use, or -1 for a Monte Carlo clause.
     """
@@ -453,7 +526,14 @@ class EvaluationPlan:
         self.index: dict = {}
         self.mc: list[int] = []
         self._fixed = np.full(instance.m, -1, dtype=np.intp)
-        self._codes: list[tuple[int, slice]] = []
+        self._enumerated: list[int] = []
+        # per layout: q, the forms of its first clause, the pairs of its nonempty gauge rows
+        self._layouts: list[tuple[int, tuple, list[int]]] = []
+        self._decoded: dict[tuple[int, ...], int] = {}
+        layout_at: dict = {}
+        gauge: list[list[list[int]]] = []
+        of_layout: list[int] = []
+        sizes: list[int] = []
         rows: list[list[int]] = []
         pairs_total, support_size = instance.pair_stats
         factorized = (support_size == 2 * pairs_total) & (mode != "mc")
@@ -464,14 +544,36 @@ class EvaluationPlan:
             q_size = int(support_size[j])
             if mode == "mc" or (mode == "auto" and q_size > q_cap):
                 self.mc.append(j)
-            else:
-                _require_enumerable(q_size, q_cap)
-                pairs = sum(instance.clause_topology(j).pairs, ())
-                self._codes.append((j, slice(len(rows), len(rows) + 1 + len(pairs))))
-                rows += [[j]] + [[pairs[e][2] for e in row] for row in _gauge_rows(q_size, pairs)]
+                continue
+            _require_enumerable(q_size, q_cap)
+            forms = instance.clause_topology(j).pairs
+            pairs = sum(forms, ())
+            at = layout_at.setdefault((q_size, _layout(forms)), len(self._layouts))
+            if at == len(self._layouts):
+                pair_rows = _gauge_rows(q_size, pairs)
+                informative = [e for e, row in enumerate(pair_rows) if row]
+                self._layouts.append((q_size, forms, informative))
+                gauge.append([pair_rows[e] for e in informative])
+            self._enumerated.append(j)
+            of_layout.append(at)
+            sizes.append(1 + len(gauge[at]))
+            rows += [[j]] + [[pairs[f][2] for f in row] for row in gauge[at]]
         width = max(map(len, rows), default=0)
         padded = [row + [instance.m] * (width - len(row)) for row in rows]
         self.rows = np.array(padded, dtype=np.intp).reshape(len(rows), width)
+        # a clause's packed code holds its layout's number in the low bits and its row bits
+        # above; bit b is bit b % 63 of its word b // 63, and one word usually holds them all
+        self._layout_bits = (len(self._layouts) - 1).bit_length()
+        self._words = max([(self._layout_bits + size + 62) // 63 for size in sizes], default=1)
+        per_clause = np.array(sizes, dtype=np.intp)
+        first = np.repeat(np.cumsum(per_clause) - per_clause, per_clause)
+        bit = self._layout_bits + np.arange(len(rows)) - first
+        column = np.repeat(np.arange(len(sizes)) * self._words, per_clause) + bit // 63
+        self._shifts = bit % 63
+        self._starts = np.flatnonzero(np.diff(column, prepend=-1))
+        self._columns = column[self._starts]
+        self._base = np.zeros(len(sizes) * self._words, dtype=np.int64)
+        self._base[:: self._words] = of_layout
 
     @cached_property
     def key_of(self) -> tuple[int, ...]:
@@ -485,10 +587,16 @@ class EvaluationPlan:
     def vectors_per_chunk(self) -> int:
         """Sign vectors per :meth:`key_indices` call.
 
-        The call's arrays then hold about ``_CODE_CHUNK_BYTES``; a chunk
-        whose arrays would not fit in physical memory is refused.
+        The call's arrays then hold at most about ``_CODE_CHUNK_BYTES``; a
+        chunk whose arrays would not fit in physical memory is refused.
         """
-        per_vector = self.rows.size + self.rows.shape[0] + 32 * (self.instance.m + 1)
+        per_vector = (
+            self.rows.size  # the gathered bits of the code rows
+            + 17 * len(self.rows)  # the code bits, as uint8 and as shifted int64
+            + 8 * self._starts.size  # the words the rows add up to
+            + 64 * self._base.size  # the packed codes, their sort and the gather table
+            + 9 * (self.instance.m + 1)  # the rhs bits and the key indices
+        )
         vectors = max(_CODE_CHUNK_BYTES // per_vector, 1)
         _caps.require_memory(vectors * per_vector, f"the key codes of {vectors} sign vectors")
         return vectors
@@ -496,28 +604,41 @@ class EvaluationPlan:
     def key_indices(self, rhs: np.ndarray) -> np.ndarray:
         """Each clause's index into the keys on every row of a (vectors, m) rhs bit matrix.
 
-        A Monte Carlo clause reads -1. Keys first met here are added.
+        A Monte Carlo clause reads -1. One sort finds the distinct packed
+        codes of the chunk; codes not met before are decoded, and keys first
+        met here are added.
         """
         bits = np.zeros((len(rhs), self.instance.m + 1), dtype=np.uint8)
         bits[:, :-1] = rhs
-        codes = term_parity(bits, self.rows)
         out = np.repeat(self._fixed[None, :], len(rhs), axis=0)
-        for j, rows in self._codes:
-            # distinct codes as raw bytes: a 1-d void sort, twice as fast as axis=0
-            clause = np.ascontiguousarray(codes[:, rows])
-            width = clause.shape[1]
-            found, inverse = np.unique(clause.view(f"V{width}").ravel(), return_inverse=True)
-            found = found.view(np.uint8).reshape(-1, width)
-            at = [self._decode(j, code) for code in found.tolist()]
-            out[:, j] = np.array(at)[inverse]
+        if not self._enumerated:
+            return out
+        shifted = term_parity(bits, self.rows).astype(np.int64) << self._shifts
+        words = np.zeros((len(rhs), self._base.size), dtype=np.int64)
+        words[:, self._columns] = np.add.reduceat(shifted, self._starts, axis=1)
+        words += self._base
+        packed = words.reshape(-1, self._words)
+        if self._words > 1:
+            packed = packed.view(f"V{8 * self._words}")
+        found, inverse = np.unique(packed[:, 0], return_inverse=True)
+        found = found.view(np.int64).reshape(-1, self._words).tolist()
+        at = np.array([self._key_index(tuple(code)) for code in found], dtype=np.intp)
+        out[:, self._enumerated] = at[inverse].reshape(len(rhs), -1)
         return out
 
-    def _decode(self, clause_index: int, code: list[int]) -> int:
-        """The index of the key whose d and canonical pair signs are a code's bits."""
-        topo = self.instance.clause_topology(clause_index)
-        d, *signs = [1 - 2 * bit for bit in code]
-        key = (len(topo.support), _with_signs(topo.pairs, signs), d)
-        return self.index.setdefault(key, len(self.index))
+    def _key_index(self, words: tuple[int, ...]) -> int:
+        """The index of the key a packed code stands for, decoded on its first meeting."""
+        at = self._decoded.get(words)
+        if at is None:
+            code = sum(word << 63 * i for i, word in enumerate(words))
+            q_size, forms, informative = self._layouts[code & ((1 << self._layout_bits) - 1)]
+            code >>= self._layout_bits
+            signs = [1] * sum(map(len, forms))
+            for i, e in enumerate(informative, 1):
+                signs[e] = 1 - 2 * (code >> i & 1)
+            key = (q_size, _with_signs(forms, signs), 1 - 2 * (code & 1))
+            at = self._decoded[words] = self.index.setdefault(key, len(self.index))
+        return at
 
     def neighborhoods(self, rhs) -> tuple[Neighborhood, ...]:
         """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
@@ -541,14 +662,14 @@ class EvaluationPlan:
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> tuple[float, float]:
         """(W(gamma), its standard error) without per-clause terms."""
-        values = [_key_value(key, gamma) for key in self.keys]
+        values = _key_values(self.keys, gamma)
         return self._w(gamma, self.instance.rhs_array, self.key_of, values, mc_samples, seed)[:2]
 
     def evaluate(
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> ExpectationReport:
         """The full report: one :class:`ClauseTerm` per clause, in order."""
-        values = [_key_value(key, gamma) for key in self.keys]
+        values = _key_values(self.keys, gamma)
         rhs = self.instance.rhs_array
         total, stderr, mc = self._w(gamma, rhs, self.key_of, values, mc_samples, seed)
         drawn = iter(mc)
@@ -581,7 +702,7 @@ class EvaluationPlan:
         for start in range(0, vectors, step):
             rhs = signs(start, min(start + step, vectors))
             key_of = self.key_indices(rhs)
-            values += [_key_value(key, gamma) for key in islice(self.index, len(values), None)]
+            values += _key_values(list(islice(self.index, len(values), None)), gamma)
             for t, (bits, row) in enumerate(zip(rhs, key_of.tolist()), start):
                 w[t] = self._w(gamma, bits, row, values, MC_SAMPLES, 0)[0]
         return w

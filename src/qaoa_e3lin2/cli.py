@@ -15,8 +15,9 @@ a scan point, the angle schedule and the guarantee are emitted as their
 fields in declaration order (``_record``, ``_table``), so the output follows
 the dataclass and no field list is copied here.
 
-Only ``analytic`` and ``instance`` load with this module; a command imports
-``schedule``, ``typical``, ``sampler`` or ``statevector`` when it runs.
+Only ``instance`` and ``_caps`` load with this module; a command imports
+``analytic``, ``schedule``, ``typical``, ``sampler`` or ``statevector`` when
+it runs, so ``gen`` and ``sample`` never load ``analytic``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import tempfile
 import click
 import numpy as np
 
-from . import analytic
+from . import _caps
 from .instance import (
     SIGN_MODES,
     InfeasibleError,
@@ -266,9 +267,9 @@ def cmd_gen(n, m, d_bound, sign_mode, seed, out):
     callback=_finite,
     help="analytic-convention angle",
 )
-@click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
+@click.option("--mode", type=click.Choice(_caps.MODES), default="auto", show_default=True)
 @click.option(
-    "--mc-samples", type=click.IntRange(min=1), default=analytic.MC_SAMPLES, show_default=True
+    "--mc-samples", type=click.IntRange(min=1), default=_caps.MC_SAMPLES, show_default=True
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--q-max", type=click.IntRange(min=0), help="exact-enumeration support cap")
@@ -286,6 +287,8 @@ def cmd_eval(
     """Per-clause and total objective expectation W(gamma)."""
     if compare_statevector and fmt == "csv":
         raise click.UsageError("--compare-statevector has no CSV form; drop it or use --format json")
+    from . import analytic
+
     inst = _load_instance(instance_path)
     report = analytic.objective_expectation(
         inst, gamma, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
@@ -320,9 +323,9 @@ def cmd_eval(
 
 @main.command(name="scan")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(analytic.MODES), default="auto", show_default=True)
+@click.option("--mode", type=click.Choice(_caps.MODES), default="auto", show_default=True)
 @click.option(
-    "--mc-samples", type=click.IntRange(min=1), default=analytic.MC_SAMPLES, show_default=True
+    "--mc-samples", type=click.IntRange(min=1), default=_caps.MC_SAMPLES, show_default=True
 )
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--q-max", type=click.IntRange(min=0), help="exact-enumeration support cap")

@@ -422,16 +422,18 @@ def parity_blocks(terms: np.ndarray, weights: np.ndarray, width: int):
     The codes split into a low half of ``2^low`` codes, whose +-1 matrix is
     built once, and high codes taken a few rows at a time: entry ``(i, j)``
     of a block's grid is code ``first_code + i * 2^low + j``, so the blocks,
-    read row by row, give every code once in increasing order.
+    read row by row, give every code once in increasing order. ``weights``
+    may be a (K, t) stack: the grid is then (K, rows, 2^low), row k weighted
+    by ``weights[k]``, and a block takes K times fewer high codes.
     """
     codes = max(_PARITY_BLOCK // max(len(terms), 1), 1)
     low = min(width // 2, codes.bit_length() - 1)
-    rows = min(_PARITY_BLOCK >> low, codes)
+    rows = max(min(_PARITY_BLOCK >> low, codes) // len(np.atleast_2d(weights)), 1)
     lo = _signs(np.arange(1 << low), width, terms).T
     highs = np.arange(1 << (width - low)) << low
     for start in range(0, highs.size, rows):
         high = highs[start : start + rows]
-        yield int(high[0]), (_signs(high, width, terms) * weights) @ lo
+        yield int(high[0]), (_signs(high, width, terms) * weights[..., None, :]) @ lo
 
 
 def clause_sum_blocks(instance: Instance, width: int):

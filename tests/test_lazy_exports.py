@@ -40,8 +40,30 @@ def fresh(code: str):
 
 def test_importing_the_cli_loads_no_command_module():
     loaded = fresh("import json, sys, qaoa_e3lin2.cli; print(json.dumps(sorted(sys.modules)))")
-    assert {"qaoa_e3lin2.analytic", "qaoa_e3lin2.instance"} <= set(loaded)
-    assert COMMAND_MODULES.isdisjoint(loaded)
+    assert "qaoa_e3lin2.instance" in loaded
+    assert COMMAND_MODULES.isdisjoint(loaded) and "qaoa_e3lin2.analytic" not in loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "-n", "12", "-m", "14", "-D", "3", "--seed", "7", "-o", "{dir}/demo.e3lin2"],
+        ["sample", "{golden}/demo.e3lin2", "--gamma", "0.2", "--samples", "50"],
+    ],
+)
+def test_gen_and_sample_never_load_analytic(args, tmp_path):
+    golden = Path(__file__).parent / "golden"
+    argv = [a.format(dir=tmp_path, golden=golden) for a in args]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from qaoa_e3lin2.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r}, standalone_mode=False)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    loaded = fresh(code)
+    assert "qaoa_e3lin2.instance" in loaded
+    assert "qaoa_e3lin2.analytic" not in loaded
 
 
 def test_importing_the_package_loads_no_module():

@@ -276,9 +276,11 @@ class TestPlanShape:
     def test_each_key_is_evaluated_once_per_scan_angle(self, monkeypatch):
         inst = generate_random(n=60, m=40, d_bound=3, seed=2)
         calls = []
-        real = analytic._key_value
+        real = analytic._key_values
         monkeypatch.setattr(
-            analytic, "_key_value", lambda key, g: calls.append((key, g)) or real(key, g)
+            analytic,
+            "_key_values",
+            lambda keys, g: calls.extend((key, g) for key in keys) or real(keys, g),
         )
         result = scan(inst)
         keys = EvaluationPlan(inst).keys
@@ -309,9 +311,9 @@ class TestPlanShape:
 class TestEnsembleMemo:
     def _count_key_values(self, monkeypatch):
         calls = []
-        real = analytic._key_value
-        spy = lambda key, g: calls.append(key) or real(key, g)  # noqa: E731
-        monkeypatch.setattr(analytic, "_key_value", spy)
+        real = analytic._key_values
+        spy = lambda keys, g: calls.extend(keys) or real(keys, g)  # noqa: E731
+        monkeypatch.setattr(analytic, "_key_values", spy)
         return calls
 
     def test_exhaustive_evaluates_each_distinct_key_once(self, monkeypatch):
