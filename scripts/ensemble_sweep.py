@@ -47,7 +47,7 @@ def main(argv=None) -> int:
         inst = parse(args.instance.read_text())
     else:
         inst = generate_random(n=args.n, m=args.m, d_bound=args.d_bound, seed=args.seed)
-    triples = inst.triples()
+    triples = inst.triple_array
     base = base_instance(triples)
     d = max(1, base.d_bound)
     print(f"collection: m={base.m}, n={inst.n}, derived D={base.d_bound}, "

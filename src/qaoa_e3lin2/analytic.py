@@ -97,8 +97,10 @@ _CODE_CHUNK_BYTES = 1 << 22
 
 #: Peak bytes a Monte Carlo clause term holds per sample beyond the q bytes
 #: of its spin row (the int64 forms, their pair temporaries and the float64
-#: sines; tracemalloc measures q + 56 at q = 9 to 18).
-MC_PEAK_BYTES_PER_SAMPLE = 56
+#: sines). tracemalloc measures q + 56.7 at q = 9 to 18; the first call in a
+#: process also imports ``numpy.random`` (about 0.8 MB), which at 100000
+#: samples reads as q + 64.4. The rest is margin for that import's size.
+MC_PEAK_BYTES_PER_SAMPLE = 68
 
 EXACT_METHOD = "exact-enumeration"
 MC_METHOD = "monte-carlo"
@@ -156,6 +158,8 @@ class ExpectationReport:
     d_bound: int
     gamma: float
     mode: str
+    mc_samples: int
+    seed: int
     total: float
     stderr: float
     terms: tuple[ClauseTerm, ...]
@@ -683,6 +687,8 @@ class EvaluationPlan:
             d_bound=self.instance.d_bound,
             gamma=gamma,
             mode=self.mode,
+            mc_samples=mc_samples,
+            seed=seed,
             total=total,
             stderr=stderr,
             terms=terms,

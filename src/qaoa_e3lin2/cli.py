@@ -10,10 +10,14 @@ command carries an explicit seed (default 0, echoed), and files are written
 atomically, so a fixed flag set reproduces byte-identical output. Exit
 codes: 0 success, 2 invalid or infeasible input, 1 anything else.
 
-Records and CSV tables come from the report dataclasses: a per-clause term,
-a scan point, the angle schedule and the guarantee are emitted as their
-fields in declaration order (``_record``, ``_table``), so the output follows
-the dataclass and no field list is copied here.
+Payloads and CSV tables come from the report dataclasses, each emitted as
+its fields in declaration order (``_record``, ``_table``) after a short
+header: ``eval`` prints an ``ExpectationReport`` with its ``ClauseTerm``
+records, ``scan`` an ``AngleSchedule``, its ``ScanPoint`` curve and a
+``GuaranteeReport``, ``sample`` a ``SampleReport`` and ``typical`` an
+``EnsembleReport``. So a field is named once, in its dataclass. Only
+``gen``, the ``best`` block of ``scan`` and the two labelled blocks of
+``bounds`` are written out here, as no report holds their names.
 
 Only ``instance`` and ``_caps`` load with this module; a command imports
 ``analytic``, ``schedule``, ``typical``, ``sampler`` or ``statevector`` when
@@ -37,6 +41,7 @@ import numpy as np
 from . import _caps
 from .instance import (
     SIGN_MODES,
+    Assignment,
     InfeasibleError,
     ParseError,
     RetryExhaustedError,
@@ -50,7 +55,10 @@ OUTPUT_DIGITS = 12
 
 
 def _clean(obj):
-    """Round floats to OUTPUT_DIGITS and strip numpy scalar types."""
+    """Round floats to OUTPUT_DIGITS and strip numpy scalar types.
+
+    An Assignment becomes its bit string, and any other dataclass its record.
+    """
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -61,6 +69,10 @@ def _clean(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.{OUTPUT_DIGITS}g}")
+    if isinstance(obj, Assignment):
+        return obj.to_string()
+    if dataclasses.is_dataclass(obj):
+        return _clean(_record(obj))
     return obj
 
 
@@ -71,7 +83,7 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.{OUTPUT_DIGITS}g}"
-    return str(value)
+    return str(_clean(value))
 
 
 def _csv_text(header, rows) -> str:
@@ -293,20 +305,7 @@ def cmd_eval(
     report = analytic.objective_expectation(
         inst, gamma, mode=mode, q_max=q_max, mc_samples=mc_samples, seed=seed
     )
-    payload = {
-        "command": "eval",
-        "instance": instance_path,
-        "n": inst.n,
-        "m": inst.m,
-        "d_bound": inst.d_bound,
-        "gamma": gamma,
-        "mode": mode,
-        "mc_samples": mc_samples,
-        "seed": seed,
-        "total": report.total,
-        "stderr": report.stderr,
-        "terms": [_record(t) for t in report.terms],
-    }
+    payload = {"command": "eval", "instance": instance_path, **_record(report)}
     if compare_statevector:
         from . import statevector
 
@@ -347,15 +346,15 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
         "mode": mode,
         "mc_samples": mc_samples,
         "seed": seed,
-        "schedule": _record(result.schedule),
-        "curve": [_record(p) for p in result.points],
+        "schedule": result.schedule,
+        "curve": result.points,
         "best": {
             "r": result.best_r,
             "sign": result.best_sign,
             "gamma": result.best_gamma,
             "value": result.best_value,
         },
-        "guarantee": _record(report),
+        "guarantee": report,
     }
     _emit(fmt, out, payload, _table(schedule.ScanPoint, result.points))
 
@@ -390,21 +389,17 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     inst = _load_instance(instance_path)
     count = sampler.recommended_samples(inst.m) if samples == "auto" else samples
     rep = sampler.run(inst, gamma=-gamma, beta=beta, samples=count, seed=seed, n_max=n_max)
+    record = _record(rep)
     payload = {
         "command": "sample",
         "instance": instance_path,
         "n": inst.n,
         "m": inst.m,
         "d_bound": inst.d_bound,
-        "gamma": gamma,
-        "state_gamma": rep.gamma,
-        "beta": rep.beta,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "mean_satisfied": rep.mean_satisfied,
-        "best_satisfied": rep.best_satisfied,
-        "best_string": rep.best_string.to_string(),
-        "predicted_mean": rep.predicted_mean,
+        # the report's gamma is the state's angle; the payload's is the analytic one
+        "gamma": record.pop("analytic_gamma"),
+        "state_gamma": record.pop("gamma"),
+        **record,
     }
     _emit(fmt, out, payload, _csv_row(payload, skip=5))
 
@@ -437,26 +432,12 @@ def cmd_typical(instance_path, gamma, trials, seed, q_max, fmt, out):
     inst = _load_instance(instance_path)
     g = typical.optimal_gamma_typical(max(1, inst.d_bound)) if gamma == "auto" else gamma
     if trials == 0:
-        rep = typical.ensemble_mean_exhaustive(inst.triples(), g, q_max=q_max)
+        # the exhaustive ensemble draws nothing; the seed given is echoed all the same
+        rep = typical.ensemble_mean_exhaustive(inst.triple_array, g, q_max=q_max)
+        rep = dataclasses.replace(rep, seed=seed)
     else:
-        rep = typical.ensemble_mean_mc(inst.triples(), g, trials, seed=seed, q_max=q_max)
-    payload = {
-        "command": "typical",
-        "instance": instance_path,
-        "m": rep.m,
-        "d_bound": rep.d_bound,
-        "gamma": rep.gamma,
-        "method": rep.method,
-        "trials": rep.trials,
-        "seed": seed,
-        "mean_w": rep.mean_w,
-        "stderr": rep.stderr,
-        "variance": rep.variance,
-        "closed_form_mean": rep.closed_form_mean,
-        "lower_bound": rep.lower_bound,
-        "upper_bound": rep.upper_bound,
-        "variance_bound": rep.variance_bound,
-    }
+        rep = typical.ensemble_mean_mc(inst.triple_array, g, trials, seed=seed, q_max=q_max)
+    payload = {"command": "typical", "instance": instance_path, **_record(rep)}
     _emit(fmt, out, payload, _csv_row(payload, skip=2))
 
 

@@ -38,11 +38,11 @@ class SampleReport:
     beta: float
     analytic_gamma: float
     samples: int
+    seed: int
     mean_satisfied: float
     best_satisfied: int
     best_string: Assignment
     predicted_mean: float
-    seed: int
 
 
 def satisfied_count_batch(instance: Instance, bits: np.ndarray) -> np.ndarray:
@@ -79,11 +79,11 @@ def run(
         beta=beta,
         analytic_gamma=-gamma,
         samples=samples,
+        seed=seed,
         mean_satisfied=float(np.mean(counts)),
         best_satisfied=int(counts[best_idx]),
         best_string=Assignment(bits[best_idx]),
         predicted_mean=predicted,
-        seed=seed,
     )
 
 

@@ -53,13 +53,15 @@ class EnsembleReport:
     ``closed_form_mean`` the clause-wise prediction, and the bounds are the
     3D sandwich and the variance ceiling for the collection's derived
     occurrence parameter. For the exhaustive method, ``trials`` is the full
-    ensemble size 2^m and ``stderr`` is 0.
+    ensemble size 2^m, ``seed`` is 0 (it draws nothing) and ``stderr`` is 0.
     """
 
-    triples: tuple[tuple[int, int, int], ...]
     m: int
     d_bound: int
     gamma: float
+    method: str
+    trials: int
+    seed: int
     mean_w: float
     stderr: float
     variance: float
@@ -67,17 +69,17 @@ class EnsembleReport:
     lower_bound: float
     upper_bound: float
     variance_bound: float
-    trials: int
-    method: str
 
 
-def base_instance(triples: Sequence[tuple[int, int, int]]) -> Instance:
+def base_instance(triples: np.ndarray | Sequence[tuple[int, int, int]]) -> Instance:
     """All-zero-rhs instance over the triples, n one past the largest variable.
 
-    Raises ``ValueError`` with the first problem ``validate`` finds.
+    ``triples`` is an (m, 3) array or m triples. Raises ``ValueError`` with
+    the first problem ``validate`` finds.
     """
-    n = 1 + max((max(t) for t in triples), default=2)
-    inst = Instance(n=n, clauses=[(a, b, c, 0) for a, b, c in triples])
+    rows = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    n = 1 + int(rows.max()) if rows.size else 3
+    inst = Instance._from_arrays(n, rows, np.zeros(len(rows), dtype=np.uint8))
     problems = validate(inst)
     if problems:
         raise ValueError(problems[0].message)
@@ -120,14 +122,17 @@ def _assemble(
     variance: float,
     trials: int,
     method: str,
+    seed: int,
 ) -> EnsembleReport:
     d = base.d_bound
     lower, upper = sandwich_bounds(base.m, d, gamma)
     return EnsembleReport(
-        triples=base.triples(),
         m=base.m,
         d_bound=d,
         gamma=gamma,
+        method=method,
+        trials=trials,
+        seed=seed,
         mean_w=mean_w,
         stderr=stderr,
         variance=variance,
@@ -135,13 +140,11 @@ def _assemble(
         lower_bound=lower,
         upper_bound=upper,
         variance_bound=variance_bound(base.m, d),
-        trials=trials,
-        method=method,
     )
 
 
 def ensemble_mean_exhaustive(
-    triples: Sequence[tuple[int, int, int]],
+    triples: np.ndarray | Sequence[tuple[int, int, int]],
     gamma: float,
     q_max: int | None = None,
 ) -> EnsembleReport:
@@ -165,11 +168,11 @@ def ensemble_mean_exhaustive(
     mean = math.fsum(values) / size
     # over Python floats, one at a time: on a numpy scalar ** is numpy's power
     variance = math.fsum((v - mean) ** 2 for v in map(float, values)) / size
-    return _assemble(base, gamma, mean, 0.0, variance, 1 << m, EXHAUSTIVE)
+    return _assemble(base, gamma, mean, 0.0, variance, 1 << m, EXHAUSTIVE, 0)
 
 
 def ensemble_mean_mc(
-    triples: Sequence[tuple[int, int, int]],
+    triples: np.ndarray | Sequence[tuple[int, int, int]],
     gamma: float,
     trials: int,
     seed: int = 0,
@@ -197,7 +200,7 @@ def ensemble_mean_mc(
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)
-    return _assemble(base, gamma, mean, stderr, variance, trials, MONTE_CARLO)
+    return _assemble(base, gamma, mean, stderr, variance, trials, MONTE_CARLO, seed)
 
 
 def optimal_gamma_typical(d_bound: int) -> float:

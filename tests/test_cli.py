@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,9 +13,12 @@ from click.testing import CliRunner
 
 import qaoa_e3lin2
 from qaoa_e3lin2 import statevector
+from qaoa_e3lin2.analytic import ClauseTerm, ExpectationReport
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import parse
-from qaoa_e3lin2.sampler import recommended_samples
+from qaoa_e3lin2.sampler import SampleReport, recommended_samples
+from qaoa_e3lin2.schedule import AngleSchedule, GuaranteeReport, ScanPoint
+from qaoa_e3lin2.typical import EnsembleReport
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "cli_schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -22,6 +26,10 @@ SCHEMA = json.loads(SCHEMA_PATH.read_text())
 
 def validate(payload):
     jsonschema.validate(payload, SCHEMA, cls=jsonschema.Draft202012Validator)
+
+
+def fields(cls, drop=()):
+    return [f.name for f in dataclasses.fields(cls) if f.name not in drop]
 
 
 @pytest.fixture()
@@ -42,6 +50,28 @@ def instance_file(tmp_path, runner):
 class TestSchemaDocument:
     def test_schema_is_well_formed(self):
         jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+    def test_report_payloads_are_their_dataclass_fields_in_order(self):
+        # a field added to a report reaches the payload, so it must reach the schema too
+        defs = SCHEMA["$defs"]
+        scan = defs["scan"]["properties"]
+        header = ["command", "instance"]
+        angles = ["n", "m", "d_bound", "gamma", "state_gamma"]  # sample renames the report's gamma
+        expected = {
+            "eval": (header + fields(ExpectationReport) + ["statevector"], defs["eval"]),
+            "typical": (header + fields(EnsembleReport), defs["typical"]),
+            "sample": (
+                header + angles + fields(SampleReport, drop={"gamma", "analytic_gamma"}),
+                defs["sample"],
+            ),
+            "clause_term": (fields(ClauseTerm), defs["clause_term"]),
+            "guarantee": (fields(GuaranteeReport), defs["guarantee"]),
+            "schedule": (fields(AngleSchedule), scan["schedule"]),
+            "curve": (fields(ScanPoint), scan["curve"]["items"]),
+        }
+        for name, (keys, definition) in expected.items():
+            assert list(definition["properties"]) == keys, name
+            assert set(keys) - set(definition["required"]) <= {"statevector"}, name
 
 
 class TestGen:
@@ -264,6 +294,12 @@ class TestTypical:
         assert gen.exit_code == 0
         result = runner.invoke(main, ["typical", str(path), "--trials", "0"])
         assert result.exit_code == 2
+
+    def test_exhaustive_echoes_the_seed(self, instance_file, runner):
+        args = ["typical", instance_file, "--trials", "0", "--seed", "5"]
+        assert json.loads(runner.invoke(main, args).output)["seed"] == 5
+        header, row = runner.invoke(main, args + ["--format", "csv"]).output.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["seed"] == "5"
 
     def test_csv_single_row(self, instance_file, runner):
         result = runner.invoke(main, ["typical", instance_file, "--format", "csv"])

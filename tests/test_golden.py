@@ -25,12 +25,14 @@ its ``state18_*`` files were written before the mixer was tiled. A change
 that moves any emitted digit, including the 1e-16 ``difference`` of the
 statevector comparison, fails here. So does a change to ``gen``'s draws: the
 four instances are written again by the ``gen`` calls above (``demo.e3lin2``
-by ``gen -n 12 -m 14 -D 3 --seed 7``) and compared byte for byte. The
-outputs hold at any BLAS thread count; the ``eval_sv`` commands run once
-more in a fresh process with OpenBLAS on one thread, where a dot split across
-threads would round differently.
+by ``gen -n 12 -m 14 -D 3 --seed 7``) and compared byte for byte. Every JSON
+golden also validates against ``docs/cli_schema.json``, with its keys in the
+schema's order. The outputs hold at any BLAS thread count; the ``eval_sv``
+commands run once more in a fresh process with OpenBLAS on one thread, where
+a dot split across threads would round differently.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +43,8 @@ from click.testing import CliRunner
 
 import qaoa_e3lin2
 from qaoa_e3lin2.cli import main
+
+from test_cli import SCHEMA, validate
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLE = ["sample", "demo.e3lin2", "--gamma", "0.2", "--samples", "200"]
@@ -99,6 +103,14 @@ def test_output_is_byte_identical(name, monkeypatch):
     result = CliRunner().invoke(main, CASES[name])
     assert result.exit_code == 0, result.output
     assert result.output == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.json")))
+def test_golden_json_follows_the_schema(name):
+    payload = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    validate(payload)
+    properties = SCHEMA["$defs"][payload["command"]]["properties"]
+    assert list(payload) == [key for key in properties if key in payload]
 
 
 @pytest.mark.parametrize("name", sorted(GENS))

@@ -42,6 +42,7 @@ from qaoa_e3lin2.instance import (
 from qaoa_e3lin2.statevector import AngleParams, expectation, prepare
 
 from conftest import instances, loop_eval_forms
+from test_lazy_exports import fresh
 
 ENTANGLED_PATH = Path(__file__).parent / "golden" / "entangled.e3lin2"
 ENTANGLED = parse(ENTANGLED_PATH.read_text(encoding="utf-8"))
@@ -354,6 +355,21 @@ class TestMonteCarloMemoryRefusal:
         monkeypatch.setattr(np.random, "default_rng", _refuse_rng)
         with pytest.raises(_caps.MemoryCapError, match="q=18 support"):
             clause_term_mc(nbhd, 0.3, fits + 1, seed=1)
+
+    def test_estimate_covers_the_first_call_in_a_fresh_interpreter(self):
+        # the first call also imports numpy.random, so it holds more than any later one
+        q, peak = fresh(
+            "import json, tracemalloc\n"
+            "from pathlib import Path\n"
+            "from qaoa_e3lin2 import analytic, instance\n"
+            f"inst = instance.parse(Path({str(ENTANGLED_PATH)!r}).read_text())\n"
+            "nbhd = analytic.build_neighborhood(inst, 0)\n"
+            "tracemalloc.start()\n"
+            "analytic.clause_term_mc(nbhd, 0.3, 100000)\n"
+            "print(json.dumps([nbhd.q_size, tracemalloc.get_traced_memory()[1]]))\n"
+        )
+        assert q == 15
+        assert peak <= 100000 * (q + analytic.MC_PEAK_BYTES_PER_SAMPLE)
 
     def test_eval_command_exits_two(self, one_mib, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", _refuse_rng)

@@ -70,6 +70,8 @@ def reference_report(instance, gamma, mode="auto", q_max=None, mc_samples=100_00
         d_bound=instance.d_bound,
         gamma=gamma,
         mode=mode,
+        mc_samples=mc_samples,
+        seed=seed,
         total=math.fsum(t.value for t in terms),
         stderr=math.sqrt(math.fsum(t.stderr**2 for t in terms)),
         terms=tuple(terms),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -60,14 +61,16 @@ ENTANGLED_PATH = Path(__file__).parent / "golden" / "entangled.e3lin2"
 SHARED_PAIR = ((0, 1, 2), (0, 3, 4), (1, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
 
 
-def brute_force_report(base, gamma, mean, stderr, variance, trials, method):
+def brute_force_report(base, gamma, mean, stderr, variance, trials, method, seed):
     """The report of an ensemble whose W values the test computed itself."""
     lower, upper = sandwich_bounds(base.m, base.d_bound, gamma)
     return EnsembleReport(
-        triples=base.triples(),
         m=base.m,
         d_bound=base.d_bound,
         gamma=gamma,
+        method=method,
+        trials=trials,
+        seed=seed,
         mean_w=mean,
         stderr=stderr,
         variance=variance,
@@ -75,8 +78,6 @@ def brute_force_report(base, gamma, mean, stderr, variance, trials, method):
         lower_bound=lower,
         upper_bound=upper,
         variance_bound=variance_bound(base.m, base.d_bound),
-        trials=trials,
-        method=method,
     )
 
 
@@ -91,7 +92,7 @@ def brute_force_exhaustive(triples, gamma, q_max=None):
     ]
     mean = math.fsum(values) / len(values)
     variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
-    return brute_force_report(base, gamma, mean, 0.0, variance, len(values), EXHAUSTIVE)
+    return brute_force_report(base, gamma, mean, 0.0, variance, len(values), EXHAUSTIVE, 0)
 
 
 def brute_force_mc(triples, gamma, trials, seed, q_max=None):
@@ -103,7 +104,7 @@ def brute_force_mc(triples, gamma, trials, seed, q_max=None):
     variance = float(np.var(values, ddof=1))
     stderr = math.sqrt(variance / trials)
     mean = float(np.mean(values))
-    return brute_force_report(base, gamma, mean, stderr, variance, trials, MONTE_CARLO)
+    return brute_force_report(base, gamma, mean, stderr, variance, trials, MONTE_CARLO, seed)
 
 
 def has_shared_pair_and_cycle(triples):
@@ -269,7 +270,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(typical, "random_rhs", lambda m, seed: row)
         monkeypatch.setattr(analytic, "MC_SAMPLES", 1000)
         reports = [ensemble_mean_mc(inst.triples(), 0.3, 2, seed=s, q_max=8) for s in (1, 2)]
-        assert reports[0] == reports[1]
+        assert reports[0] == dataclasses.replace(reports[1], seed=1)
         assert reports[0].variance == 0.0
         signed = analytic.EvaluationPlan(with_signs(inst, row), "auto", 8)
         assert reports[0].mean_w == signed.total(0.3, mc_samples=1000, seed=0)[0]
