@@ -32,6 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _caps
+
 SIGN_MODES = ("uniform-random", "all-zero-rhs")
 
 #: The largest variable index or count an instance can hold (numpy's intp).
@@ -147,34 +149,121 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[new]
 
 
+#: Bytes :func:`_overlap_table` holds at its peak per shared incidence: its int64 code, the
+#: code's low bits and row-start flag, and its other clause (int32, or int64 from m = 2^28).
+_OVERLAP_BYTES_PER_PAIR = 18
+
+
+def _inside(mask: np.ndarray) -> np.ndarray:
+    """The (len(mask), 3) bool flags of the triple positions each 3-bit mask holds."""
+    return (mask[:, None] >> np.arange(3, dtype=mask.dtype) & 1).astype(bool)
+
+
+def _incidence_codes(ids: np.ndarray, tags: np.ndarray, pairs: int, longest: int, m: int) -> np.ndarray:
+    """The int64 codes ``(focal * m + other) * 8 + 2^y`` of every shared incidence, both ways round.
+
+    ``ids`` and ``tags`` are the variable ranks and the tags (clause times 8
+    plus the bit of the position) of the variable-sorted entries; entries s
+    apart with one rank share a variable, for s below the ``longest`` run.
+    The codes are written in place into one array of the ``pairs`` counted
+    from the run lengths, and cut to those made: a clause that meets itself
+    through a repeated variable gives none.
+    """
+    codes, filled = np.empty(pairs, dtype=np.int64), 0
+    for s in range(1, longest):
+        same = ids[s:] == ids[:-s]
+        a, b = tags[:-s][same], tags[s:][same]
+        apart = (a >> 3) != (b >> 3)
+        if not apart.all():
+            a, b = a[apart], b[apart]
+        for focal, other in ((a, b), (b, a)):
+            out = codes[filled : filled + focal.size]
+            np.right_shift(focal, 3, out=out)
+            out *= 8 * m
+            out += other
+            filled += focal.size
+    return codes[:filled]
+
+
 def _overlap_table(triples: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(rank, focal, other, inside) of an (m, 3) triple array, from one argsort of its entries.
+    """(rank, indptr, other, mask) of an (m, 3) triple array, from one argsort of its entries.
 
     ``rank`` holds each entry's rank among the distinct variables, in the
     array's shape. The table has one row per ordered pair of distinct
-    clauses sharing a variable, sorted by (focal, other); ``inside[i, y]``
-    tells whether variable y of row i's other triple is in its focal triple.
-    Entries s apart in the variable-sorted incidence that hold one variable
-    name such a pair; past the first s with none there are no more.
+    clauses sharing a variable, sorted by (focal, other) and kept as CSR:
+    clause j's rows are ``indptr[j]:indptr[j + 1]`` of ``other``, and bit y
+    of ``mask`` tells whether variable y of the row's other triple is in its
+    focal triple. Entries s apart in the variable-sorted incidence that hold
+    one variable are a shared incidence pair; each gives the code
+    ``(focal * m + other) * 8 + 2^y`` in both directions, and the bits of
+    one row's codes OR into its mask. A variable in c clauses gives c(c - 1)
+    codes, so their count is known, and refused if too large, before any is
+    made. The index arrays (ranks, tags, ``indptr``, ``other``) are int32
+    while 8m fits in it; the codes fit in int64 while 8m^2 does.
     """
-    m, order = len(triples), np.argsort(triples, axis=None)
-    variables, clauses = triples.ravel()[order], order // 3
-    codes = [np.zeros(0, np.intp)]
-    for s in range(1, variables.size):
-        same = variables[s:] == variables[:-s]
-        if not same.any():
-            break
-        a, b = clauses[:-s][same], clauses[s:][same]
-        codes += [a * m + b, b * m + a]
-    focal, other = np.divmod(_distinct(np.concatenate(codes)), m)
-    keep = focal != other
-    focal, other = focal[keep], other[keep]
-    tf, to = triples[focal], triples[other]
-    inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
-    del tf, to  # rank is built after these are freed: built first, the peaks were higher
-    rank = np.zeros(triples.size, dtype=np.intp)
-    rank[order[1:]] = np.cumsum(variables[1:] != variables[:-1])
-    return rank.reshape(triples.shape), focal, other, inside
+    m, flat = len(triples), triples.ravel()
+    index = np.int32 if 8 * m <= np.iinfo(np.int32).max else np.intp
+    order = np.argsort(flat)
+    variables = flat[order]
+    ids = np.zeros(flat.size, dtype=index)
+    np.not_equal(variables[1:], variables[:-1], out=ids[1:])
+    del variables
+    np.cumsum(ids, out=ids)  # each sorted entry's variable rank
+    rank = np.empty(flat.size, dtype=index)
+    rank[order] = ids
+    runs = np.bincount(ids)
+    pairs, longest = int((runs * (runs - 1)).sum()), int(runs.max(initial=1))
+    del runs
+    _caps.require_memory(pairs * _OVERLAP_BYTES_PER_PAIR, f"the overlap table of {pairs} shared incidences")
+    # an entry's tag: its clause times 8 plus the bit of its position
+    tags = ((np.arange(m, dtype=index)[:, None] << 3) | np.array([1, 2, 4], dtype=index)).ravel()[order]
+    del order
+    codes = _incidence_codes(ids, tags, pairs, longest, m)
+    del ids, tags
+    codes.sort()
+    low = np.bitwise_and(codes, 7, out=np.empty(codes.size, dtype=np.uint8), casting="unsafe")
+    codes >>= 3  # focal * m + other
+    new = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    repeats = np.flatnonzero(~new)  # codes of the row before theirs
+    bounds = np.searchsorted(codes, np.arange(m + 1, dtype=np.int64) * m)
+    indptr = (bounds - np.searchsorted(repeats, bounds)).astype(index)
+    other = np.remainder(codes, m, out=np.empty(codes.size, dtype=index))
+    del codes
+    other, mask = other[new], low[new]
+    # the i-th repeat at position p belongs to row p - i - 1
+    np.bitwise_or.at(mask, repeats - np.arange(1, repeats.size + 1), low[repeats])
+    return rank.reshape(triples.shape), indptr, other, mask
+
+
+#: Overlap rows :func:`_pair_counts` reads at a time, in whole clauses. Read at call time.
+_STATS_BLOCK = 1 << 12
+
+
+def _pair_counts(rank: np.ndarray, indptr: np.ndarray, other: np.ndarray, mask: np.ndarray):
+    """Each clause's pair total P and support size q, from the overlap table's rows with one bit set.
+
+    P counts a clause's rows whose mask has one bit. q counts the distinct
+    variables at the two positions outside those masks, as codes
+    ``focal * rank.size + rank``, which multiply no label. The rows are read
+    a block of whole clauses at a time, ``_STATS_BLOCK`` rows or fewer unless
+    one clause alone has more, so the temporaries stay small.
+    """
+    m, size, width = len(indptr) - 1, _STATS_BLOCK, rank.size
+    pairs, support = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+    start = 0
+    while start < m:
+        stop = max(int(np.searchsorted(indptr, indptr[start] + size, side="right")) - 1, start + 1)
+        lo, hi = indptr[[start, stop]].tolist()
+        masks = mask[lo:hi]
+        single = (masks & (masks - 1)) == 0
+        focal = np.repeat(np.arange(stop - start), np.diff(indptr[start : stop + 1]))[single]
+        brought = rank[other[lo:hi][single]][~_inside(masks[single])]
+        codes = _distinct(np.repeat(focal, 2) * width + brought)
+        pairs[start:stop] = np.bincount(focal, minlength=stop - start)
+        support[start:stop] = np.bincount(codes // width, minlength=stop - start)
+        start = stop
+    return pairs, support
 
 
 def _clause_topology(
@@ -264,14 +353,9 @@ class Instance:
 
     @cached_property
     def _overlaps(self) -> tuple[np.ndarray, ...]:
-        """:func:`_overlap_table`'s (focal, other, inside), then the two :attr:`pair_stats` counts."""
-        # q counts the codes rank * m + j, which multiply no label; the table is built apart, as
-        # beside its temporaries the sparse n=12000 file peaked 2.2 MB higher (tracemalloc)
-        rank, focal, other, inside = _overlap_table(self.triple_array)
-        single, m = np.count_nonzero(inside, axis=1) == 1, self.m
-        support = _distinct(rank[other[single]][~inside[single]] * m + np.repeat(focal[single], 2)) % m
-        pair_stats = np.bincount(focal[single], minlength=m), np.bincount(support, minlength=m)
-        return focal, other, inside, *map(_read_only, pair_stats)
+        """:func:`_overlap_table`'s (indptr, other, mask), then the two :attr:`pair_stats` counts."""
+        rank, *table = _overlap_table(self.triple_array)
+        return *table, *map(_read_only, _pair_counts(rank, *table))
 
     @property
     def pair_stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,14 +373,14 @@ class Instance:
 
         Only the triples are read, so one topology serves every angle and
         every sign vector over the same triples. Clause j's rows of the
-        overlap table are found by one binary search on its focal column.
+        overlap table are its CSR slice, and only their masks are expanded.
         """
         if not 0 <= j < self.m:
             raise IndexError(f"clause_index {j} out of range for m={self.m}")
         if j not in self._topologies:
-            focal, other, inside = self._overlaps[:3]
-            lo, hi = np.searchsorted(focal, (j, j + 1)).tolist()
-            self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], inside[lo:hi])
+            indptr, other, mask = self._overlaps[:3]
+            lo, hi = indptr[j : j + 2].tolist()
+            self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], _inside(mask[lo:hi]))
         return self._topologies[j]
 
     @cached_property
@@ -598,39 +682,39 @@ def parse(text: str) -> Instance:
     The header and the line count are checked first. The body is read as
     one (m, 4) array whose rows are checked at once, and the text is
     accepted only if :func:`serialize` writes it back exactly, up to one
-    optional final LF: that one compare holds every line to what serialize
-    writes of it, so the lenient reader lets nothing else through.
-    Otherwise :func:`_refuse_body` names the first bad line.
+    optional final LF: that compare, made a block of rows at a time by
+    :func:`_writes_back`, holds every line to what serialize writes of it,
+    so the lenient reader lets nothing else through. Otherwise the text is
+    split into lines and :func:`_refuse_body` names the first bad line.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise ParseError("empty input", 1)
+    header, _, body = text.partition("\n")
+    lines = text.count("\n") + (not text.endswith("\n"))  # an optional final LF ends no line
 
-    _require_lf(lines[0], 1)
-    head = lines[0].split(" ")
+    _require_lf(header, 1)
+    head = header.split(" ")
     if len(head) != 3 or head[0] != "e3lin2":
-        raise ParseError(f"malformed header {lines[0]!r}, expected 'e3lin2 <n> <m>'", 1)
+        raise ParseError(f"malformed header {header!r}, expected 'e3lin2 <n> <m>'", 1)
     # int() also reads "+2", "02", "1_0" and non-ASCII digits, which
     # serialize never writes: a line must equal what serialize writes of it
     try:
         n, m = int(head[1]), int(head[2])
-        if lines[0] != f"e3lin2 {n} {m}":
+        if header != f"e3lin2 {n} {m}":
             raise ValueError
     except ValueError:
-        raise ParseError(f"malformed header {lines[0]!r}, counts must be integers", 1) from None
+        raise ParseError(f"malformed header {header!r}, counts must be integers", 1) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", 1)
     # with n in range every index below it is too, so no clause line can overflow
     if max(n, m) > _INDEX_MAX:
         raise ParseError(f"header counts must be at most {_INDEX_MAX}", 1)
-    if len(lines) - 1 != m:  # named at the first missing or the first extra line
-        raise ParseError(f"expected {m} clause lines, found {len(lines) - 1}", min(len(lines), m + 1) + 1)
+    if lines - 1 != m:  # named at the first missing or the first extra line
+        raise ParseError(f"expected {m} clause lines, found {lines - 1}", min(lines, m + 1) + 1)
 
-    inst = _read_body(text.partition("\n")[2], n, m)
-    if inst is None or serialize(inst) != (text if text.endswith("\n") else text + "\n"):
-        _refuse_body(lines[1:], n)
+    inst = _read_body(body, n, m)
+    if inst is None or not _writes_back(body, inst):
+        _refuse_body(body.split("\n")[:m], n)
     return inst
 
 
@@ -655,6 +739,7 @@ def _read_body(body: str, n: int, m: int) -> Instance | None:
         inst = Instance._from_arrays(n, rows[:, :3], rows[:, 3])
     except ValueError:  # an rhs outside {0, 1}
         return None
+    del flat, rows  # the instance holds its own copies; the row check runs without these
     unsorted, outside, first = _row_faults(inst)
     return None if first or unsorted.any() or outside.any() else inst
 
@@ -685,7 +770,35 @@ def _refuse_body(lines: list[str], n: int) -> None:
     raise AssertionError("the body was refused, yet every clause line is well formed")
 
 
+#: Rows that :func:`serialize` formats, and :func:`parse` compares, at a time. Read at call time.
+_COMPARE_BLOCK = 1024
+
+
+def _row_blocks(instance: Instance) -> Iterator[str]:
+    """The clause lines of ``instance``, one ``a b c rhs`` line per row, ``_COMPARE_BLOCK`` rows a string."""
+    size, triples, rhs = _COMPARE_BLOCK, instance.triple_array, instance.rhs_array
+    for i in range(0, instance.m, size):
+        rows = np.column_stack((triples[i : i + size], rhs[i : i + size]))
+        yield ("{} {} {} {}\n" * len(rows)).format(*rows.ravel().tolist())
+
+
+def _writes_back(body: str, instance: Instance) -> bool:
+    """Whether ``body`` is the clause lines :func:`serialize` writes of ``instance``, its last LF optional.
+
+    Each block of :func:`_row_blocks` is compared in place with the matching
+    slice of ``body``, so no second whole text is built (a body without its
+    final LF is copied once, to add it).
+    """
+    if body and not body.endswith("\n"):
+        body += "\n"
+    pos = 0
+    for block in _row_blocks(instance):
+        if not body.startswith(block, pos):
+            return False
+        pos += len(block)
+    return pos == len(body)
+
+
 def serialize(instance: Instance) -> str:
-    """Emit the file format bit-exactly: header plus one line per clause, in one format call."""
-    rows = np.column_stack((instance.triple_array, instance.rhs_array)).ravel().tolist()
-    return f"e3lin2 {instance.n} {instance.m}\n" + ("{} {} {} {}\n" * instance.m).format(*rows)
+    """Emit the file format bit-exactly: header plus one line per clause, formatted a block of rows at a time."""
+    return "".join([f"e3lin2 {instance.n} {instance.m}\n", *_row_blocks(instance)])

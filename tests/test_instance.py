@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from qaoa_e3lin2.instance import (
     with_signs,
 )
 
+from qaoa_e3lin2 import _caps
 from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import EvaluationPlan
 from qaoa_e3lin2.cli import main
@@ -269,15 +272,16 @@ class TestPairStats:
         assert inst.d_bound == 1
 
 
-def two_sort_pair_stats(inst):
-    """(P, q) from the overlap table of one argsort and variable ranks from a second one.
+def reference_overlap_table(triples):
+    """(focal, other, inside) of the overlap table as one flat row list, built by gathers.
 
-    The table's rows with exactly one variable inside give P by focal
-    clause; q counts the distinct codes ``rank * m + focal`` of the two
-    variables each such row brings.
+    One argsort of the entries; entries s apart that hold one variable give
+    the clause codes ``a * m + b`` both ways round, and the distinct codes
+    with distinct clauses are the rows, sorted by (focal, other).
+    ``inside[i, y]`` compares variable y of row i's other triple with the
+    three of its focal triple, gathered whole.
     """
-    m, triples = inst.m, inst.triple_array
-    order = np.argsort(triples, axis=None)
+    m, order = len(triples), np.argsort(triples, axis=None)
     variables, clauses = triples.ravel()[order], order // 3
     codes = [np.zeros(0, np.intp)]
     for s in range(1, variables.size):
@@ -290,6 +294,28 @@ def two_sort_pair_stats(inst):
     focal, other = focal[focal != other], other[focal != other]
     tf, to = triples[focal], triples[other]
     inside = (to == tf[:, :1]) | (to == tf[:, 1:2]) | (to == tf[:, 2:])
+    return focal, other, inside
+
+
+def reference_topologies(inst):
+    """Every clause's topology, grouped by ``_clause_topology`` from the rows of the reference table."""
+    focal, other, inside = reference_overlap_table(inst.triple_array)
+    bounds = np.searchsorted(focal, np.arange(inst.m + 1)).tolist()
+    return [
+        instance_module._clause_topology(inst.triple_array, j, other[lo:hi], inside[lo:hi])
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def two_sort_pair_stats(inst):
+    """(P, q) from the reference overlap table and variable ranks from a second argsort.
+
+    The table's rows with exactly one variable inside give P by focal
+    clause; q counts the distinct codes ``rank * m + focal`` of the two
+    variables each such row brings.
+    """
+    m, triples = inst.m, inst.triple_array
+    focal, other, inside = reference_overlap_table(triples)
 
     order = np.argsort(triples, axis=None)
     ordered = triples.ravel()[order]
@@ -301,6 +327,102 @@ def two_sort_pair_stats(inst):
     focal, inside = focal[single], inside[single]
     support = np.unique(rank[other[single]][~inside] * m + np.repeat(focal, 2))
     return np.bincount(focal, minlength=m), np.bincount(support % m, minlength=m)
+
+
+#: Triples over a few variables, unsorted and with repeated variables, as ``Instance`` holds them.
+loose_triples = st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=14)
+
+
+def star(m):
+    """m clauses that all hold variable 0: one variable in c = m clauses gives m(m - 1) shared incidences."""
+    return Instance(n=2 * m + 1, clauses=[(0, 2 * i + 1, 2 * i + 2, 0) for i in range(m)])
+
+
+class TestOverlapTable:
+    """The CSR overlap table against the reference table of flat rows and gathers."""
+
+    @given(inst=instances(max_n=9, max_m=16))
+    @settings(max_examples=80)
+    def test_topologies_equal_those_of_the_reference_table(self, inst):
+        assert [inst.clause_topology(j) for j in range(inst.m)] == reference_topologies(inst)
+
+    @given(triples=loose_triples)
+    @settings(max_examples=150)
+    def test_repeated_and_unsorted_variables_match_the_reference_table(self, triples):
+        inst = Instance(6, [(*t, 0) for t in triples])
+        assert [inst.clause_topology(j) for j in range(inst.m)] == reference_topologies(inst)
+        for got, want in zip(inst.pair_stats, two_sort_pair_stats(inst)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(
+        inst=instances(min_n=8, max_n=14, max_m=20),
+        offset=st.integers(1 << 62, (1 << 62) + (1 << 40)),
+        stride=st.integers(1, 1 << 40),
+    )
+    @settings(max_examples=60)
+    def test_huge_labels_match_the_reference_table(self, inst, offset, stride):
+        rows = [(offset + a * stride, offset + b * stride, offset + c * stride, r) for a, b, c, r in inst._rows()]
+        huge = Instance(n=offset + inst.n * stride, clauses=rows)
+        assert [huge.clause_topology(j) for j in range(huge.m)] == reference_topologies(huge)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @given(inst=instances(max_n=12, max_m=20))
+    @settings(max_examples=40)
+    def test_pair_stats_are_the_same_in_blocks_of_any_size(self, block, inst):
+        with mock.patch.object(instance_module, "_STATS_BLOCK", block):
+            got = Instance(inst.n, inst._rows()).pair_stats
+        for got_counts, want in zip(got, two_sort_pair_stats(inst)):
+            assert got_counts.tobytes() == want.tobytes()
+
+    def test_a_table_larger_than_physical_memory_is_refused(self, monkeypatch):
+        # 300 * 299 shared incidences at 18 bytes each, against 1 MiB of memory
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(_caps.os, "sysconf", pages.__getitem__)
+        with pytest.raises(_caps.MemoryCapError, match="the overlap table of 89700 shared incidences"):
+            star(300).pair_stats
+        assert generate_random(n=600, m=300, d_bound=3, seed=1).pair_stats[0].size == 300
+
+    def test_the_cli_exits_two_on_a_table_larger_than_physical_memory(self, monkeypatch, tmp_path):
+        path = tmp_path / "star.e3lin2"
+        path.write_text(serialize(star(300)))
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(_caps.os, "sysconf", pages.__getitem__)
+        result = CliRunner().invoke(main, ["scan", str(path)])
+        assert result.exit_code == 2
+        assert "the overlap table of 89700 shared incidences needs about 1614600 bytes" in result.output
+
+    def test_the_estimate_covers_the_peak_of_a_star(self):
+        inst = star(300)
+        _, peak = traced_peak(lambda: inst.pair_stats)
+        assert peak <= 300 * 299 * instance_module._OVERLAP_BYTES_PER_PAIR
+
+
+#: Bytes per clause that parse and then pair_stats may hold at their peaks (tracemalloc) on a
+#: sparse n=30000, m=20000, D=3 instance: 79 and 111 measured with Python 3.11 and numpy 2.4,
+#: plus a quarter for other versions. The earlier parse (one whole re-serialized text) and
+#: table (gathers of both triples of every row) peaked at 295 and 507.
+PARSE_BYTES_PER_CLAUSE = 100
+PAIR_STATS_BYTES_PER_CLAUSE = 140
+
+
+def traced_peak(step):
+    """``step()`` and the tracemalloc peak it reached above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = step()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_and_pair_stats_stay_within_their_per_clause_budgets():
+    text = serialize(generate_random(30000, 20000, 3, seed=1))
+    inst, parse_peak = traced_peak(lambda: parse(text))
+    _, pair_stats_peak = traced_peak(lambda: inst.pair_stats)
+    assert parse_peak <= PARSE_BYTES_PER_CLAUSE * inst.m
+    assert pair_stats_peak <= PAIR_STATS_BYTES_PER_CLAUSE * inst.m
 
 
 class TestValidate:
@@ -702,13 +824,23 @@ class TestFileFormat:
     @settings(max_examples=400)
     @given(inst=instances(max_m=6), data=st.data())
     def test_parse_equals_the_scalar_parser_on_mutated_files(self, inst, data):
-        lines = serialize(inst).split("\n")[:-1]
-        for _ in range(data.draw(st.integers(1, 3))):
-            name = data.draw(st.sampled_from(sorted(MUTATIONS)))
-            i = data.draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # a clause line if any
-            lines = MUTATIONS[name](lines, i, data)
-        text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
-        assert outcome(parse, text) == outcome(scalar_parse, text)
+        assert_parse_equals_the_scalar_parser(inst, data)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @settings(max_examples=200)
+    @given(inst=instances(max_m=6), data=st.data())
+    def test_parse_equals_the_scalar_parser_across_block_edges(self, block, inst, data):
+        # compared a block of 1 or 3 rows at a time, mutations fall on both sides of a block edge
+        with mock.patch.object(instance_module, "_COMPARE_BLOCK", block):
+            assert_parse_equals_the_scalar_parser(inst, data)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @given(inst=instances(max_m=8))
+    def test_serialize_writes_the_same_text_in_blocks_of_any_size(self, block, inst):
+        want = f"e3lin2 {inst.n} {inst.m}\n" + "".join(f"{a} {b} {c} {r}\n" for a, b, c, r in inst._rows())
+        with mock.patch.object(instance_module, "_COMPARE_BLOCK", block):
+            assert serialize(inst) == want
+            assert parse(want) == parse(want[:-1]) == inst
 
     def test_a_malformed_body_reports_only_the_usage_error(self, tmp_path):
         # in a new interpreter showing every warning, as a numpy warning would print one
@@ -729,6 +861,17 @@ class TestFileFormat:
             "Try 'python -m qaoa_e3lin2.cli scan --help' for help.\n\n"
             "Error: bad.e3lin2: bad token in '0 1 +3 0', line 3\n"
         )
+
+
+def assert_parse_equals_the_scalar_parser(inst, data):
+    """Mutate the file of ``inst`` one to three times; ``parse`` and ``scalar_parse`` must agree on it."""
+    lines = serialize(inst).split("\n")[:-1]
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(sorted(MUTATIONS)))
+        i = data.draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # a clause line if any
+        lines = MUTATIONS[name](lines, i, data)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    assert outcome(parse, text) == outcome(scalar_parse, text)
 
 
 def outcome(reader, text):
