@@ -2,8 +2,10 @@
 
 Reads an instance file and times, in this process, each phase of the
 level-1 evaluation at one angle pair: the uniform state, the cost phase,
-the mixer, ``prepare`` (all three at once, as the CLI runs them) and the
-expectation. Each phase runs on the previous one's result and is timed with
+the mixer, ``prepare`` (all three at once, as the CLI runs them), the
+expectation, and ``sampler.run`` drawing --shots shots (prepare, expectation
+and the draw, as ``sample`` runs them). Each phase runs on the previous one's
+result and is timed with
 ``time.process_time`` on its own, over --repeat runs, and the median and
 the minimum are printed in seconds. ``process_time`` counts every thread of
 the process, so run it with BLAS on one thread: otherwise the BLAS threads
@@ -16,7 +18,7 @@ amplitude, the unit of ``statevector.PEAK_BYTES_PER_AMPLITUDE``.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python3 scripts/time_statevector.py some.e3lin2 --gamma -0.2
-    OPENBLAS_NUM_THREADS=1 python3 scripts/time_statevector.py some.e3lin2 --gamma 0.3 --beta 0.5 --repeat 9
+    OPENBLAS_NUM_THREADS=1 python3 scripts/time_statevector.py some.e3lin2 --gamma 0.3 --beta 0.5 --repeat 9 --shots 500
 """
 
 import argparse
@@ -29,6 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from qaoa_e3lin2 import sampler
 from qaoa_e3lin2.instance import parse
 from qaoa_e3lin2.statevector import (
     AngleParams,
@@ -74,6 +77,7 @@ def main(argv=None) -> int:
     ap.add_argument("--gamma", type=float, required=True, help="cost angle of the state, in radians")
     ap.add_argument("--beta", type=float, default=math.pi / 4, help="mixer angle, in radians")
     ap.add_argument("--repeat", type=int, default=5, help="runs per phase")
+    ap.add_argument("--shots", type=int, default=10000, help="shots the sample phase draws")
     args = ap.parse_args(argv)
 
     inst = parse(args.instance.read_text())
@@ -84,16 +88,17 @@ def main(argv=None) -> int:
         "apply_mixer": lambda state: apply_mixer(state, args.beta),
         "prepare": lambda _: prepare(inst, params),
         "expectation": lambda state: expectation(state, inst),
+        "sample": lambda _: sampler.run(inst, args.gamma, args.beta, args.shots),
     }
     times = {name: [] for name in phases}
     for _ in range(args.repeat):
-        value, seconds = run(phases, timed)
+        report, seconds = run(phases, timed)
         for name, dt in seconds.items():
             times[name].append(dt)
     _, peaks = run(phases, traced)
 
     print(f"n={inst.n}, m={inst.m}, gamma={args.gamma}, beta={args.beta}, "
-          f"{args.repeat} runs, expectation {value:.12g}\n")
+          f"{args.repeat} runs, {args.shots} shots, predicted mean satisfied {report.predicted_mean:.12g}\n")
     print(f"{'phase':<17} {'median_s':>9} {'min_s':>9} {'peak_B/amp':>10}")
     for phase, samples in times.items():
         print(f"{phase:<17} {statistics.median(samples):9.4f} {min(samples):9.4f} "

@@ -317,7 +317,7 @@ def cmd_eval(
             "expectation": sv_value,
             "difference": abs(sv_value - report.total),
         }
-    _emit(fmt, out, payload, _table(analytic.ClauseTerm, report.terms))
+    _emit(fmt, out, payload, _table(analytic.ClauseTerm, report.terms) if fmt == "csv" else None)
 
 
 @main.command(name="scan")
@@ -356,7 +356,7 @@ def cmd_scan(instance_path, mode, mc_samples, seed, q_max, fmt, out):
         },
         "guarantee": report,
     }
-    _emit(fmt, out, payload, _table(schedule.ScanPoint, result.points))
+    _emit(fmt, out, payload, _table(schedule.ScanPoint, result.points) if fmt == "csv" else None)
 
 
 @main.command(name="sample")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _caps
 from .instance import Assignment, Instance, clause_parity, clause_sum_blocks
-from .statevector import AngleParams, expectation, prepare, sample_bits
+from .statevector import AngleParams, draw_bits, expectation, prepare
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,9 @@ def run(
     _caps.require_memory(samples * max(9 * n + 8, n + 4 * m), f"{samples} shots")
     state = prepare(instance, AngleParams(gamma=gamma, beta=beta), n_max=n_max)
     predicted = instance.m / 2.0 + expectation(state, instance)
-    bits = sample_bits(state, samples, seed=seed)
+    probs = state.probabilities()
+    del state  # the draw holds only the probabilities and choice's cumulative array
+    bits = draw_bits(probs, samples, seed=seed)
     counts = satisfied_count_batch(instance, bits)
     best_idx = int(np.argmax(counts))
     return SampleReport(

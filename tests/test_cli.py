@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import qaoa_e3lin2
-from qaoa_e3lin2 import statevector
+from qaoa_e3lin2 import cli, statevector
 from qaoa_e3lin2.analytic import ClauseTerm, ExpectationReport
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import parse
@@ -178,6 +178,16 @@ class TestEval:
         lines = result.output.strip().split("\n")
         assert lines[0] == "clause_index,value,method,stderr"
         assert len(lines) == 1 + 8
+
+    @pytest.mark.parametrize("argv", [["eval", "--gamma", "0.3"], ["scan"]], ids=["eval", "scan"])
+    def test_json_never_builds_the_csv_table(self, instance_file, runner, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSV table was built")
+
+        monkeypatch.setattr(cli, "_table", refuse)
+        result = runner.invoke(main, [argv[0], instance_file, *argv[1:]])
+        assert result.exit_code == 0, result.output
+        validate(json.loads(result.output))
 
     def test_missing_file_exits_two(self, runner):
         result = runner.invoke(main, ["eval", "/nonexistent.e3lin2", "--gamma", "0.3"])

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qaoa_e3lin2.instance import (
     Clause,
     Instance,
     generate_random,
+    parse,
     satisfied_count,
 )
 from qaoa_e3lin2.sampler import (
@@ -22,6 +25,8 @@ from qaoa_e3lin2.sampler import (
 from qaoa_e3lin2.statevector import AngleParams, expectation, prepare, sample_bits
 
 from conftest import bit_vectors, dumb_satisfied_count, instances
+
+STATE18 = pathlib.Path(__file__).resolve().parent / "golden" / "state18.e3lin2"
 
 # the smallest collection of parity equations that cannot all hold: the
 # four left sides sum to zero over GF(2) while the right sides sum to 1
@@ -119,6 +124,34 @@ class TestRun:
         best = int(np.argmax(satisfied_count_batch(tiny_instance, bits)))
         assert report.best_string.bits.tolist() == bits[best].tolist()
         assert report.best_string.bits.base is None
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_draws_the_shots_of_sample_bits_on_the_prepared_state(self, n):
+        inst = parse(STATE18.read_text(encoding="utf-8")) if n == 18 else generate_random(n, 26, 3, seed=1)
+        state = prepare(inst, AngleParams(gamma=-0.2, beta=math.pi / 4))
+        for seed in (0, 7):
+            report = run(inst, -0.2, math.pi / 4, samples=10000, seed=seed)
+            bits = sample_bits(state, 10000, seed=seed)
+            counts = satisfied_count_batch(inst, bits)
+            best = int(np.argmax(counts))
+            assert report.best_string.bits.tolist() == bits[best].tolist()
+            assert report.best_satisfied == counts[best]
+            assert report.mean_satisfied == float(np.mean(counts))
+
+    def test_draws_without_the_state_alive(self):
+        # the state, then its probabilities beside it, then the probabilities
+        # and choice's cumulative array: 24 bytes per amplitude, not 32
+        inst = parse(STATE18.read_text(encoding="utf-8"))
+        run(inst, -0.2, math.pi / 4, samples=1)  # the first draw imports numpy.random, which tracemalloc counts
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(inst, -0.2, math.pi / 4, samples=10000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 << inst.n
 
     def test_rejects_bad_samples(self, tiny_instance):
         with pytest.raises(ValueError):

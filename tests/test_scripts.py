@@ -32,13 +32,13 @@ def test_grid_scan_experiment(capsys, tmp_path):
 def test_time_statevector(capsys, tmp_path):
     path = tmp_path / "small.e3lin2"
     path.write_text(serialize(generate_random(n=8, m=6, d_bound=2, seed=1)))
-    assert load("time_statevector").main([str(path), "--gamma", "0.3", "--repeat", "2"]) == 0
+    assert load("time_statevector").main([str(path), "--gamma", "0.3", "--repeat", "2", "--shots", "100"]) == 0
     out = capsys.readouterr().out
-    for phase in ("uniform_state", "apply_cost_phase", "apply_mixer", "expectation"):
+    for phase in ("uniform_state", "apply_cost_phase", "apply_mixer", "expectation", "sample"):
         assert phase in out
     header, *rows = out.splitlines()[2:]
     assert header.split() == ["phase", "median_s", "min_s", "peak_B/amp"]
     peaks = {row.split()[0]: float(row.split()[3]) for row in rows}
-    assert list(peaks) == ["uniform_state", "apply_cost_phase", "apply_mixer", "prepare", "expectation"]
+    assert list(peaks) == ["uniform_state", "apply_cost_phase", "apply_mixer", "prepare", "expectation", "sample"]
     # the phased and the prepared state are new 16-byte amplitudes
     assert peaks["apply_cost_phase"] >= 16 and peaks["prepare"] >= 16

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 import tracemalloc
@@ -82,6 +83,25 @@ class TestLayers:
         phased = apply_cost_phase(state, tiny_instance, 0.37)
         np.testing.assert_allclose(phased.probabilities(), state.probabilities())
 
+    @pytest.mark.parametrize(
+        "inst, n",
+        [
+            (Instance(n=4, clauses=()), 4),
+            (generate_random(n=7, m=6, d_bound=2, seed=3), 9),
+            (instance_module.parse(STATE18.read_text(encoding="utf-8")), 18),
+        ],
+        ids=["m0", "n7-in-9", "state18"],
+    )
+    def test_cost_phase_of_the_broadcast_uniform_state_is_that_of_its_full_array(self, inst, n):
+        # the broadcast state's pre-scaled level table gives every amplitude
+        # bitwise the product that the full state gets one amplitude at a time
+        uniform = uniform_state(n)
+        full = QuantumState(n=n, amplitudes=np.full(1 << n, uniform.amplitudes[0]))
+        assert uniform.amplitudes.strides == (0,) and full.amplitudes.flags.c_contiguous
+        for gamma in (0.0, -0.2, 0.37, 2.9):
+            want = apply_cost_phase(full, inst, gamma).amplitudes.view(np.uint64)
+            assert np.array_equal(apply_cost_phase(uniform, inst, gamma).amplitudes.view(np.uint64), want)
+
     def test_cost_phase_at_zero_is_identity(self, tiny_instance):
         state = uniform_state(tiny_instance.n)
         same = apply_cost_phase(state, tiny_instance, 0.0)
@@ -106,6 +126,11 @@ class TestLayers:
         state = uniform_state(5)
         assert apply_mixer(state, 1.234).norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_mixer_restores_numpy_ufunc_buffer_size(self):
+        bufsize = np.getbufsize()
+        apply_mixer(uniform_state(5), 1.234)
+        assert np.getbufsize() == bufsize != statevector._UFUNC_BUFFER
+
 
 def loop_mixer(amp, n, beta):
     """The plain per-qubit mixer loop, each qubit over the whole state."""
@@ -127,6 +152,19 @@ def assert_bitwise_equal(got, want):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+#: Transposed-qubit counts: none, one, a few, and the default; with a row block
+#: of 2^2 or 2^3 amplitudes, some are at or above the block's own bits.
+TRANSPOSED = (0, 1, 3, statevector._TRANSPOSED_BITS)
+
+
+def assert_mixed_as_the_loop(state, beta, want, monkeypatch):
+    """``apply_mixer`` is bitwise ``want`` at every transposed-qubit count and ufunc buffer size."""
+    for transposed, buffer in itertools.product(TRANSPOSED, (statevector._UFUNC_BUFFER, 8192)):
+        monkeypatch.setattr(statevector, "_TRANSPOSED_BITS", transposed)
+        monkeypatch.setattr(statevector, "_UFUNC_BUFFER", buffer)
+        assert_bitwise_equal(apply_mixer(state, beta).amplitudes, want)
+
+
 class TestTiledMixer:
     # n runs below, at and above k = tile_bits, and for k = 2 and 3 past 2k,
     # where a column tile is one column of 2^(n-k) rows
@@ -141,7 +179,7 @@ class TestTiledMixer:
             state = QuantumState(n=n, amplitudes=amp)
             before = amp.copy()
             for beta in (0.0, math.pi / 4, math.pi / 2, -1.1, 2.9):
-                assert_bitwise_equal(apply_mixer(state, beta).amplitudes, loop_mixer(before, n, beta))
+                assert_mixed_as_the_loop(state, beta, loop_mixer(before, n, beta), monkeypatch)
             if n >= phase_instance.n:
                 apply_cost_phase(state, phase_instance, 0.7)
             assert_bitwise_equal(state.amplitudes, before)
@@ -162,7 +200,7 @@ class TestTiledMixer:
             signs = np.signbit(state.amplitudes.imag)
             assert signs.any() and not signs.all() and not state.amplitudes.imag.any()
             for beta in (0.0, math.pi / 2):
-                assert_bitwise_equal(apply_mixer(state, beta).amplitudes, loop_mixer(state.amplitudes, n, beta))
+                assert_mixed_as_the_loop(state, beta, loop_mixer(state.amplitudes, n, beta), monkeypatch)
 
     def test_peak_memory_is_within_the_estimate(self):
         n = 16
@@ -329,6 +367,26 @@ class TestNormGuard:
                 QuantumState(n=n, amplitudes=unit * math.sqrt(1.0 + 1e-11))
             with pytest.raises(FloatingPointError):
                 QuantumState(n=n, amplitudes=np.broadcast_to(unit * math.sqrt(1.0 - 1e-11), 1 << n))
+
+
+    def test_a_broadcast_amplitude_is_checked_from_itself(self):
+        # size * |a|^2 against the tolerance, with no 2^n temporaries; a
+        # strided state that is not broadcast is still summed in full
+        for n in range(1, 25):
+            assert uniform_state(n).amplitudes.strides == (0,)
+        n = 13
+        a = 2.0 ** (-n / 2.0)
+        for scale, ok in ((1.0, True), (1.0 + 1e-13, True), (1.0 + 1e-11, False), (1.0 - 1e-11, False)):
+            amp = np.broadcast_to(np.complex128(a * math.sqrt(scale)), 1 << n)
+            assert amp.strides == (0,)
+            strided = np.repeat(amp[:1], 2 << n)[::2]
+            assert not strided.flags.c_contiguous and strided.strides != (0,)
+            for state in (amp, strided):
+                if ok:
+                    QuantumState(n=n, amplitudes=state)
+                else:
+                    with pytest.raises(FloatingPointError):
+                        QuantumState(n=n, amplitudes=state)
 
 
 class TestSample:
