@@ -31,10 +31,10 @@ of its pair graph, whose spins are independent: a tree's pair signs are
 independent and uniform, so its pairs add binomials, and only a component
 with a cycle is walked, over its own bits. The parts combine by exact int64
 convolutions of their key counts. The histogram depends only on the
-neighborhood, not on gamma, so angle scans reuse it. Histograms whose forms
-differ only in their signs share a pair layout (q and the pair positions):
-one set of terms and a (K, t) stack of weights, so the small supports of a
-layout are counted in one walk.
+neighborhood, not on gamma, so a plan counts it once for all its angles.
+Histograms whose forms differ only in their signs share a pair layout (q
+and the pair positions): one set of terms and a (K, t) stack of weights,
+so the small supports of a layout are counted in one walk.
 
 Clauses are routed in two steps, and both read the instance's table of the
 clause pairs that share a variable, each classified once by its overlap.
@@ -54,8 +54,8 @@ it and permutes the assignments, so the histogram is unchanged; fixing the
 signs of a spanning forest of the pair graph to +1 gives gauge-canonical
 forms that stand for the histogram. One forest walk, :func:`_gauge_rows`,
 gives each pair the pairs whose signs multiply to its canonical sign, from
-the pair positions alone: the histogram cache is keyed on the forms it
-fixes, and an :class:`EvaluationPlan` reads the same rows as GF(2)
+the pair positions alone: histograms are keyed on the forms it fixes,
+and an :class:`EvaluationPlan` reads the same rows as GF(2)
 parities of the rhs bits. The plan routes every clause once, keys each
 non-Monte-Carlo clause by P or by (q, canonical forms, d), and evaluates
 each distinct key once per angle, at the instance's own signs or on a whole
@@ -76,7 +76,7 @@ terms; Monte Carlo clauses keep their own neighborhood and their
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict, defaultdict, namedtuple
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -104,10 +104,6 @@ MC_PEAK_BYTES_PER_SAMPLE = 68
 
 EXACT_METHOD = "exact-enumeration"
 MC_METHOD = "monte-carlo"
-
-
-#: What ``_histogram_cached.cache_info()`` returns, as ``functools.lru_cache`` does.
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class SupportTooLargeError(ValueError):
@@ -234,11 +230,11 @@ def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
     """Joint counts of the integer triple (c1, c2, c3) over all assignments.
 
     Returns ``(values, counts)`` where ``values`` has shape (K, 3). Counts
-    sum to 2^q. Cached on the gauge-canonical forms: the histogram does not
-    depend on gamma, the focal sign, which clause is focal, or flips of
-    support spins, so angle scans and sign-ensemble sweeps reuse it.
+    sum to 2^q. The histogram does not depend on gamma, the focal sign,
+    which clause is focal, or flips of support spins, so it is counted on
+    the gauge-canonical forms.
     """
-    return _histogram_cached(nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms))
+    return _layout_histograms(nbhd.q_size, [_gauge_fixed(nbhd.q_size, nbhd.forms)])[0]
 
 
 #: Supports up to this size walk all 2^q codes; larger ones go by component.
@@ -344,49 +340,14 @@ def _layout_histograms(q_size: int, group: list) -> list[tuple[np.ndarray, np.nd
     return [(values[i:j], counts[i:j]) for i, j in zip([0] + ends, ends)]
 
 
-class _HistogramCache:
-    """Histograms keyed on ``(q, gauge-canonical forms)``, least recently used dropped first.
-
-    :meth:`many` counts the keys it misses in one walk per pair layout;
-    ``cache_info`` and ``cache_clear`` read as ``functools.lru_cache``'s.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self._held: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._held))
-
-    def __call__(self, q_size: int, forms) -> tuple[np.ndarray, np.ndarray]:
-        return self.many([(q_size, forms)])[0]
-
-    def many(self, keys: list) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The histogram of every ``(q, forms)`` key; a key met again is a hit."""
-        found = dict.fromkeys(keys)
-        self.hits += len(keys) - len(found)
-        missed = defaultdict(list)
-        for key in found:
-            if key in self._held:
-                self.hits += 1
-                self._held.move_to_end(key)
-                found[key] = self._held[key]
-            else:
-                missed[key[0], _layout(key[1])].append(key[1])
-        for (q_size, _), group in missed.items():
-            for forms, hist in zip(group, _layout_histograms(q_size, group)):
-                found[q_size, forms] = self._held[q_size, forms] = hist
-                self.misses += 1
-        while len(self._held) > self.maxsize:
-            self._held.popitem(last=False)
-        return [found[key] for key in keys]
-
-
-_histogram_cached = _HistogramCache(maxsize=4096)
+def _count_missing(keys, histograms: dict) -> None:
+    """Add to ``histograms`` each ``(q, forms)`` key it lacks, counted in one walk per pair layout."""
+    missed = defaultdict(list)
+    for q_size, forms in dict.fromkeys(key for key in keys if key not in histograms):
+        missed[q_size, _layout(forms)].append(forms)
+    for (q_size, _), group in missed.items():
+        for forms, hist in zip(group, _layout_histograms(q_size, group)):
+            histograms[q_size, forms] = hist
 
 
 def _four_sine_bracket(gamma: float, d, c1, c2, c3):
@@ -417,18 +378,20 @@ def _require_enumerable(q_size: int, q_max: int | None) -> None:
         )
 
 
-def _key_values(keys, gamma: float) -> list[float]:
+def _key_values(keys, gamma: float, histograms: dict) -> list[float]:
     """The terms of plan keys at one angle: a pair total P factorizes, (q, forms, d) is enumerated.
 
     An enumerated key's term is (d/8) times the four-sine bracket averaged
-    over the histogram of its forms. One bracket covers the joined cells of
-    every enumerated key, with d given per cell; each key's mean is its own
-    dot product over its slice, so it is the value the key gives alone.
+    over the histogram of its forms, read from ``histograms`` and counted
+    into it when missing. One bracket covers the joined cells of every
+    enumerated key, with d given per cell; each key's mean is its own dot
+    product over its slice, so it is the value the key gives alone.
     """
     enumerated = [key for key in keys if not isinstance(key, int)]
     means = iter(())
     if enumerated:
-        hists = _histogram_cached.many([key[:2] for key in enumerated])
+        _count_missing([key[:2] for key in enumerated], histograms)
+        hists = [histograms[key[:2]] for key in enumerated]
         sizes = [counts.size for _, counts in hists]
         # int32 cells and int8 signs keep the joined arrays small; a cell's sums are bounded
         # by its pair counts, so they stay exact
@@ -458,7 +421,7 @@ def clause_term_exact(
     if nbhd.q_size != 2 * key:
         _require_enumerable(nbhd.q_size, q_max)
         key = (nbhd.q_size, _gauge_fixed(nbhd.q_size, nbhd.forms), nbhd.focal.sign)
-    return ClauseTerm(nbhd.focal_index, _key_values([key], gamma)[0], EXACT_METHOD)
+    return ClauseTerm(nbhd.focal_index, _key_values([key], gamma, {})[0], EXACT_METHOD)
 
 
 def clause_term_mc(
@@ -518,7 +481,8 @@ class EvaluationPlan:
     are decoded to keys. ``index`` numbers the distinct keys as first
     decoded and ``keys`` lists them; ``mc`` lists the Monte Carlo clauses.
     ``key_of[j]`` is clause j's key index at the instance's own signs, read
-    on first use, or -1 for a Monte Carlo clause.
+    on first use, or -1 for a Monte Carlo clause. ``_histograms`` maps the
+    ``(q, forms)`` of every key evaluated to its histogram, for the plan's life.
     """
 
     def __init__(self, instance: Instance, mode: str = "auto", q_max: int | None = None):
@@ -534,6 +498,7 @@ class EvaluationPlan:
         # per layout: q, the forms of its first clause, the pairs of its nonempty gauge rows
         self._layouts: list[tuple[int, tuple, list[int]]] = []
         self._decoded: dict[tuple[int, ...], int] = {}
+        self._histograms: dict = {}
         layout_at: dict = {}
         gauge: list[list[list[int]]] = []
         of_layout: list[int] = []
@@ -666,14 +631,14 @@ class EvaluationPlan:
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> tuple[float, float]:
         """(W(gamma), its standard error) without per-clause terms."""
-        values = _key_values(self.keys, gamma)
+        values = _key_values(self.keys, gamma, self._histograms)
         return self._w(gamma, self.instance.rhs_array, self.key_of, values, mc_samples, seed)[:2]
 
     def evaluate(
         self, gamma: float, mc_samples: int = MC_SAMPLES, seed: int = 0
     ) -> ExpectationReport:
         """The full report: one :class:`ClauseTerm` per clause, in order."""
-        values = _key_values(self.keys, gamma)
+        values = _key_values(self.keys, gamma, self._histograms)
         rhs = self.instance.rhs_array
         total, stderr, mc = self._w(gamma, rhs, self.key_of, values, mc_samples, seed)
         drawn = iter(mc)
@@ -708,7 +673,8 @@ class EvaluationPlan:
         for start in range(0, vectors, step):
             rhs = signs(start, min(start + step, vectors))
             key_of = self.key_indices(rhs)
-            values += _key_values(list(islice(self.index, len(values), None)), gamma)
+            new = list(islice(self.index, len(values), None))
+            values += _key_values(new, gamma, self._histograms)
             for t, (bits, row) in enumerate(zip(rhs, key_of.tolist()), start):
                 w[t] = self._w(gamma, bits, row, values, MC_SAMPLES, 0)[0]
         return w

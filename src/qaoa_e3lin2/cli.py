@@ -387,6 +387,9 @@ def cmd_sample(instance_path, gamma, beta, samples, seed, n_max, fmt, out):
     from . import sampler
 
     inst = _load_instance(instance_path)
+    if samples == "auto" and inst.m < 2:
+        message = f'"auto" is ceil(m ln m), 0 shots at m={inst.m}; give an explicit count'
+        raise click.BadParameter(message, param_hint="'--samples'")
     count = sampler.recommended_samples(inst.m) if samples == "auto" else samples
     rep = sampler.run(inst, gamma=-gamma, beta=beta, samples=count, seed=seed, n_max=n_max)
     record = _record(rep)

@@ -1,13 +1,18 @@
 import dataclasses
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaoa_e3lin2 import analytic
 from qaoa_e3lin2.analytic import (
     SIGN_PATTERNS,
+    EvaluationPlan,
     Neighborhood,
     SupportTooLargeError,
     build_neighborhood,
@@ -19,7 +24,9 @@ from qaoa_e3lin2.analytic import (
     moment_checks,
     objective_expectation,
 )
-from qaoa_e3lin2.instance import Clause, Instance, generate_random
+from qaoa_e3lin2.instance import Clause, Instance, generate_random, random_rhs, with_signs
+from qaoa_e3lin2.schedule import scan
+from qaoa_e3lin2.typical import base_instance
 
 from conftest import (
     dumb_clause_term,
@@ -27,6 +34,17 @@ from conftest import (
     dumb_objective,
     instances,
     loop_eval_forms,
+)
+from test_topology import OCTET
+
+#: Two variable-disjoint octets, equal but for the sign of their first clause.
+TWINS = Instance(
+    n=16,
+    clauses=tuple(
+        Clause(a + 8 * i, b + 8 * i, c + 8 * i, int(j == 0 and i == 0))
+        for i in range(2)
+        for j, (a, b, c) in enumerate(OCTET)
+    ),
 )
 
 
@@ -361,15 +379,65 @@ class TestCosineProductMean:
 
 
 class TestPerformanceShape:
-    def test_histogram_is_reused_across_angles(self, tiny_instance):
-        nb = build_neighborhood(tiny_instance, 0)
-        first = combo_histogram(nb)
-        second = combo_histogram(nb)
-        assert first[0] is second[0] and first[1] is second[1]
+    """A plan counts each histogram once and holds it for as long as the plan lives."""
 
-    def test_focal_sign_does_not_split_the_cache(self, tiny_instance):
-        nb = build_neighborhood(tiny_instance, 0)
-        flipped = dataclasses.replace(
-            nb, focal=dataclasses.replace(nb.focal, rhs=1 - nb.focal.rhs)
+    @staticmethod
+    def _walks(monkeypatch):
+        walks = []
+        real = analytic._layout_histograms
+        monkeypatch.setattr(
+            analytic,
+            "_layout_histograms",
+            lambda q, group: walks.append((q, analytic._layout(group[0]), len(group))) or real(q, group),
         )
-        assert combo_histogram(nb)[0] is combo_histogram(flipped)[0]
+        return walks
+
+    def test_histogram_is_reused_across_angles(self, monkeypatch):
+        # six variable-disjoint octets under random signs: a few pair layouts, several forms each
+        tiled = base_instance([(a + 8 * i, b + 8 * i, c + 8 * i) for i in range(6) for a, b, c in OCTET])
+        inst = with_signs(tiled, random_rhs(tiled.m, 3))
+        walks = self._walks(monkeypatch)
+        assert len(scan(inst).points) > 2
+        held = {key[:2] for key in EvaluationPlan(inst).keys if not isinstance(key, int)}
+        layouts = Counter((q, analytic._layout(forms)) for q, forms in held)
+        assert sorted(walks) == sorted((q, layout, k) for (q, layout), k in layouts.items())
+        assert max(k for _, _, k in walks) > 1
+
+    def test_focal_sign_does_not_split_a_held_histogram(self, monkeypatch):
+        walks = self._walks(monkeypatch)
+        plan = EvaluationPlan(TWINS)
+        first, twin = plan.keys[plan.key_of[0]], plan.keys[plan.key_of[8]]
+        assert first[:2] == twin[:2] and first[2] == -twin[2]
+        for gamma in (0.3, -0.7):
+            plan.total(gamma)
+        enumerated = [key for key in plan.keys if not isinstance(key, int)]
+        assert set(plan._histograms) == {key[:2] for key in enumerated}
+        assert len(plan._histograms) < len(enumerated)
+        assert sum(k for _, _, k in walks) == len(plan._histograms)
+
+    def test_held_histograms_are_freed_with_their_plan(self):
+        plan = EvaluationPlan(TWINS)
+        plan.total(0.3)
+        held = [weakref.ref(array) for hist in plan._histograms.values() for array in hist]
+        assert held and all(ref() is not None for ref in held)
+        del plan
+        gc.collect()
+        assert all(ref() is None for ref in held)
+
+    def test_two_plans_count_independently(self, monkeypatch):
+        widths = []
+        real = analytic._component_counts
+        monkeypatch.setattr(
+            analytic, "_component_counts", lambda *args: widths.append(args[2]) or real(*args)
+        )
+        first = EvaluationPlan(TWINS)
+        want = first.total(0.3)
+        assert widths == []
+        # the next plan goes by components from its first histogram, with nothing to clear
+        monkeypatch.setattr(analytic, "_WALK_MAX_Q", -1)
+        second = EvaluationPlan(TWINS)
+        assert second.total(0.3) == want
+        assert len(widths) == len(second._histograms) > 0
+        # and the first plan still reads its own walked histograms
+        assert first.total(-0.3) == second.total(-0.3)
+        assert len(widths) == len(second._histograms)

@@ -256,6 +256,17 @@ class TestSample:
         assert set(payload["best_string"]) <= {"0", "1"}
         assert len(payload["best_string"]) == payload["n"]
 
+    def test_auto_samples_refused_on_one_clause(self, tmp_path, runner):
+        path = tmp_path / "one.e3lin2"
+        path.write_text("e3lin2 3 1\n0 1 2 1\n")
+        result = runner.invoke(main, ["sample", str(path), "--gamma", "0.2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "'--samples'" in result.output and "explicit count" in result.output
+        explicit = runner.invoke(main, ["sample", str(path), "--gamma", "0.2", "--samples", "5"])
+        assert explicit.exit_code == 0, explicit.output
+        assert json.loads(explicit.output)["samples"] == 5
+
     def test_explicit_samples_and_determinism(self, instance_file, runner):
         args = ["sample", instance_file, "--gamma", "0.25", "--samples", "64", "--seed", "2"]
         out1 = runner.invoke(main, args).output

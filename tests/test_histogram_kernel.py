@@ -83,11 +83,6 @@ def assert_same(got, want):
         assert np.array_equal(g, w)
 
 
-def fresh_histogram(nbhd):
-    analytic._histogram_cached.cache_clear()
-    return combo_histogram(nbhd)
-
-
 def neighborhoods(instance):
     return [build_neighborhood(instance, j) for j in range(instance.m)]
 
@@ -145,7 +140,7 @@ class TestHistogramAgainstLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
             for nbhd in neighborhoods(inst):
-                assert_same(fresh_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
+                assert_same(combo_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
 
     def test_entangled_supports(self):
         entangled = [
@@ -155,7 +150,7 @@ class TestHistogramAgainstLoop:
         ]
         assert len(entangled) == ENTANGLED.m and max(n.q_size for n in entangled) == 18
         for nbhd in entangled:
-            assert_same(fresh_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
+            assert_same(combo_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
 
     def test_block_boundaries_are_crossed(self):
         nbhd = max(neighborhoods(ENTANGLED), key=lambda n: n.q_size)
@@ -164,12 +159,12 @@ class TestHistogramAgainstLoop:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analytic, "_WALK_MAX_Q", nbhd.q_size)
                 mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
-                assert_same(fresh_histogram(nbhd), want)
+                assert_same(combo_histogram(nbhd), want)
 
     def test_q_zero(self):
         nbhd = build_neighborhood(Instance(n=3, clauses=(Clause(0, 1, 2, 1),)), 0)
         assert nbhd.q_size == 0
-        values, counts = fresh_histogram(nbhd)
+        values, counts = combo_histogram(nbhd)
         assert_same((values, counts), loop_histogram(0, nbhd.forms))
         assert values.tolist() == [[0, 0, 0]] and counts.tolist() == [1]
 
@@ -181,7 +176,7 @@ class TestHistogramAgainstLoop:
         )
         nbhd = build_neighborhood(inst, 0)
         assert nbhd.pair_counts == (3, 0, 0)
-        assert_same(fresh_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
+        assert_same(combo_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
 
     def test_blocks_hold_at_most_chunk_cells(self, monkeypatch):
         nbhd = max(neighborhoods(ENTANGLED), key=lambda n: n.q_size)
@@ -198,7 +193,7 @@ class TestHistogramAgainstLoop:
         monkeypatch.setattr(analytic, "parity_blocks", spy)
         monkeypatch.setattr(analytic, "_WALK_MAX_Q", nbhd.q_size)
         monkeypatch.setattr(instance_module, "_PARITY_BLOCK", 4096)
-        fresh_histogram(nbhd)
+        combo_histogram(nbhd)
         assert sum(rows * cols for rows, cols in shapes) == 1 << nbhd.q_size
         assert len(shapes) > 1
         for rows, cols in shapes:
@@ -253,8 +248,7 @@ def cyclic_component_bits(q_size, forms):
 def routed_histogram(q_size, forms, walk_max_q):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analytic, "_WALK_MAX_Q", walk_max_q)
-        analytic._histogram_cached.cache_clear()
-        got = analytic._histogram_cached(q_size, forms)
+        got = analytic._layout_histograms(q_size, [forms])[0]
     assert not got[0].flags.writeable and not got[1].flags.writeable
     return got
 
@@ -329,7 +323,6 @@ class TestComponentRouteAgainstStatevector:
         monkeypatch.setattr(
             analytic, "_component_counts", lambda *args: widths.append(args[2]) or counts(*args)
         )
-        analytic._histogram_cached.cache_clear()
         for gamma in (-0.5, 0.17, 0.3, 0.9):
             w = objective_expectation(inst, gamma, mode="exact").total
             state = prepare(inst, AngleParams(gamma=-gamma, beta=math.pi / 4))

@@ -146,8 +146,7 @@ class TestKeyValues:
     def test_one_bracket_gives_each_key_its_own_value(self, inst):
         keys = every_sign_keys(inst)
         for gamma in GAMMAS:
-            analytic._histogram_cached.cache_clear()
-            got = analytic._key_values(keys, gamma)
+            got = analytic._key_values(keys, gamma, {})
             assert_bitwise(got, [reference_key_value(key, gamma) for key in keys])
 
     def test_entangled_keys_cross_the_walk_cap(self):
@@ -155,17 +154,21 @@ class TestKeyValues:
         assert any(not isinstance(k, int) and k[0] > analytic._WALK_MAX_Q for k in keys)
         assert any(not isinstance(k, int) and k[0] <= analytic._WALK_MAX_Q for k in keys)
         want = {gamma: [reference_key_value(key, gamma) for key in keys] for gamma in GAMMAS}
-        analytic._histogram_cached.cache_clear()
+        held = {}
         for gamma in GAMMAS:
-            assert_bitwise(analytic._key_values(keys, gamma), want[gamma])
-            # and in any order, each key alone
-            assert_bitwise(analytic._key_values(keys[::-1], gamma), want[gamma][::-1])
-            assert_bitwise([analytic._key_values([k], gamma)[0] for k in keys], want[gamma])
+            assert_bitwise(analytic._key_values(keys, gamma, held), want[gamma])
+            # and in any order, each key alone, from held histograms or fresh ones
+            assert_bitwise(analytic._key_values(keys[::-1], gamma, held), want[gamma][::-1])
+            for histograms in (held, {}):
+                alone = [analytic._key_values([k], gamma, histograms)[0] for k in keys]
+                assert_bitwise(alone, want[gamma])
 
     def test_keys_without_enumeration(self):
-        assert analytic._key_values([], 0.3) == []
+        held = {}
+        assert analytic._key_values([], 0.3, held) == []
         want = [reference_key_value(p, -0.3) for p in (0, 3)]
-        assert_bitwise(analytic._key_values([0, 3], -0.3), want)
+        assert_bitwise(analytic._key_values([0, 3], -0.3, held), want)
+        assert held == {}
 
 
 @st.composite
@@ -200,8 +203,7 @@ class TestStackedWalk:
             mp.setattr(instance_module, "_PARITY_BLOCK", block)
             got = analytic._walk_counts(terms, stack, q_size)
             want = [reference_walk_counts(terms, weights, q_size) for _, weights in rows]
-            analytic._histogram_cached.cache_clear()
-            hists = analytic._histogram_cached.many([(q_size, forms) for forms in group])
+            hists = analytic._layout_histograms(q_size, group)
         assert got.dtype == np.int64 and got.shape == (len(group), want[0].size)
         for row, w in zip(got, want):
             assert np.array_equal(row, w)
@@ -209,7 +211,7 @@ class TestStackedWalk:
             assert not values.flags.writeable and not counts.flags.writeable
             assert_same((values, counts), reference_histogram(q_size, forms))
 
-    def test_a_layout_is_walked_once_and_cached_per_forms(self, monkeypatch):
+    def test_a_layout_is_walked_once_and_held_per_forms(self, monkeypatch):
         forms = (((0, 1, 1), (2, 3, 1)), ((1, 2, 1),), ((0, 3, 1), (1, 3, 1)))
         group = [_with_signs(forms, signs) for signs in ([1] * 5, [1, -1, 1, 1, -1], [-1] * 5)]
         walks = []
@@ -217,13 +219,19 @@ class TestStackedWalk:
         monkeypatch.setattr(
             analytic, "_walk_counts", lambda t, w, q: walks.append(len(w)) or real(t, w, q)
         )
-        analytic._histogram_cached.cache_clear()
-        first = analytic._histogram_cached.many([(4, f) for f in group + group[:1]])
-        assert walks == [3]
-        again = analytic._histogram_cached.many([(4, f) for f in group])
-        assert walks == [3] and all(a is b for a, b in zip(again, first))
-        info = analytic._histogram_cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (4, 3, 3)
+        held = {}
+        analytic._count_missing([(4, f) for f in group + group[:1]], held)
+        assert walks == [3] and list(held) == [(4, f) for f in group]
+        first = dict(held)
+        analytic._count_missing([(4, f) for f in group], held)
+        assert walks == [3] and held.keys() == first.keys()
+        assert all(held[key] is first[key] for key in first)
+        # a layout that is new to the dict is walked once more, for its missing forms only
+        other = _with_signs((((0, 1, 1),), (), ()), [-1])
+        analytic._count_missing([(4, group[1]), (2, other)], held)
+        assert walks == [3, 1] and len(held) == 4
+        for (q_size, forms), hist in held.items():
+            assert_same(hist, reference_histogram(q_size, forms))
 
 
 class TestPackedKeyCodes:

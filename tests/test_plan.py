@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic
+from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import (
     EvaluationPlan,
     ExpectationReport,
@@ -203,25 +204,50 @@ class TestGaugeCanonicalForms:
     @pytest.mark.parametrize("triples", [OCTET, ENTANGLED.triples()[:12]])
     def test_histograms_equal_the_loop_on_raw_forms(self, triples):
         base = base_instance(triples)
-        analytic._histogram_cached.cache_clear()
-        for t in range(12):
-            for nbhd in all_neighborhoods(resample_signs(base, seed=[5, t])):
-                assert_same(combo_histogram(nbhd), loop_histogram(nbhd.q_size, nbhd.forms))
+        rhs = np.array([resample_signs(base, seed=[5, t]).rhs_array for t in range(12)])
+        plan = EvaluationPlan(base, "exact")
+        plan.ensemble_w(0.3, len(rhs), lambda start, stop: rhs[start:stop])
+        enumerated = 0
+        for bits in rhs:
+            for nbhd in all_neighborhoods(with_signs(base, bits)):
+                want = loop_histogram(nbhd.q_size, nbhd.forms)
+                assert_same(combo_histogram(nbhd), want)
+                if nbhd.q_size != 2 * sum(nbhd.pair_counts):
+                    enumerated += 1
+                    canonical = _gauge_fixed(nbhd.q_size, nbhd.forms)
+                    assert_same(plan._histograms[nbhd.q_size, canonical], want)
         # sign vectors share histograms through their canonical forms
-        info = analytic._histogram_cached.cache_info()
-        assert info.hits > 0 and info.currsize < 12 * base.m
+        assert 0 < len(plan._histograms) < enumerated
 
-    def test_raw_forms_of_one_gauge_class_share_one_cache_entry(self):
+    def test_raw_forms_of_one_gauge_class_share_one_held_entry(self, monkeypatch):
         nbhd = max(all_neighborhoods(ENTANGLED), key=lambda nb: nb.q_size)
-        analytic._histogram_cached.cache_clear()
-        first = combo_histogram(nbhd)
-        for v in range(nbhd.q_size):
+        j, q_size = nbhd.focal_index, nbhd.q_size
+        # each support spin flipped alone flips the signs of the clauses that hold it,
+        # and each such sign vector comes with both focal signs
+        flips = [np.zeros(ENTANGLED.m, bool)] + [
+            (ENTANGLED.triple_array == v).any(axis=1) for v in nbhd.support
+        ]
+        focal = np.arange(ENTANGLED.m) == j
+        rhs = np.array(
+            [ENTANGLED.rhs_array ^ f ^ (focal & d) for f in flips for d in (0, 1)], dtype=np.uint8
+        )
+        walked = []
+        real = analytic._layout_histograms
+        monkeypatch.setattr(
+            analytic, "_layout_histograms", lambda q, group: walked.extend(group) or real(q, group)
+        )
+        plan = EvaluationPlan(ENTANGLED, "exact")
+        plan.ensemble_w(0.3, len(rhs), lambda start, stop: rhs[start:stop])
+        keys = [plan.keys[i] for i in plan.key_indices(rhs)[:, j].tolist()]
+        canonical = _gauge_fixed(q_size, nbhd.forms)
+        assert {key[:2] for key in keys} == {(q_size, canonical)}
+        assert {key[2] for key in keys} == {1, -1}
+        assert walked.count(canonical) == 1
+        held = plan._histograms[q_size, canonical]
+        for v in range(q_size):
             forms = flip_spin(nbhd.forms, v)
             assert forms != nbhd.forms
-            assert_same(loop_histogram(nbhd.q_size, forms), first)
-            hist = analytic._histogram_cached(nbhd.q_size, _gauge_fixed(nbhd.q_size, forms))
-            assert hist[0] is first[0] and hist[1] is first[1]
-        assert analytic._histogram_cached.cache_info().currsize == 1
+            assert_same(loop_histogram(q_size, forms), held)
 
 
 class TestSignKeys:
@@ -256,11 +282,12 @@ class TestPlanShape:
     def test_factorized_clauses_need_no_neighborhood(self, monkeypatch):
         inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
         calls = []
-        real = analytic.build_neighborhood
+        real = instance_module._clause_topology
         monkeypatch.setattr(
-            analytic, "build_neighborhood", lambda *a, **k: calls.append(a) or real(*a, **k)
+            instance_module, "_clause_topology", lambda *a: calls.append(a[1]) or real(*a)
         )
         plan = EvaluationPlan(inst)
+        plan.total(0.3)
         assert calls == [] and not plan.mc
         assert all(isinstance(key, int) for key in plan.keys)
         assert sorted(set(plan.key_of)) == list(range(len(plan.keys)))
@@ -282,7 +309,7 @@ class TestPlanShape:
         monkeypatch.setattr(
             analytic,
             "_key_values",
-            lambda keys, g: calls.extend((key, g) for key in keys) or real(keys, g),
+            lambda keys, g, held: calls.extend((key, g) for key in keys) or real(keys, g, held),
         )
         result = scan(inst)
         keys = EvaluationPlan(inst).keys
@@ -314,7 +341,7 @@ class TestEnsembleMemo:
     def _count_key_values(self, monkeypatch):
         calls = []
         real = analytic._key_values
-        spy = lambda keys, g: calls.extend(keys) or real(keys, g)  # noqa: E731
+        spy = lambda keys, g, held: calls.extend(keys) or real(keys, g, held)  # noqa: E731
         monkeypatch.setattr(analytic, "_key_values", spy)
         return calls
 

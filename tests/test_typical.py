@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic, typical
+from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import SupportTooLargeError, build_neighborhood, objective_expectation
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import generate_random, parse, resample_signs, serialize, with_signs
@@ -164,12 +165,14 @@ class TestClosedForm:
         )
 
     def test_collection_reads_pair_totals_without_neighborhoods(self, monkeypatch):
+        per_clause = [build_neighborhood(base_instance(SPREAD_OCTET), j) for j in range(8)]
+        # a fresh instance, whose topologies are not built yet
         inst = base_instance(SPREAD_OCTET)
-        per_clause = [build_neighborhood(inst, j) for j in range(inst.m)]
         calls = []
-        spy = lambda *a, **k: calls.append(a) or build_neighborhood(*a, **k)  # noqa: E731
-        monkeypatch.setattr(analytic, "build_neighborhood", spy)
-        monkeypatch.setattr(typical, "build_neighborhood", spy, raising=False)
+        real = instance_module._clause_topology
+        monkeypatch.setattr(
+            instance_module, "_clause_topology", lambda *a: calls.append(a[1]) or real(*a)
+        )
         for g in (0.3, 0.52, -1.1):
             want = math.fsum(clause_mean_closed_form(nb, g) for nb in per_clause)
             assert collection_closed_form(inst, g) == want
