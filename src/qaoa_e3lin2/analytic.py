@@ -40,12 +40,10 @@ Clauses are routed in two steps, and both read the instance's table of the
 clause pairs that share a variable, each classified once by its overlap.
 First, ``Instance.pair_stats`` gives every clause's pair total P and
 support size q from that table; a clause with q = 2P factorizes, and its
-route needs nothing more. Second, a clause that reads its neighborhood
-(enumerated, Monte Carlo, or passed to :func:`build_neighborhood`) gets its
-sign-free topology (support, pair positions with the neighbor clause of
-each pair, cancelled clauses) from ``Instance.clause_topology``: its rows
-of the table, grouped on first use and kept. Its signs attached, a topology
-is the clause's neighborhood.
+route needs nothing more. Second, ``Instance.clause_table`` groups the rows
+of the other clauses, with array operations, into sign-free rows: support,
+pairs (form, a, b, neighbor clause) and cancelled clauses. A plan builds it
+once; :func:`build_neighborhood` reads one clause's and attaches its signs.
 
 A clause term depends on a small key only: a factorized clause's on its
 pair total P, an enumerated clause's on its q, its (c1, c2, c3) histogram
@@ -67,10 +65,10 @@ angle are evaluated together (:func:`_key_values`): one four-sine bracket
 over the joined cells of their histograms, and one dot product per key over
 its own slice, so each value is the one the key gives alone. ``math.fsum``
 is correctly rounded, so W expanded from the distinct values is bitwise the
-per-clause sum. The plan
-is the one place where W is assembled from key values and Monte Carlo
-terms; Monte Carlo clauses keep their own neighborhood and their
-``(seed, clause_index)`` stream.
+per-clause sum. The plan is the one place where W is assembled from key
+values and Monte Carlo terms. A Monte Carlo clause keeps its pair rows,
+signs them from its neighbors' rhs bits, and is drawn from its
+``(seed, clause_index)`` stream by the kernel :func:`clause_term_mc` calls.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -87,7 +85,7 @@ import numpy as np
 from . import _caps
 # defined with the caps, so that the CLI lists them without loading this module
 from ._caps import MC_SAMPLES, MODES
-from .instance import Clause, ClauseTopology, Instance, parity_blocks, term_parity
+from .instance import Clause, Instance, parity_blocks, term_parity
 
 #: The four sign patterns applied to (c1, c2, c3) in the clause term.
 SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -173,11 +171,7 @@ class MomentReport:
 
 def build_neighborhood(instance: Instance, clause_index: int) -> Neighborhood:
     """Attach the instance's clause signs to one clause's ``Instance.clause_topology``."""
-    return _signed(instance.clause_topology(clause_index), clause_index, instance.rhs_array)
-
-
-def _signed(topo: ClauseTopology, clause_index: int, rhs) -> Neighborhood:
-    """The neighborhood of a clause's topology under the rhs bits ``rhs`` (indexed by clause)."""
+    topo, rhs = instance.clause_topology(clause_index), instance.rhs_array
     forms = tuple(tuple([(a, b, 1 - 2 * int(rhs[k])) for a, b, k in form]) for form in topo.pairs)
     focal = Clause(*topo.triple, int(rhs[clause_index]))
     return Neighborhood(clause_index, focal, topo.support, forms, topo.cancelled)
@@ -304,11 +298,6 @@ def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.
     return hist << (width - int(bits[cyclic].sum()) - int(tree.sum()))
 
 
-def _layout(forms) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The forms' pair positions, signs aside; with q, a pair layout."""
-    return tuple(tuple([(a, b) for a, b, _ in form]) for form in forms)
-
-
 def _layout_histograms(q_size: int, group: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(values, counts)`` of every member of ``group``: forms that share one pair layout.
 
@@ -344,7 +333,7 @@ def _count_missing(keys, histograms: dict) -> None:
     """Add to ``histograms`` each ``(q, forms)`` key it lacks, counted in one walk per pair layout."""
     missed = defaultdict(list)
     for q_size, forms in dict.fromkeys(key for key in keys if key not in histograms):
-        missed[q_size, _layout(forms)].append(forms)
+        missed[q_size, _with_signs(forms, repeat(0))].append(forms)  # one layout: the forms, signs aside
     for (q_size, _), group in missed.items():
         for forms, hist in zip(group, _layout_histograms(q_size, group)):
             histograms[q_size, forms] = hist
@@ -435,28 +424,30 @@ def clause_term_mc(
     One shared spin draw feeds all four sign patterns per sample, which
     correlates the four sines and lowers the estimator variance.
     """
+    pairs = [(i, a, b, s) for i, form in enumerate(nbhd.forms) for a, b, s in form]
+    return _mc_term(nbhd.focal_index, nbhd.q_size, nbhd.focal.sign, pairs, gamma, samples, seed)
+
+
+def _mc_term(clause_index: int, q_size: int, d: int, pairs, gamma: float, samples: int, seed) -> ClauseTerm:
+    """The Monte Carlo term of a clause with focal sign ``d`` and pairs (form, a, b, sign) on q spins."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _caps.require_memory(
-        samples * (nbhd.q_size + MC_PEAK_BYTES_PER_SAMPLE),
-        f"{samples} Monte Carlo samples on a q={nbhd.q_size} support",
+        samples * (q_size + MC_PEAK_BYTES_PER_SAMPLE),
+        f"{samples} Monte Carlo samples on a q={q_size} support",
     )
-    d = nbhd.focal.sign
     rng = np.random.default_rng(seed)
-    spins = 1 - 2 * rng.integers(0, 2, size=(samples, nbhd.q_size), dtype=np.int8)
+    spins = 1 - 2 * rng.integers(0, 2, size=(samples, q_size), dtype=np.int8)
     c = np.zeros((3, samples), dtype=np.int64)
-    for i, form in enumerate(nbhd.forms):
-        for a, b, s in form:
-            c[i] += s * (spins[:, a].astype(np.int64) * spins[:, b])
+    for i, a, b, s in pairs:
+        c[i] += s * (spins[:, a].astype(np.int64) * spins[:, b])
     vals = (d / 8.0) * _four_sine_bracket(gamma, d, c[0], c[1], c[2])
     value = float(np.mean(vals))
-    if samples == 1 or nbhd.q_size == 0:
+    if samples == 1 or q_size == 0:
         stderr = 0.0
     else:
         stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return ClauseTerm(
-        clause_index=nbhd.focal_index, value=value, method=MC_METHOD, stderr=stderr
-    )
+    return ClauseTerm(clause_index=clause_index, value=value, method=MC_METHOD, stderr=stderr)
 
 
 class EvaluationPlan:
@@ -465,15 +456,16 @@ class EvaluationPlan:
     ``mode`` is ``exact`` (fail when a support is too large), ``auto``
     (exact where the support fits under ``q_max`` or the term factorizes
     through disjoint pairs, Monte Carlo elsewhere) or ``mc`` (Monte Carlo
-    everywhere). Clauses are routed by ``Instance.pair_stats``: a factorized
-    clause (q = 2P) needs no topology and no neighborhood.
+    everywhere). Clauses are routed by ``Instance.pair_stats``; the pair rows
+    of those that do not factorize (q = 2P) come from one ``clause_table``.
 
     A factorized clause's key is its pair total P. An enumerated clause's
-    key (q, gauge-canonical forms, d) is fixed by its pair layout (q and
-    the pair positions of its forms) and by GF(2) parities of the rhs bits:
-    its own bit (d), then each nonempty row of :func:`_gauge_rows` (a forest
-    pair's row is empty, its sign +1), with every pair read as the neighbor
-    clause that carries it. The gauge rows are found once per layout.
+    key (q, gauge-canonical forms, d) is fixed by its pair layout (q and the
+    (form, a, b) of its pairs, numbered by one ``np.unique``) and by GF(2)
+    parities of the rhs bits: its own bit (d), then each nonempty row of
+    :func:`_gauge_rows` (a forest pair's row is empty, its sign +1), with
+    every pair read as the neighbor clause that carries it. The gauge rows
+    are found once per layout.
     ``rows`` holds the parities padded with m; :meth:`key_indices` points m
     at an all-zero column, so one :func:`term_parity` gives the code bits of
     a chunk of sign vectors. A clause's code packs, above its layout's
@@ -491,53 +483,58 @@ class EvaluationPlan:
         q_cap = _q_cap(q_max)
         self.instance = instance
         self.mode = mode
-        self.index: dict = {}
-        self.mc: list[int] = []
-        self._fixed = np.full(instance.m, -1, dtype=np.intp)
-        self._enumerated: list[int] = []
-        # per layout: q, the forms of its first clause, the pairs of its nonempty gauge rows
-        self._layouts: list[tuple[int, tuple, list[int]]] = []
         self._decoded: dict[tuple[int, ...], int] = {}
         self._histograms: dict = {}
-        layout_at: dict = {}
-        gauge: list[list[list[int]]] = []
-        of_layout: list[int] = []
-        sizes: list[int] = []
-        rows: list[list[int]] = []
         pairs_total, support_size = instance.pair_stats
         factorized = (support_size == 2 * pairs_total) & (mode != "mc")
-        fixed = np.flatnonzero(factorized)
-        totals = pairs_total[fixed].tolist()
-        self._fixed[fixed] = [self.index.setdefault(p, len(self.index)) for p in totals]
-        for j in np.flatnonzero(~factorized).tolist():
-            q_size = int(support_size[j])
-            if mode == "mc" or (mode == "auto" and q_size > q_cap):
-                self.mc.append(j)
-                continue
-            _require_enumerable(q_size, q_cap)
-            forms = instance.clause_topology(j).pairs
-            pairs = sum(forms, ())
-            at = layout_at.setdefault((q_size, _layout(forms)), len(self._layouts))
-            if at == len(self._layouts):
-                pair_rows = _gauge_rows(q_size, pairs)
-                informative = [e for e, row in enumerate(pair_rows) if row]
-                self._layouts.append((q_size, forms, informative))
-                gauge.append([pair_rows[e] for e in informative])
-            self._enumerated.append(j)
-            of_layout.append(at)
-            sizes.append(1 + len(gauge[at]))
-            rows += [[j]] + [[pairs[f][2] for f in row] for row in gauge[at]]
+        totals, at = np.unique(pairs_total[factorized], return_inverse=True)
+        self.index: dict = dict(zip(totals.tolist(), range(totals.size)))
+        self._fixed = np.full(instance.m, -1, dtype=np.intp)
+        self._fixed[factorized] = at
+        rest = np.flatnonzero(~factorized)
+        q, count = support_size[rest], pairs_total[rest]
+        if mode == "exact" and (q > q_cap).any():
+            _require_enumerable(int(q[q > q_cap][0]), q_cap)
+        drawn = (q > q_cap) if mode == "auto" else np.full(rest.size, mode == "mc")
+        _, pairs, _ = instance.clause_table(rest)
+        start = np.cumsum(count) - count
+        self.mc, self._enumerated = rest[drawn].tolist(), rest[~drawn].tolist()
+        # per Monte Carlo clause: its index, q and pair rows (form, a, b, neighbor clause)
+        own = [pairs[lo : lo + c, 1:].tolist() for lo, c in zip(start[drawn].tolist(), count[drawn].tolist())]
+        self._drawn = list(zip(self.mc, q[drawn].tolist(), own))
+        pairs, q, count = pairs[~drawn[pairs[:, 0]]], q[~drawn], count[~drawn]
+        start = np.cumsum(count) - count
+        # a pair layout is q and the (form, a, b) of every pair: one row per clause, padded with -1
+        packed = np.column_stack((q, np.full((count.size, 3 * count.max(initial=0)), -1, dtype=np.intp)))
+        of = np.repeat(np.arange(count.size), count)
+        packed[of[:, None], 3 * (np.arange(of.size) - start[of])[:, None] + [1, 2, 3]] = pairs[:, 1:4]
+        packed = packed.view(f"V{packed.itemsize * packed.shape[1]}").ravel()
+        _, first, of_layout = np.unique(packed, return_index=True, return_inverse=True)
+        # per layout: q, its forms' pair positions, its pairs with a nonempty gauge row, and those rows
+        self._layouts: list[tuple[int, list, list[int]]] = []
+        gauge: list[list[list[int]]] = []
+        positions = pairs[:, [2, 3, 1]].tolist()  # (a, b, form)
+        for q_size, lo, c in zip(q[first].tolist(), start[first].tolist(), count[first].tolist()):
+            layout = positions[lo : lo + c]
+            pair_rows = _gauge_rows(q_size, layout)
+            informative = [e for e, row in enumerate(pair_rows) if row]
+            forms = [[pair for pair in layout if pair[2] == i] for i in range(3)]
+            self._layouts.append((q_size, forms, informative))
+            gauge.append([pair_rows[e] for e in informative])
+        # a clause's code rows: itself, then its layout's gauge rows read as the neighbors of their pairs
+        neighbors, rows = pairs[:, 4].tolist(), []
+        for j, at, lo in zip(self._enumerated, of_layout.tolist(), start.tolist()):
+            rows += [[j]] + [[neighbors[lo + f] for f in row] for row in gauge[at]]
         width = max(map(len, rows), default=0)
         padded = [row + [instance.m] * (width - len(row)) for row in rows]
         self.rows = np.array(padded, dtype=np.intp).reshape(len(rows), width)
+        sizes = np.array([1 + len(g) for g in gauge], dtype=np.intp)[of_layout]
         # a clause's packed code holds its layout's number in the low bits and its row bits
         # above; bit b is bit b % 63 of its word b // 63, and one word usually holds them all
         self._layout_bits = (len(self._layouts) - 1).bit_length()
-        self._words = max([(self._layout_bits + size + 62) // 63 for size in sizes], default=1)
-        per_clause = np.array(sizes, dtype=np.intp)
-        first = np.repeat(np.cumsum(per_clause) - per_clause, per_clause)
-        bit = self._layout_bits + np.arange(len(rows)) - first
-        column = np.repeat(np.arange(len(sizes)) * self._words, per_clause) + bit // 63
+        self._words = max([(self._layout_bits + size + 62) // 63 for size in sizes.tolist()], default=1)
+        bit = self._layout_bits + np.arange(len(self.rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        column = np.repeat(np.arange(len(sizes)) * self._words, sizes) + bit // 63
         self._shifts = bit % 63
         self._starts = np.flatnonzero(np.diff(column, prepend=-1))
         self._columns = column[self._starts]
@@ -609,20 +606,18 @@ class EvaluationPlan:
             at = self._decoded[words] = self.index.setdefault(key, len(self.index))
         return at
 
-    def neighborhoods(self, rhs) -> tuple[Neighborhood, ...]:
-        """The Monte Carlo clauses' neighborhoods under the rhs bits ``rhs``."""
-        return tuple(_signed(self.instance.clause_topology(j), j, rhs) for j in self.mc)
-
     def _w(self, gamma: float, rhs, row, values, samples: int, seed: int):
         """(W, stderr, Monte Carlo terms) of one sign vector with rhs bits ``rhs``.
 
         ``row`` indexes each clause's key into ``values``; a Monte Carlo
-        clause j is drawn from ``(seed, j)``. W is one ``math.fsum``, which
-        is correctly rounded, so the order of its inputs does not matter.
+        clause j takes its pairs' signs from ``rhs`` and is drawn from
+        ``(seed, j)``. W is one ``math.fsum``, which is correctly rounded, so
+        the order of its inputs does not matter.
         """
         mc = [
-            clause_term_mc(nbhd, gamma, samples, seed=[seed, nbhd.focal_index])
-            for nbhd in self.neighborhoods(rhs)
+            _mc_term(j, q_size, 1 - 2 * int(rhs[j]), [(f, a, b, 1 - 2 * int(rhs[k])) for f, a, b, k in pairs],
+                     gamma, samples, [seed, j])
+            for j, q_size, pairs in self._drawn
         ]
         total = math.fsum([values[i] for i in row if i >= 0] + [t.value for t in mc])
         return total, math.sqrt(math.fsum(t.stderr**2 for t in mc)), mc

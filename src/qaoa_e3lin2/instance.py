@@ -266,30 +266,37 @@ def _pair_counts(rank: np.ndarray, indptr: np.ndarray, other: np.ndarray, mask: 
     return pairs, support
 
 
-def _clause_topology(
-    triples: np.ndarray, j: int, others: np.ndarray, inside: np.ndarray
-) -> ClauseTopology:
-    """Group clause j's rows of the overlap table, of the (m, 3) ``triples``, into its topology.
+def _clause_table(triples: np.ndarray, indptr, other, mask, clauses: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sign-free neighborhoods of ``clauses``, from their rows of the overlap table.
 
-    ``others`` are the rows' other clauses, ascending, and ``inside`` their
-    mask rows. A clause with one variable inside adds its other two as a
-    pair to the form of the first focal position holding that one; a clause
-    with two is cancelled, and a clause with three is ignored.
+    Returns rows (position, variable) of each clause's support, variables
+    ascending; (position, form, a, b, k) of its pairs, by form, then by k; and
+    (position, k) of its cancelled clauses; position indexes ``clauses``. A
+    clause k with one variable inside adds its other two, in triple order and
+    as support positions, as a pair of the form of the first focal position
+    holding that one; with two inside it is cancelled, with three ignored.
     """
-    focal = tuple(triples[j].tolist())
-    raw_pairs: tuple[list[tuple[int, int, int]], ...] = ([], [], [])
-    cancelled: list[int] = []
-    for k, other, row in zip(others.tolist(), triples[others].tolist(), inside.tolist()):
-        overlap = row.count(True)
-        if overlap == 1:
-            shared = other.pop(row.index(True))
-            raw_pairs[focal.index(shared)].append((*other, k))
-        elif overlap == 2:
-            cancelled.append(k)
-    support = tuple(sorted({v for form in raw_pairs for pair in form for v in pair[:2]}))
-    pos = {v: i for i, v in enumerate(support)}
-    pairs = tuple(tuple([(pos[a], pos[b], k) for a, b, k in form]) for form in raw_pairs)
-    return ClauseTopology(focal, support, pairs, tuple(cancelled))
+    lo = indptr[clauses]
+    counts = indptr[clauses + 1] - lo
+    focal = np.repeat(np.arange(clauses.size), counts)
+    rows = np.arange(focal.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)  # the clauses' CSR rows
+    inside, k = _inside(mask[rows]), other[rows]
+    overlap = inside.sum(1)
+    cancelled = np.column_stack((focal, k))[overlap == 2]
+    one = overlap == 1
+    focal, k, inside = focal[one], k[one], inside[one]
+    theirs = triples[k]
+    form = np.argmax(triples[clauses[focal]] == theirs[inside][:, None], axis=1)
+    # the brought variables by (clause, variable), and each one's rank in its clause's support
+    brought, of = theirs[~inside], np.repeat(focal, 2)
+    order = np.lexsort((brought, of))
+    brought, of = brought[order], of[order]
+    new = np.ones(brought.size, dtype=bool)
+    new[1:] = (brought[1:] != brought[:-1]) | (of[1:] != of[:-1])
+    at = np.empty_like(order)
+    at[order] = np.cumsum(new) - 1 - np.searchsorted(of[new], of)
+    pairs = np.column_stack((focal, form, at.reshape(-1, 2), k))
+    return np.column_stack((of, brought))[new], pairs[np.argsort(focal * 3 + form, kind="stable")], cancelled
 
 
 def _read_only(values, dtype=None) -> np.ndarray:
@@ -306,8 +313,8 @@ class Instance:
     uint8) the right-hand sides, read from :class:`Clause` objects or
     ``(a, b, c, rhs)`` rows. The :class:`Clause` view, the occurrence bound,
     the table of clause pairs that share a variable, and each clause's pair
-    total, support size and topology (all three read that table) are built on
-    first use and kept.
+    total and support size (read from that table) are built on first use and
+    kept; a clause's topology is grouped from its rows of the table when read.
     """
 
     def __init__(self, n: int, clauses: Iterable[Clause | tuple[int, int, int, int]]):
@@ -322,7 +329,7 @@ class Instance:
         bad = rhs[(rhs != 0) & (rhs != 1)]
         if bad.size:
             raise ValueError(f"rhs must be 0 or 1, got {bad[0]}")
-        self.n, self._topologies = n, {}
+        self.n = n
         self.triple_array = _read_only(triples, np.intp)
         self.rhs_array = _read_only(rhs, np.uint8)
         return self
@@ -368,20 +375,18 @@ class Instance:
         """
         return self._overlaps[3:]
 
-    def clause_topology(self, j: int) -> ClauseTopology:
-        """Clause j's :class:`ClauseTopology`, built on first use and kept.
+    def clause_table(self, clauses: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:func:`_clause_table` of ``clauses``: their (support, pairs, cancelled) rows."""
+        return _clause_table(self.triple_array, *self._overlaps[:3], np.asarray(clauses, dtype=np.intp))
 
-        Only the triples are read, so one topology serves every angle and
-        every sign vector over the same triples. Clause j's rows of the
-        overlap table are its CSR slice, and only their masks are expanded.
-        """
+    def clause_topology(self, j: int) -> ClauseTopology:
+        """Clause j's :class:`ClauseTopology`, from its :meth:`clause_table` rows: the signs are not read."""
         if not 0 <= j < self.m:
             raise IndexError(f"clause_index {j} out of range for m={self.m}")
-        if j not in self._topologies:
-            indptr, other, mask = self._overlaps[:3]
-            lo, hi = indptr[j : j + 2].tolist()
-            self._topologies[j] = _clause_topology(self.triple_array, j, other[lo:hi], _inside(mask[lo:hi]))
-        return self._topologies[j]
+        support, pairs, cancelled = self.clause_table([j])
+        triple = tuple(self.triple_array[j].tolist())
+        forms = tuple(tuple(map(tuple, pairs[pairs[:, 1] == f, 2:].tolist())) for f in range(3))
+        return ClauseTopology(triple, tuple(support[:, 1].tolist()), forms, tuple(cancelled[:, 1].tolist()))
 
     @cached_property
     def d_bound(self) -> int:

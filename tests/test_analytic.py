@@ -378,6 +378,11 @@ class TestCosineProductMean:
             assert avg == pytest.approx(want, abs=1e-12)
 
 
+def pair_layout(forms):
+    """The forms' pair positions, signs aside: with q, a pair layout."""
+    return tuple(tuple((a, b) for a, b, _ in form) for form in forms)
+
+
 class TestPerformanceShape:
     """A plan counts each histogram once and holds it for as long as the plan lives."""
 
@@ -388,7 +393,7 @@ class TestPerformanceShape:
         monkeypatch.setattr(
             analytic,
             "_layout_histograms",
-            lambda q, group: walks.append((q, analytic._layout(group[0]), len(group))) or real(q, group),
+            lambda q, group: walks.append((q, pair_layout(group[0]), len(group))) or real(q, group),
         )
         return walks
 
@@ -399,7 +404,7 @@ class TestPerformanceShape:
         walks = self._walks(monkeypatch)
         assert len(scan(inst).points) > 2
         held = {key[:2] for key in EvaluationPlan(inst).keys if not isinstance(key, int)}
-        layouts = Counter((q, analytic._layout(forms)) for q, forms in held)
+        layouts = Counter((q, pair_layout(forms)) for q, forms in held)
         assert sorted(walks) == sorted((q, layout, k) for (q, layout), k in layouts.items())
         assert max(k for _, _, k in walks) > 1
 

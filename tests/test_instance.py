@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from qaoa_e3lin2.instance import (
     SIGN_MODES,
     Assignment,
     Clause,
+    ClauseTopology,
     InfeasibleError,
     Instance,
     ParseError,
@@ -297,14 +299,57 @@ def reference_overlap_table(triples):
     return focal, other, inside
 
 
+def _clause_topology(triples, j, others, inside):
+    """Group clause j's rows of an overlap table, of the (m, 3) ``triples``, one at a time into its topology.
+
+    ``others`` are the rows' other clauses, ascending, and ``inside`` their
+    mask rows. A clause with one variable inside adds its other two as a
+    pair to the form of the first focal position holding that one; a clause
+    with two is cancelled, and a clause with three is ignored.
+    """
+    focal = tuple(triples[j].tolist())
+    raw_pairs = ([], [], [])
+    cancelled = []
+    for k, other, row in zip(others.tolist(), triples[others].tolist(), inside.tolist()):
+        overlap = row.count(True)
+        if overlap == 1:
+            shared = other.pop(row.index(True))
+            raw_pairs[focal.index(shared)].append((*other, k))
+        elif overlap == 2:
+            cancelled.append(k)
+    support = tuple(sorted({v for form in raw_pairs for pair in form for v in pair[:2]}))
+    pos = {v: i for i, v in enumerate(support)}
+    pairs = tuple(tuple([(pos[a], pos[b], k) for a, b, k in form]) for form in raw_pairs)
+    return ClauseTopology(focal, support, pairs, tuple(cancelled))
+
+
 def reference_topologies(inst):
     """Every clause's topology, grouped by ``_clause_topology`` from the rows of the reference table."""
     focal, other, inside = reference_overlap_table(inst.triple_array)
     bounds = np.searchsorted(focal, np.arange(inst.m + 1)).tolist()
     return [
-        instance_module._clause_topology(inst.triple_array, j, other[lo:hi], inside[lo:hi])
+        _clause_topology(inst.triple_array, j, other[lo:hi], inside[lo:hi])
         for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
+
+
+def grouped_table(inst, clauses):
+    """``inst.clause_table(clauses)`` as (support, pair rows, cancelled) per clause, split by position."""
+    support, pairs, cancelled = inst.clause_table(clauses)
+    return [
+        (
+            tuple(support[support[:, 0] == i, 1].tolist()),
+            list(map(tuple, pairs[pairs[:, 0] == i, 1:].tolist())),
+            tuple(cancelled[cancelled[:, 0] == i, 1].tolist()),
+        )
+        for i in range(len(clauses))
+    ]
+
+
+def as_rows(topology):
+    """A topology as :func:`grouped_table` lists it: its pairs as rows (form, a, b, k), form by form."""
+    pairs = [(f, a, b, k) for f, form in enumerate(topology.pairs) for a, b, k in form]
+    return topology.support, pairs, topology.cancelled
 
 
 def two_sort_pair_stats(inst):
@@ -395,6 +440,48 @@ class TestOverlapTable:
         inst = star(300)
         _, peak = traced_peak(lambda: inst.pair_stats)
         assert peak <= 300 * 299 * instance_module._OVERLAP_BYTES_PER_PAIR
+
+
+#: Sorted triples over seven variables, repeats allowed: repeated pairs, clauses that meet in two
+#: variables and duplicate triples are all common.
+crowded_triples = st.lists(st.sampled_from(list(combinations(range(7), 3))), max_size=16)
+
+
+class TestClauseTable:
+    """``clause_table`` over any ascending clauses against ``_clause_topology``, one clause at a time."""
+
+    @given(triples=st.one_of(crowded_triples, loose_triples), data=st.data())
+    @settings(max_examples=200)
+    def test_every_clause_equals_its_reference_topology(self, triples, data):
+        inst = Instance(7, [(*t, 0) for t in triples])
+        want = reference_topologies(inst)
+        assert [inst.clause_topology(j) for j in range(inst.m)] == want
+        clauses = sorted(data.draw(st.sets(st.integers(0, inst.m - 1))) if inst.m else ())
+        assert grouped_table(inst, clauses) == [as_rows(want[j]) for j in clauses]
+
+    def test_repeated_pairs_cancelled_and_duplicate_clauses(self):
+        # clause 0 meets 1 in all three variables (ignored), 2 in two (cancelled), and 3, 4 and 5
+        # in one each, all three bringing the pair (4, 5): twice through variable 0
+        rows = [(0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 3, 0), (0, 4, 5, 1), (1, 4, 5, 0), (0, 4, 5, 0)]
+        inst = Instance(6, rows)
+        want = reference_topologies(inst)
+        assert want[0] == ClauseTopology((0, 1, 2), (4, 5), (((0, 1, 3), (0, 1, 5)), ((0, 1, 4),), ()), (2,))
+        assert [inst.clause_topology(j) for j in range(inst.m)] == want
+        assert grouped_table(inst, list(range(inst.m))) == list(map(as_rows, want))
+
+    @given(
+        inst=instances(min_n=8, max_n=14, max_m=20),
+        offset=st.integers(1 << 62, (1 << 62) + (1 << 40)),
+        stride=st.integers(1, 1 << 40),
+    )
+    @settings(max_examples=40)
+    def test_huge_labels_give_the_rows_of_their_small_originals(self, inst, offset, stride):
+        # labels past 2^62: an array of length n, or a code v * n + j, could not be built
+        rows = [(offset + a * stride, offset + b * stride, offset + c * stride, r) for a, b, c, r in inst._rows()]
+        huge = Instance(n=offset + inst.n * stride, clauses=rows)
+        clauses = np.arange(inst.m)
+        for got, want in zip(huge.clause_table(clauses)[1:], inst.clause_table(clauses)[1:]):
+            assert got.tobytes() == want.tobytes()
 
 
 #: Bytes per clause that parse and then pair_stats may hold at their peaks (tracemalloc) on a

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic
-from qaoa_e3lin2 import instance as instance_module
+from qaoa_e3lin2._caps import MC_SAMPLES
 from qaoa_e3lin2.analytic import (
+    EXACT_METHOD,
     EvaluationPlan,
     ExpectationReport,
     SupportTooLargeError,
@@ -44,7 +45,7 @@ from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensembl
 
 from conftest import dumb_combo_histogram, instances
 from test_histogram_kernel import ENTANGLED, ENTANGLED_PATH, assert_same, loop_histogram
-from test_topology import OCTET
+from test_topology import OCTET, table_builds
 
 GAMMAS = (0.37, -0.21, 1.3)
 DEMO_PATH = ENTANGLED_PATH.with_name("demo.e3lin2")
@@ -281,26 +282,68 @@ class TestSignKeys:
 class TestPlanShape:
     def test_factorized_clauses_need_no_neighborhood(self, monkeypatch):
         inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
-        calls = []
-        real = instance_module._clause_topology
-        monkeypatch.setattr(
-            instance_module, "_clause_topology", lambda *a: calls.append(a[1]) or real(*a)
-        )
+        tables = table_builds(monkeypatch)
         plan = EvaluationPlan(inst)
         plan.total(0.3)
-        assert calls == [] and not plan.mc
+        assert tables == [[]] and not plan.mc
         assert all(isinstance(key, int) for key in plan.keys)
         assert sorted(set(plan.key_of)) == list(range(len(plan.keys)))
 
-    def test_monte_carlo_clauses_keep_their_own_neighborhood(self):
-        inst = with_signs(ENTANGLED, [j % 2 for j in range(ENTANGLED.m)])
-        for mode, q_max in (("mc", None), ("auto", 12)):
+    def test_each_plan_builds_one_table_of_its_unfactorized_clauses(self, monkeypatch):
+        # clause 3 of the octet factorizes; q_max 4 sends three others to Monte Carlo
+        inst = base_instance(OCTET)
+        tables = table_builds(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plan read a topology or built a neighborhood")
+
+        monkeypatch.setattr(Instance, "clause_topology", refuse)
+        monkeypatch.setattr(analytic, "Neighborhood", refuse)
+        for mode, q_max in (("exact", None), ("auto", 4), ("mc", None)):
+            tables.clear()
             plan = EvaluationPlan(inst, mode, q_max)
-            mc_clauses = [j for j, i in enumerate(plan.key_of) if i < 0]
-            own = plan.neighborhoods(inst.rhs_array)
-            assert plan.mc == [nb.focal_index for nb in own] == mc_clauses
-            assert list(own) == [build_neighborhood(inst, j) for j in mc_clauses]
+            plan.evaluate(0.3, 50)
+            plan.ensemble_w(0.3, 3, lambda start, stop: code_bits(np.arange(start, stop), inst.m))
+            assert tables == [list(range(8)) if mode == "mc" else [0, 1, 2, 4, 5, 6, 7]]
+
+    def test_monte_carlo_clauses_keep_their_own_neighborhood(self):
+        # every Monte Carlo term, through evaluate and total, is clause_term_mc of its own neighborhood
+        for rhs in ([j % 2 for j in range(ENTANGLED.m)], random_rhs(ENTANGLED.m, 7)):
+            inst = with_signs(ENTANGLED, rhs)
+            for mode, q_max in (("mc", None), ("auto", 12)):
+                plan = EvaluationPlan(inst, mode, q_max)
+                assert plan.mc == [j for j, i in enumerate(plan.key_of) if i < 0]
+                for gamma in (0.37, -1.3, 1e-7):
+                    for samples, seed in ((1, 0), (7, 3), (500, 2)):
+                        want = [
+                            clause_term_mc(build_neighborhood(inst, j), gamma, samples, seed=[seed, j])
+                            for j in plan.mc
+                        ]
+                        report = plan.evaluate(gamma, samples, seed)
+                        assert [report.terms[j] for j in plan.mc] == want
+                        exact = [t.value for t in report.terms if t.method == EXACT_METHOD]
+                        total = math.fsum(exact + [t.value for t in want])
+                        stderr = math.sqrt(math.fsum(t.stderr**2 for t in want))
+                        assert (report.total, report.stderr) == (total, stderr)
+                        assert plan.total(gamma, samples, seed) == (total, stderr)
         assert len(EvaluationPlan(inst, "mc").mc) == inst.m
+
+    def test_an_ensemble_draws_monte_carlo_clauses_from_their_own_neighborhood(self):
+        # q_max 4 sends three of the octet's clauses to Monte Carlo, drawn at total's defaults
+        base = base_instance(OCTET)
+        rhs = code_bits(np.array([0, 37, 150, 255]), base.m)
+        plan = EvaluationPlan(base, "auto", 4)
+        assert len(plan.mc) == 3
+        for gamma in (0.3, 1e-7):
+            w = plan.ensemble_w(gamma, len(rhs), lambda start, stop: rhs[start:stop])
+            for t, bits in enumerate(rhs):
+                inst = with_signs(base, bits)
+                terms = EvaluationPlan(inst, "auto", 4).evaluate(gamma).terms
+                exact = [term.value for term in terms if term.method == EXACT_METHOD]
+                drawn = [
+                    clause_term_mc(build_neighborhood(inst, j), gamma, MC_SAMPLES, seed=[0, j]).value for j in plan.mc
+                ]
+                assert w[t] == math.fsum(exact + drawn)
 
     def test_each_key_is_evaluated_once_per_scan_angle(self, monkeypatch):
         inst = generate_random(n=60, m=40, d_bound=3, seed=2)

@@ -1,12 +1,13 @@
-"""One plan per scan and at most one topology per clause of an instance.
+"""One plan per scan, and one sign-free clause table per plan.
 
 The reference loops here take the straightforward path: a fresh
 ``objective_expectation`` per angle, and a fresh ``with_signs`` /
 ``resample_signs`` instance per sign vector, each compiling its own plan
-from its own topologies. Shared construction must reproduce them exactly
-(``==``). ``Instance.clause_topology(j)`` is built once per instance, on
-first use, however many neighborhoods, plans and ensemble vectors read it,
-and never for a factorized clause that is routed from ``pair_stats``.
+from its own table. Shared construction must reproduce them exactly
+(``==``). A plan builds ``instance._clause_table`` once, over its clauses
+that do not factorize, however many angles and ensemble vectors it
+evaluates; a factorized clause is routed from ``pair_stats`` alone. A
+neighborhood reads the table of its own clause.
 """
 
 import math
@@ -67,64 +68,51 @@ class TestScanReusesNeighborhoods:
 
     def test_factorized_scan_builds_no_topology_and_no_neighborhood(self, monkeypatch):
         inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
-        # read on a copy, so that the scanned instance has built nothing yet
-        copy = Instance(n=inst.n, clauses=inst.clauses)
-        topology = [copy.clause_topology(j) for j in range(copy.m)]
+        topology = [inst.clause_topology(j) for j in range(inst.m)]
         assert all(len(t.support) == 2 * sum(map(len, t.pairs)) for t in topology)
-        calls = {"_clause_topology": 0, "build_neighborhood": 0}
-
-        def counting(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        for module, name in (
-            (instance_module, "_clause_topology"),
-            (analytic, "build_neighborhood"),
-        ):
-            monkeypatch.setattr(module, name, counting(module, name))
+        tables, neighborhoods = table_builds(monkeypatch), []
+        real = analytic.build_neighborhood
+        monkeypatch.setattr(analytic, "build_neighborhood", lambda *a: neighborhoods.append(a) or real(*a))
         result = scan(inst)
         assert len(result.points) == result.schedule.k + 1 > 1
-        assert calls == {"_clause_topology": 0, "build_neighborhood": 0}
+        # the scan's one plan builds its table over no clause, and no neighborhood
+        assert tables == [[]] and neighborhoods == []
+
+
+def table_builds(monkeypatch):
+    """The clauses of every ``instance._clause_table`` call, as lists, in call order."""
+    calls = []
+    real = instance_module._clause_table
+    monkeypatch.setattr(instance_module, "_clause_table", lambda *a: calls.append(a[-1].tolist()) or real(*a))
+    return calls
 
 
 class TestTopologyBuiltOncePerInstance:
-    """Each clause's topology is built at most once per instance, and only when it is read."""
+    """An ensemble's one plan builds the table of its base instance once; a neighborhood reads its clause's."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        calls = []
-        real = instance_module._clause_topology
-        monkeypatch.setattr(
-            instance_module,
-            "_clause_topology",
-            lambda triples, j, others, inside: calls.append(j) or real(triples, j, others, inside),
-        )
-        return calls
+        return table_builds(monkeypatch)
 
-    def test_every_neighborhood_of_an_instance_shares_one(self, builds):
+    def test_each_neighborhood_reads_its_own_clause(self, builds):
         inst = _signed(OCTET, seed=3)
         for _ in range(2):
             for j in range(inst.m):
                 build_neighborhood(inst, j)
-        assert sorted(builds) == list(range(inst.m))
+        assert builds == [[j] for _ in range(2) for j in range(inst.m)]
 
     def test_exhaustive_ensemble_builds_one(self, builds):
-        # one per enumerated clause, over all 64 sign vectors; clause 3 factorizes
+        # one table of the enumerated clauses, for all 64 sign vectors; clause 3 factorizes
         ensemble_mean_exhaustive(OCTET[:6], 0.4)
-        assert sorted(builds) == [0, 1, 2, 4, 5]
+        assert builds == [[0, 1, 2, 4, 5]]
 
     def test_monte_carlo_ensemble_builds_one(self, builds):
-        # q_max 4 sends clauses 1, 6 and 7 to Monte Carlo, whose neighborhoods every trial
-        # reads; clause 3 factorizes
+        # q_max 4 sends clauses 1, 6 and 7 to Monte Carlo, whose pair rows every trial reads
+        # from the same table; clause 3 factorizes
         for trials in (5, 12):
             builds.clear()
             ensemble_mean_mc(OCTET, 0.3, trials=trials, seed=1, q_max=4)
-            assert sorted(builds) == [0, 1, 2, 4, 5, 6, 7]
+            assert builds == [[0, 1, 2, 4, 5, 6, 7]]
 
 
 class TestEnsemblesShareTopology:

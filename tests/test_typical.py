@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, analytic, typical
-from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import SupportTooLargeError, build_neighborhood, objective_expectation
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import generate_random, parse, resample_signs, serialize, with_signs
@@ -30,6 +29,7 @@ from qaoa_e3lin2.typical import (
 )
 
 from conftest import instances
+from test_topology import table_builds
 
 # four triples whose incidence rows sum to zero over GF(2); the sign
 # ensemble splits into two orbits, yet W still cannot tell them apart:
@@ -166,13 +166,8 @@ class TestClosedForm:
 
     def test_collection_reads_pair_totals_without_neighborhoods(self, monkeypatch):
         per_clause = [build_neighborhood(base_instance(SPREAD_OCTET), j) for j in range(8)]
-        # a fresh instance, whose topologies are not built yet
         inst = base_instance(SPREAD_OCTET)
-        calls = []
-        real = instance_module._clause_topology
-        monkeypatch.setattr(
-            instance_module, "_clause_topology", lambda *a: calls.append(a[1]) or real(*a)
-        )
+        calls = table_builds(monkeypatch)
         for g in (0.3, 0.52, -1.1):
             want = math.fsum(clause_mean_closed_form(nb, g) for nb in per_clause)
             assert collection_closed_form(inst, g) == want
