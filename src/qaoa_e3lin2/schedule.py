@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .analytic import MC_SAMPLES, EvaluationPlan
-from .instance import Instance
+from ._caps import MC_SAMPLES
+
+if TYPE_CHECKING:
+    from .instance import Instance
 
 #: Slack allowed when checking the Chebyshev node inequality numerically.
 NODE_TOL = 1e-12
@@ -202,6 +204,8 @@ def scan(
     node's result instead of calling the plan, unless W there is zero,
     whose negation would print as -0.0.
     """
+    from .analytic import EvaluationPlan
+
     if schedule is None:
         schedule = make_schedule(max(1, instance.d_bound))
     plan = EvaluationPlan(instance, mode=mode, q_max=q_max)

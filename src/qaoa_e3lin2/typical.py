@@ -26,18 +26,22 @@ the rhs bits, so one parity kernel call gives the keys of a whole chunk of
 sign vectors, each key they meet is evaluated once (the base instance's
 all-zero row is never read), and a vector's W is one ``math.fsum`` of
 looked-up values, bitwise the sum a per-vector plan would give.
+
+``analytic`` and ``instance`` load inside the functions that use them, so
+the formulas alone (``optimal_gamma_typical``, ``typical_guarantee``, the
+bounds) load neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .analytic import EvaluationPlan, _factorized_value
-from .instance import Instance, code_bits, random_rhs, validate
+if TYPE_CHECKING:
+    from .instance import Instance
 
 EXHAUSTIVE_MAX_M = 20
 
@@ -77,6 +81,8 @@ def base_instance(triples: np.ndarray | Sequence[tuple[int, int, int]]) -> Insta
     ``triples`` is an (m, 3) array or m triples. Raises ``ValueError`` with
     the first problem ``validate`` finds.
     """
+    from .instance import Instance, validate
+
     rows = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
     n = 1 + int(rows.max()) if rows.size else 3
     inst = Instance._from_arrays(n, rows, np.zeros(len(rows), dtype=np.uint8))
@@ -91,6 +97,8 @@ def clause_mean_closed_form(nbhd, gamma: float) -> float:
 
     It is the factorized clause term at the clause's pair total.
     """
+    from .analytic import _factorized_value
+
     return _factorized_value(sum(nbhd.pair_counts), gamma)
 
 
@@ -100,6 +108,8 @@ def collection_closed_form(instance: Instance, gamma: float) -> float:
     The pair totals are read from ``Instance.pair_stats``; no topology and
     no neighborhood is built.
     """
+    from .analytic import _factorized_value
+
     return math.fsum(_factorized_value(p, gamma) for p in instance.pair_stats[0].tolist())
 
 
@@ -155,6 +165,9 @@ def ensemble_mean_exhaustive(
     equal to bit j of ``code``; W of every vector is read from the key codes
     of one plan, so each distinct clause term is evaluated once.
     """
+    from .analytic import EvaluationPlan
+    from .instance import code_bits
+
     base = base_instance(triples)
     m = base.m
     if m > EXHAUSTIVE_MAX_M:
@@ -187,6 +200,9 @@ def ensemble_mean_mc(
     ``seed`` seeds only the sign draws and two trials with equal signs give
     the same W.
     """
+    from .analytic import EvaluationPlan
+    from .instance import random_rhs
+
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     base = base_instance(triples)

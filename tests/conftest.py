@@ -1,4 +1,4 @@
-"""Shared strategies and deliberately naive reference implementations.
+"""Shared strategies, deliberately naive reference implementations and a CLI runner.
 
 The ``dumb_*`` reference functions here recompute quantities with plain
 Python loops (no numpy, no caching, no shared code paths with the package),
@@ -6,14 +6,18 @@ and ``loop_eval_forms`` with one numpy pass per pair, so the tests compare
 two genuinely different routes to the same number.
 """
 
+import contextlib
+import io
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import Clause, Instance
 
 settings.register_profile(
@@ -23,6 +27,26 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("suite")
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """What a terminal shows: stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run_cli(argv) -> CliResult:
+    """Run ``qaoa_e3lin2.cli.main(argv)`` in this process with its output captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 @st.composite

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
 from qaoa_e3lin2.analytic import (
     SIGN_PATTERNS,
@@ -20,7 +19,6 @@ from qaoa_e3lin2.analytic import (
     moment_checks,
     objective_expectation,
 )
-from qaoa_e3lin2.cli import main as cli_main
 from qaoa_e3lin2.instance import (
     Clause,
     Instance,
@@ -43,6 +41,8 @@ from qaoa_e3lin2.typical import (
     optimal_gamma_typical,
     sandwich_bounds,
 )
+
+from conftest import run_cli
 
 # --- shared collections ---------------------------------------------------
 
@@ -353,12 +353,11 @@ def test_11_round_trip_determinism(tmp_path):
         inst = generate_random(n=n, m=m, d_bound=d, seed=7000 + i)
         assert parse(serialize(inst)) == inst
 
-    runner = CliRunner()
     path = tmp_path / "inst.e3lin2"
     gen_args = ["gen", "-n", "10", "-m", "8", "-D", "2", "--seed", "3", "-o", str(path)]
     first_file = None
     for _ in range(2):
-        result = runner.invoke(cli_main, gen_args)
+        result = run_cli(gen_args)
         assert result.exit_code == 0
         data = path.read_bytes()
         assert first_file is None or data == first_file
@@ -374,8 +373,8 @@ def test_11_round_trip_determinism(tmp_path):
         ["bounds", "-m", "1000", "-D", "4"],
     ]
     for args in reruns:
-        out1 = runner.invoke(cli_main, args)
-        out2 = runner.invoke(cli_main, args)
+        out1 = run_cli(args)
+        out2 = run_cli(args)
         assert out1.exit_code == 0, (args, out1.output)
         assert out1.output == out2.output, args
     _report(

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +29,6 @@ from qaoa_e3lin2.analytic import (
     combo_histogram,
     objective_expectation,
 )
-from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import (
     Clause,
     Instance,
@@ -41,7 +39,7 @@ from qaoa_e3lin2.instance import (
 )
 from qaoa_e3lin2.statevector import AngleParams, expectation, prepare
 
-from conftest import instances, loop_eval_forms
+from conftest import instances, loop_eval_forms, run_cli
 from test_lazy_exports import fresh
 
 ENTANGLED_PATH = Path(__file__).parent / "golden" / "entangled.e3lin2"
@@ -366,9 +364,8 @@ class TestMonteCarloMemoryRefusal:
 
     def test_eval_command_exits_two(self, one_mib, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", _refuse_rng)
-        result = CliRunner().invoke(
-            main,
-            ["eval", str(ENTANGLED_PATH), "--gamma", "0.2", "--mode", "mc", "--mc-samples", "1000000000"],
+        result = run_cli(
+            ["eval", str(ENTANGLED_PATH), "--gamma", "0.2", "--mode", "mc", "--mc-samples", "1000000000"]
         )
         assert result.exit_code == 2
         assert "physical memory" in result.output

@@ -11,7 +11,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,11 +38,10 @@ from qaoa_e3lin2.instance import (
 from qaoa_e3lin2 import _caps
 from qaoa_e3lin2 import instance as instance_module
 from qaoa_e3lin2.analytic import EvaluationPlan
-from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.schedule import scan
 from qaoa_e3lin2.typical import base_instance
 
-from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances
+from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances, run_cli
 
 #: The largest count or variable index an instance file may hold.
 INDEX_MAX = int(np.iinfo(np.intp).max)
@@ -432,7 +430,7 @@ class TestOverlapTable:
         path.write_text(serialize(star(300)))
         pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(_caps.os, "sysconf", pages.__getitem__)
-        result = CliRunner().invoke(main, ["scan", str(path)])
+        result = run_cli(["scan", str(path)])
         assert result.exit_code == 2
         assert "the overlap table of 89700 shared incidences needs about 1614600 bytes" in result.output
 
@@ -884,7 +882,7 @@ class TestFileFormat:
     def test_eval_of_an_overflowing_file_exits_two(self, tmp_path):
         path = tmp_path / "huge.e3lin2"
         path.write_text("e3lin2 100000000000000000000000 1\n0 1 99999999999999999999999 0\n")
-        result = CliRunner().invoke(main, ["eval", str(path), "--gamma", "0.2"])
+        result = run_cli(["eval", str(path), "--gamma", "0.2"])
         assert result.exit_code == 2
         assert result.output.splitlines()[-1] == (
             f"Error: {path}: header counts must be at most {INDEX_MAX}, line 1"

@@ -1,5 +1,5 @@
-"""The package resolves each export on first use, and the CLI loads only the
-modules its commands share.
+"""The package resolves each export on first use, and each CLI command loads
+only the modules it runs.
 
 Each check that depends on what is already imported runs in a fresh
 interpreter, since the rest of the suite imports every module.
@@ -40,8 +40,29 @@ def fresh(code: str):
 
 def test_importing_the_cli_loads_no_command_module():
     loaded = fresh("import json, sys, qaoa_e3lin2.cli; print(json.dumps(sorted(sys.modules)))")
-    assert "qaoa_e3lin2.instance" in loaded
+    assert "qaoa_e3lin2.instance" not in loaded
     assert COMMAND_MODULES.isdisjoint(loaded) and "qaoa_e3lin2.analytic" not in loaded
+    assert [name for name in loaded if name == "click" or name.startswith("click.")] == []
+
+
+def loaded_by(argv) -> list[str]:
+    """The modules loaded in a fresh interpreter once ``main(argv)`` has run, its output discarded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from qaoa_e3lin2.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    return fresh(code)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bounds_loads_neither_analytic_nor_instance(fmt):
+    loaded = loaded_by(["bounds", "-m", "100", "-D", "3", "--format", fmt])
+    assert {"qaoa_e3lin2.schedule", "qaoa_e3lin2.typical"} <= set(loaded)
+    assert "qaoa_e3lin2.analytic" not in loaded and "qaoa_e3lin2.instance" not in loaded
+    assert ("csv" in loaded) == (fmt == "csv")
 
 
 @pytest.mark.parametrize(
@@ -53,15 +74,7 @@ def test_importing_the_cli_loads_no_command_module():
 )
 def test_gen_and_sample_never_load_analytic(args, tmp_path):
     golden = Path(__file__).parent / "golden"
-    argv = [a.format(dir=tmp_path, golden=golden) for a in args]
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from qaoa_e3lin2.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main({argv!r}, standalone_mode=False)\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
-    loaded = fresh(code)
+    loaded = loaded_by([a.format(dir=tmp_path, golden=golden) for a in args])
     assert "qaoa_e3lin2.instance" in loaded
     assert "qaoa_e3lin2.analytic" not in loaded
 
@@ -110,13 +123,6 @@ def test_an_unknown_name_raises_attribute_error():
 def test_scan_and_eval_of_a_file_never_load_numpy_ma(args):
     # numpy.ma costs about 13 ms to import, and np.unique on a void array loads it
     path = Path(__file__).parent / "golden" / "entangled.e3lin2"
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from qaoa_e3lin2.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main({[args[0], str(path), *args[1:]]!r}, standalone_mode=False)\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-    )
-    loaded = fresh(code)
+    loaded = loaded_by([args[0], str(path), *args[1:]])
     assert "qaoa_e3lin2.instance" in loaded
     assert [name for name in loaded if name == "numpy.ma" or name.startswith("numpy.ma.")] == []

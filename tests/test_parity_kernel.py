@@ -10,13 +10,11 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_e3lin2 import _caps, sampler, statevector
 from qaoa_e3lin2 import instance as instance_module
-from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import (
     Assignment,
     Clause,
@@ -39,7 +37,7 @@ from qaoa_e3lin2.statevector import (
     uniform_state,
 )
 
-from conftest import bit_vectors, dumb_satisfied_count, instances
+from conftest import bit_vectors, dumb_satisfied_count, instances, run_cli
 
 
 def loop_cost_values(instance, n):
@@ -242,9 +240,7 @@ class TestMemoryRefusal:
         path = tmp_path / "wide.e3lin2"
         wide = Instance(n=40, clauses=(Clause(0, 1, 2, 0), Clause(37, 38, 39, 1)))
         path.write_text(serialize(wide), encoding="utf-8")
-        result = CliRunner().invoke(
-            main, ["sample", str(path), "--gamma", "0.2", "--n-max", "40"]
-        )
+        result = run_cli(["sample", str(path), "--gamma", "0.2", "--n-max", "40"])
         assert result.exit_code == 2
         assert "physical memory" in result.output
 
@@ -255,9 +251,7 @@ class TestMemoryRefusal:
     def test_sample_command_refuses_a_trillion_shots(self, tmp_path, tiny_instance, no_dense_arrays):
         path = tmp_path / "tiny.e3lin2"
         path.write_text(serialize(tiny_instance), encoding="utf-8")
-        result = CliRunner().invoke(
-            main, ["sample", str(path), "--gamma", "0.2", "--samples", str(10**12)]
-        )
+        result = run_cli(["sample", str(path), "--gamma", "0.2", "--samples", str(10**12)])
         assert result.exit_code == 2
         assert "physical memory" in result.output
 

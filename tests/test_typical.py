@@ -4,13 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaoa_e3lin2 import _caps, analytic, typical
+from qaoa_e3lin2 import _caps, analytic, instance
 from qaoa_e3lin2.analytic import SupportTooLargeError, build_neighborhood, objective_expectation
-from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import generate_random, parse, resample_signs, serialize, with_signs
 from qaoa_e3lin2.typical import (
     EXHAUSTIVE,
@@ -28,7 +26,7 @@ from qaoa_e3lin2.typical import (
     variance_bound,
 )
 
-from conftest import instances
+from conftest import instances, run_cli
 from test_topology import table_builds
 
 # four triples whose incidence rows sum to zero over GF(2); the sign
@@ -264,8 +262,8 @@ class TestMonteCarlo:
         # the seed, and equals W of that one signed instance drawn at seed 0
         inst = parse(ENTANGLED_PATH.read_text(encoding="utf-8"))
         assert len(analytic.EvaluationPlan(inst, "auto", 8).mc) == inst.m == 36
-        row = typical.random_rhs(inst.m, [5, 0])
-        monkeypatch.setattr(typical, "random_rhs", lambda m, seed: row)
+        row = instance.random_rhs(inst.m, [5, 0])
+        monkeypatch.setattr(instance, "random_rhs", lambda m, seed: row)
         monkeypatch.setattr(analytic, "MC_SAMPLES", 1000)
         reports = [ensemble_mean_mc(inst.triples(), 0.3, 2, seed=s, q_max=8) for s in (1, 2)]
         assert reports[0] == dataclasses.replace(reports[1], seed=1)
@@ -293,7 +291,7 @@ class TestMonteCarlo:
     def test_typical_command_refuses_a_trillion_trials(self, tmp_path, no_w_array):
         path = tmp_path / "octet.e3lin2"
         path.write_text(serialize(base_instance(SPREAD_OCTET)), encoding="utf-8")
-        result = CliRunner().invoke(main, ["typical", str(path), "--trials", str(10**12)])
+        result = run_cli(["typical", str(path), "--trials", str(10**12)])
         assert result.exit_code == 2
         assert "physical memory" in result.output
 
