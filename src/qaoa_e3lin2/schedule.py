@@ -18,6 +18,9 @@ small D and undefined at D = 1.
 The grid is mirror-symmetric, gamma_{k-r} = -gamma_r exactly, and W is odd,
 so :func:`scan` evaluates the first half of the grid and negates it for the
 second: one pass over the distinct |gamma|.
+
+``analytic`` loads inside :func:`scan`, so the grid and the bounds alone
+load neither ``analytic`` nor ``instance``.
 """
 
 from __future__ import annotations
