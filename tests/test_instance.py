@@ -37,7 +37,7 @@ from qaoa_e3lin2.instance import (
 
 from qaoa_e3lin2 import _caps
 from qaoa_e3lin2 import instance as instance_module
-from qaoa_e3lin2.analytic import EvaluationPlan
+from qaoa_e3lin2.analytic import EvaluationPlan, Neighborhood, build_neighborhood
 from qaoa_e3lin2.schedule import scan
 from qaoa_e3lin2.typical import base_instance
 
@@ -45,6 +45,8 @@ from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, insta
 
 #: The largest count or variable index an instance file may hold.
 INDEX_MAX = int(np.iinfo(np.intp).max)
+
+GOLDEN_INSTANCES = sorted((Path(__file__).parent / "golden").glob("*.e3lin2"))
 
 
 class TestClause:
@@ -467,6 +469,20 @@ class TestClauseTable:
         assert [inst.clause_topology(j) for j in range(inst.m)] == want
         assert grouped_table(inst, list(range(inst.m))) == list(map(as_rows, want))
 
+    @given(triples=st.one_of(crowded_triples, loose_triples), data=st.data())
+    @settings(max_examples=200)
+    def test_build_neighborhood_is_the_reference_with_its_signs(self, triples, data):
+        rhs = data.draw(st.lists(st.integers(0, 1), min_size=len(triples), max_size=len(triples)))
+        inst = Instance(7, [(*t, r) for t, r in zip(triples, rhs)])
+        assert_neighborhoods_are_the_reference(inst)
+        assert_neighborhoods_are_the_reference(with_signs(inst, 1 - inst.rhs_array))
+
+    @pytest.mark.parametrize("path", GOLDEN_INSTANCES, ids=lambda path: path.name)
+    def test_build_neighborhood_is_the_reference_on_every_golden(self, path):
+        inst = parse(path.read_text(encoding="utf-8"))
+        assert_neighborhoods_are_the_reference(inst)
+        assert_neighborhoods_are_the_reference(with_signs(inst, 1 - inst.rhs_array))
+
     @given(
         inst=instances(min_n=8, max_n=14, max_m=20),
         offset=st.integers(1 << 62, (1 << 62) + (1 << 40)),
@@ -480,6 +496,16 @@ class TestClauseTable:
         clauses = np.arange(inst.m)
         for got, want in zip(huge.clause_table(clauses)[1:], inst.clause_table(clauses)[1:]):
             assert got.tobytes() == want.tobytes()
+
+
+def assert_neighborhoods_are_the_reference(inst):
+    """``build_neighborhood`` of every clause ``==`` its reference rows, each pair signed ``1 - 2 * rhs[k]``."""
+    rhs = inst.rhs_array.tolist()
+    for j, topology in enumerate(reference_topologies(inst)):
+        support, pairs, cancelled = as_rows(topology)
+        forms = tuple(tuple((a, b, 1 - 2 * rhs[k]) for f, a, b, k in pairs if f == form) for form in range(3))
+        focal = Clause(*inst.triple_array[j].tolist(), rhs[j])
+        assert build_neighborhood(inst, j) == Neighborhood(j, focal, support, forms, cancelled)
 
 
 #: Bytes per clause that parse and then pair_stats may hold at their peaks (tracemalloc) on a
