@@ -170,11 +170,14 @@ class MomentReport:
 
 
 def build_neighborhood(instance: Instance, clause_index: int) -> Neighborhood:
-    """Attach the instance's clause signs to one clause's ``Instance.clause_topology``."""
-    topo, rhs = instance.clause_topology(clause_index), instance.rhs_array
-    forms = tuple(tuple([(a, b, 1 - 2 * int(rhs[k])) for a, b, k in form]) for form in topo.pairs)
-    focal = Clause(*topo.triple, int(rhs[clause_index]))
-    return Neighborhood(clause_index, focal, topo.support, forms, topo.cancelled)
+    """Clause ``clause_index``'s rows of ``Instance.clause_table``, each pair signed ``1 - 2*rhs[k]``."""
+    support, pairs, cancelled = instance.clause_table([clause_index])
+    rhs = instance.rhs_array
+    pairs[:, 4] = 1 - 2 * rhs[pairs[:, 4]].astype(np.intp)  # each neighbor clause, read as its sign
+    rows = pairs[:, 1:].tolist()
+    forms = tuple(tuple([(a, b, sign) for f, a, b, sign in rows if f == i]) for i in range(3))
+    focal = Clause(*instance.triple_array[clause_index].tolist(), int(rhs[clause_index]))
+    return Neighborhood(clause_index, focal, tuple(support[:, 1].tolist()), forms, tuple(cancelled[:, 1].tolist()))
 
 
 def _gauge_rows(q_size: int, pairs) -> list[list[int]]:

@@ -124,23 +124,6 @@ class Assignment:
         return f"Assignment({self.to_string()!r})"
 
 
-@dataclass(frozen=True)
-class ClauseTopology:
-    """The sign-free part of one clause's neighborhood.
-
-    ``pairs[i]`` lists the pairs of form ``c_{i+1}`` as ``(a, b, k)``: ``a``
-    and ``b`` are positions into ``support``, the ascending variables the
-    pairs use, and ``k`` is the index of the neighbor clause whose sign the
-    pair carries. ``cancelled`` lists the clauses sharing two variables with
-    the focal triple.
-    """
-
-    triple: tuple[int, int, int]
-    support: tuple[int, ...]
-    pairs: tuple[tuple[tuple[int, int, int], ...], ...]
-    cancelled: tuple[int, ...]
-
-
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """The distinct values of an integer array, ascending: one sort and an adjacent-repeat mask."""
     codes = np.sort(codes)
@@ -314,7 +297,7 @@ class Instance:
     ``(a, b, c, rhs)`` rows. The :class:`Clause` view, the occurrence bound,
     the table of clause pairs that share a variable, and each clause's pair
     total and support size (read from that table) are built on first use and
-    kept; a clause's topology is grouped from its rows of the table when read.
+    kept; :meth:`clause_table` groups any clauses' rows of that table when read.
     """
 
     def __init__(self, n: int, clauses: Iterable[Clause | tuple[int, int, int, int]]):
@@ -371,22 +354,21 @@ class Instance:
         P counts the clauses that share exactly one variable with clause j,
         and q the distinct variables they bring from outside its triple: the
         term factorizes when q = 2P. Both count the overlap rows with one
-        variable inside, as clause j's :meth:`clause_topology` does.
+        variable inside, as clause j's pair and support rows of
+        :meth:`clause_table` do.
         """
         return self._overlaps[3:]
 
     def clause_table(self, clauses: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:func:`_clause_table` of ``clauses``: their (support, pairs, cancelled) rows."""
-        return _clause_table(self.triple_array, *self._overlaps[:3], np.asarray(clauses, dtype=np.intp))
+        """:func:`_clause_table` of ``clauses``: their (support, pairs, cancelled) rows.
 
-    def clause_topology(self, j: int) -> ClauseTopology:
-        """Clause j's :class:`ClauseTopology`, from its :meth:`clause_table` rows: the signs are not read."""
-        if not 0 <= j < self.m:
-            raise IndexError(f"clause_index {j} out of range for m={self.m}")
-        support, pairs, cancelled = self.clause_table([j])
-        triple = tuple(self.triple_array[j].tolist())
-        forms = tuple(tuple(map(tuple, pairs[pairs[:, 1] == f, 2:].tolist())) for f in range(3))
-        return ClauseTopology(triple, tuple(support[:, 1].tolist()), forms, tuple(cancelled[:, 1].tolist()))
+        Refuses, with an ``IndexError`` naming the first, any index outside [0, m).
+        """
+        clauses = np.asarray(clauses, dtype=np.intp)
+        outside = clauses[(clauses < 0) | (clauses >= self.m)]
+        if outside.size:
+            raise IndexError(f"clause_index {outside[0]} out of range for m={self.m}")
+        return _clause_table(self.triple_array, *self._overlaps[:3], clauses)
 
     @cached_property
     def d_bound(self) -> int:

@@ -67,9 +67,10 @@ class TestBuildNeighborhood:
         assert nb.forms[1] == ()
         assert nb.forms[2] == ((2, 3, -1),)
 
-    def test_index_out_of_range(self, tiny_instance):
-        with pytest.raises(IndexError):
-            build_neighborhood(tiny_instance, 5)
+    @pytest.mark.parametrize("j", [-1, 5])
+    def test_index_out_of_range(self, tiny_instance, j):
+        with pytest.raises(IndexError, match=f"^clause_index {j} out of range for m=5$"):
+            build_neighborhood(tiny_instance, j)
 
     @given(inst=instances(max_n=9, max_m=7))
     @settings(max_examples=50)

@@ -18,7 +18,6 @@ from qaoa_e3lin2.instance import (
     SIGN_MODES,
     Assignment,
     Clause,
-    ClauseTopology,
     InfeasibleError,
     Instance,
     ParseError,
@@ -123,9 +122,9 @@ class TestInstance:
         assert len(tiny_instance.triples()) == 5
 
     @pytest.mark.parametrize("j", [-1, 5])
-    def test_clause_topology_refuses_an_index_outside_the_clauses(self, tiny_instance, j):
+    def test_clause_table_refuses_an_index_outside_the_clauses(self, tiny_instance, j):
         with pytest.raises(IndexError, match=f"^clause_index {j} out of range for m=5$"):
-            tiny_instance.clause_topology(j)
+            tiny_instance.clause_table([j])
 
 
 class TestArrays:
@@ -208,24 +207,24 @@ class TestPairStats:
         assert not pairs_total.flags.writeable and not support_size.flags.writeable
 
     @pytest.mark.parametrize("n, m, d_bound, seed", [(12000, 8000, 3, 1), (32, 48, 5, 1)])
-    def test_bench_shaped_instances_match_their_topologies(self, n, m, d_bound, seed):
+    def test_bench_shaped_instances_match_their_clause_table(self, n, m, d_bound, seed):
         inst = generate_random(n, m, d_bound, seed=seed)
-        topologies = [inst.clause_topology(j) for j in range(inst.m)]
+        grouped = grouped_table(inst, np.arange(inst.m))
         pairs_total, support_size = inst.pair_stats
-        assert pairs_total.tolist() == [sum(map(len, t.pairs)) for t in topologies]
-        assert support_size.tolist() == [len(t.support) for t in topologies]
+        assert pairs_total.tolist() == [len(pairs) for _, pairs, _ in grouped]
+        assert support_size.tolist() == [len(support) for support, _, _ in grouped]
 
-    def test_repeated_variable_triple_matches_its_topology(self):
+    def test_repeated_variable_triple_matches_its_clause_table(self):
         # clause 0 meets clause 1 at one variable, entered twice in its own triple;
         # clause 1 finds two of clause 0's entries inside its triple and cancels it
         inst = Instance(n=4, clauses=(Clause(0, 0, 1, 0), Clause(0, 2, 3, 0)))
         pairs_total, support_size = inst.pair_stats
         want = [dumb_neighborhood(inst, j) for j in range(inst.m)]
-        topologies = [inst.clause_topology(j) for j in range(inst.m)]
+        grouped = grouped_table(inst, np.arange(inst.m))
         assert pairs_total.tolist() == [sum(map(len, forms)) for forms, _ in want] == [1, 0]
         assert support_size.tolist() == [len(support) for _, support in want] == [2, 0]
-        assert pairs_total.tolist() == [sum(map(len, t.pairs)) for t in topologies]
-        assert support_size.tolist() == [len(t.support) for t in topologies]
+        assert pairs_total.tolist() == [len(pairs) for _, pairs, _ in grouped]
+        assert support_size.tolist() == [len(support) for support, _, _ in grouped]
 
     @given(
         inst=instances(min_n=8, max_n=14, max_m=20),
@@ -300,7 +299,12 @@ def reference_overlap_table(triples):
 
 
 def _clause_topology(triples, j, others, inside):
-    """Group clause j's rows of an overlap table, of the (m, 3) ``triples``, one at a time into its topology.
+    """Group clause j's rows of an overlap table, of the (m, 3) ``triples``, one at a time.
+
+    Returns (focal triple, support, pairs, cancelled): ``pairs[i]`` lists the
+    pairs of form ``c_{i+1}`` as ``(a, b, k)``, with ``a`` and ``b`` positions
+    into ``support``, the ascending variables the pairs use, and ``k`` the
+    neighbor clause whose sign the pair carries.
 
     ``others`` are the rows' other clauses, ascending, and ``inside`` their
     mask rows. A clause with one variable inside adds its other two as a
@@ -320,7 +324,7 @@ def _clause_topology(triples, j, others, inside):
     support = tuple(sorted({v for form in raw_pairs for pair in form for v in pair[:2]}))
     pos = {v: i for i, v in enumerate(support)}
     pairs = tuple(tuple([(pos[a], pos[b], k) for a, b, k in form]) for form in raw_pairs)
-    return ClauseTopology(focal, support, pairs, tuple(cancelled))
+    return focal, support, pairs, tuple(cancelled)
 
 
 def reference_topologies(inst):
@@ -333,23 +337,27 @@ def reference_topologies(inst):
     ]
 
 
+def _by_position(rows, count):
+    """``rows[:, 1:]`` split into ``count`` arrays by the first column, each in row order."""
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    bounds = np.searchsorted(rows[:, 0], np.arange(count + 1)).tolist()
+    return [rows[lo:hi, 1:] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def grouped_table(inst, clauses):
     """``inst.clause_table(clauses)`` as (support, pair rows, cancelled) per clause, split by position."""
-    support, pairs, cancelled = inst.clause_table(clauses)
+    support, pairs, cancelled = (_by_position(rows, len(clauses)) for rows in inst.clause_table(clauses))
     return [
-        (
-            tuple(support[support[:, 0] == i, 1].tolist()),
-            list(map(tuple, pairs[pairs[:, 0] == i, 1:].tolist())),
-            tuple(cancelled[cancelled[:, 0] == i, 1].tolist()),
-        )
-        for i in range(len(clauses))
+        (tuple(s.ravel().tolist()), list(map(tuple, p.tolist())), tuple(c.ravel().tolist()))
+        for s, p, c in zip(support, pairs, cancelled)
     ]
 
 
 def as_rows(topology):
-    """A topology as :func:`grouped_table` lists it: its pairs as rows (form, a, b, k), form by form."""
-    pairs = [(f, a, b, k) for f, form in enumerate(topology.pairs) for a, b, k in form]
-    return topology.support, pairs, topology.cancelled
+    """A reference topology as :func:`grouped_table` lists it: its pairs as rows (form, a, b, k), form by form."""
+    _, support, forms, cancelled = topology
+    pairs = [(f, a, b, k) for f, form in enumerate(forms) for a, b, k in form]
+    return support, pairs, cancelled
 
 
 def two_sort_pair_stats(inst):
@@ -388,14 +396,14 @@ class TestOverlapTable:
 
     @given(inst=instances(max_n=9, max_m=16))
     @settings(max_examples=80)
-    def test_topologies_equal_those_of_the_reference_table(self, inst):
-        assert [inst.clause_topology(j) for j in range(inst.m)] == reference_topologies(inst)
+    def test_clause_table_equals_that_of_the_reference_table(self, inst):
+        assert grouped_table(inst, np.arange(inst.m)) == list(map(as_rows, reference_topologies(inst)))
 
     @given(triples=loose_triples)
     @settings(max_examples=150)
     def test_repeated_and_unsorted_variables_match_the_reference_table(self, triples):
         inst = Instance(6, [(*t, 0) for t in triples])
-        assert [inst.clause_topology(j) for j in range(inst.m)] == reference_topologies(inst)
+        assert grouped_table(inst, np.arange(inst.m)) == list(map(as_rows, reference_topologies(inst)))
         for got, want in zip(inst.pair_stats, two_sort_pair_stats(inst)):
             assert got.tobytes() == want.tobytes()
 
@@ -408,7 +416,7 @@ class TestOverlapTable:
     def test_huge_labels_match_the_reference_table(self, inst, offset, stride):
         rows = [(offset + a * stride, offset + b * stride, offset + c * stride, r) for a, b, c, r in inst._rows()]
         huge = Instance(n=offset + inst.n * stride, clauses=rows)
-        assert [huge.clause_topology(j) for j in range(huge.m)] == reference_topologies(huge)
+        assert grouped_table(huge, np.arange(huge.m)) == list(map(as_rows, reference_topologies(huge)))
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     @given(inst=instances(max_n=12, max_m=20))
@@ -448,16 +456,16 @@ crowded_triples = st.lists(st.sampled_from(list(combinations(range(7), 3))), max
 
 
 class TestClauseTable:
-    """``clause_table`` over any ascending clauses against ``_clause_topology``, one clause at a time."""
+    """``clause_table`` over all clauses and over any ascending clauses against ``_clause_topology``."""
 
     @given(triples=st.one_of(crowded_triples, loose_triples), data=st.data())
     @settings(max_examples=200)
-    def test_every_clause_equals_its_reference_topology(self, triples, data):
+    def test_every_clause_equals_its_reference_rows(self, triples, data):
         inst = Instance(7, [(*t, 0) for t in triples])
-        want = reference_topologies(inst)
-        assert [inst.clause_topology(j) for j in range(inst.m)] == want
+        want = list(map(as_rows, reference_topologies(inst)))
+        assert grouped_table(inst, np.arange(inst.m)) == want
         clauses = sorted(data.draw(st.sets(st.integers(0, inst.m - 1))) if inst.m else ())
-        assert grouped_table(inst, clauses) == [as_rows(want[j]) for j in clauses]
+        assert grouped_table(inst, clauses) == [want[j] for j in clauses]
 
     def test_repeated_pairs_cancelled_and_duplicate_clauses(self):
         # clause 0 meets 1 in all three variables (ignored), 2 in two (cancelled), and 3, 4 and 5
@@ -465,9 +473,21 @@ class TestClauseTable:
         rows = [(0, 1, 2, 0), (0, 1, 2, 1), (0, 1, 3, 0), (0, 4, 5, 1), (1, 4, 5, 0), (0, 4, 5, 0)]
         inst = Instance(6, rows)
         want = reference_topologies(inst)
-        assert want[0] == ClauseTopology((0, 1, 2), (4, 5), (((0, 1, 3), (0, 1, 5)), ((0, 1, 4),), ()), (2,))
-        assert [inst.clause_topology(j) for j in range(inst.m)] == want
+        assert want[0] == ((0, 1, 2), (4, 5), (((0, 1, 3), (0, 1, 5)), ((0, 1, 4),), ()), (2,))
         assert grouped_table(inst, list(range(inst.m))) == list(map(as_rows, want))
+
+    @pytest.mark.parametrize(
+        "clauses, first",
+        [([-1], -1), ([-2], -2), ([36], 36), ([0, 5, -2], -2), ([3, 36, -1], 36), ([-1, 0, 35, 36], -1)],
+    )
+    def test_refuses_the_first_index_outside_the_clauses(self, clauses, first):
+        # on 36 clauses, -2 once read clause 35's rows against clause 34's triple
+        inst = parse((Path(__file__).parent / "golden" / "entangled.e3lin2").read_text(encoding="utf-8"))
+        assert inst.m == 36
+        with pytest.raises(IndexError, match=f"^clause_index {first} out of range for m=36$"):
+            inst.clause_table(clauses)
+        with pytest.raises(IndexError, match=f"^clause_index {first} out of range for m=36$"):
+            inst.clause_table(np.array(clauses))
 
     @given(triples=st.one_of(crowded_triples, loose_triples), data=st.data())
     @settings(max_examples=200)

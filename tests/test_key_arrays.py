@@ -34,6 +34,7 @@ from qaoa_e3lin2.typical import base_instance
 
 from conftest import instances
 from test_histogram_kernel import ENTANGLED, assert_same
+from test_instance import reference_topologies
 from test_topology import OCTET
 
 GAMMAS = (0.0, 1e-7, -0.3, 0.33, math.pi / 2)
@@ -101,11 +102,10 @@ def reference_keys(plan, rhs):
     bits = np.zeros((len(rhs), inst.m + 1), dtype=np.uint8)
     bits[:, :-1] = rhs
     keys = [[None] * inst.m for _ in rhs]
-    for j in range(inst.m):
+    for j, (_, support, forms, _) in enumerate(reference_topologies(inst)):
         if j in plan.mc:
             continue
-        topo = inst.clause_topology(j)
-        q_size, pairs = len(topo.support), sum(topo.pairs, ())
+        q_size, pairs = len(support), sum(forms, ())
         if q_size == 2 * int(pairs_total[j]):
             for row in keys:
                 row[j] = int(pairs_total[j])
@@ -115,7 +115,7 @@ def reference_keys(plan, rhs):
         padded = np.array([row + [inst.m] * (width - len(row)) for row in rows], dtype=np.intp)
         for row, code in zip(keys, term_parity(bits, padded).tolist()):
             d, *signs = [1 - 2 * bit for bit in code]
-            row[j] = (q_size, _with_signs(topo.pairs, signs), d)
+            row[j] = (q_size, _with_signs(forms, signs), d)
     return keys
 
 

@@ -45,6 +45,7 @@ from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensembl
 
 from conftest import dumb_combo_histogram, instances
 from test_histogram_kernel import ENTANGLED, ENTANGLED_PATH, assert_same, loop_histogram
+from test_instance import grouped_table
 from test_topology import OCTET, table_builds
 
 GAMMAS = (0.37, -0.21, 1.3)
@@ -155,9 +156,9 @@ class TestPlanMatchesReference:
 class TestRefusals:
     def test_exact_mode_refuses_at_the_first_clause_over_the_cap(self):
         first = next(
-            len(t.support)
-            for t in map(ENTANGLED.clause_topology, range(ENTANGLED.m))
-            if 12 < len(t.support) < 2 * sum(map(len, t.pairs))
+            len(support)
+            for support, pairs, _ in grouped_table(ENTANGLED, np.arange(ENTANGLED.m))
+            if 12 < len(support) < 2 * len(pairs)
         )
         with pytest.raises(SupportTooLargeError) as want:
             reference_report(ENTANGLED, 0.3, mode="exact", q_max=12)
@@ -295,9 +296,9 @@ class TestPlanShape:
         tables = table_builds(monkeypatch)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a plan read a topology or built a neighborhood")
+            raise AssertionError("a plan built a neighborhood")
 
-        monkeypatch.setattr(Instance, "clause_topology", refuse)
+        monkeypatch.setattr(analytic, "build_neighborhood", refuse)
         monkeypatch.setattr(analytic, "Neighborhood", refuse)
         for mode, q_max in (("exact", None), ("auto", 4), ("mc", None)):
             tables.clear()

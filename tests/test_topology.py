@@ -22,6 +22,8 @@ from qaoa_e3lin2.instance import Clause, Instance, generate_random, resample_sig
 from qaoa_e3lin2.schedule import make_schedule, scan
 from qaoa_e3lin2.typical import base_instance, ensemble_mean_exhaustive, ensemble_mean_mc
 
+from test_instance import grouped_table
+
 # dense n=8 octet: every neighborhood but clause 3's, (4, 6, 7), is entangled (q < 2 * pairs)
 OCTET = ((4, 5, 7), (0, 6, 7), (3, 4, 6), (4, 6, 7), (1, 5, 7), (0, 3, 5), (0, 1, 5), (0, 2, 3))
 
@@ -66,10 +68,9 @@ class TestScanReusesNeighborhoods:
         inst = _signed(OCTET, seed=5)
         _assert_scan_matches_reference(inst, mode="mc", mc_samples=500, seed=3)
 
-    def test_factorized_scan_builds_no_topology_and_no_neighborhood(self, monkeypatch):
+    def test_factorized_scan_builds_an_empty_table_and_no_neighborhood(self, monkeypatch):
         inst = generate_random(n=1000, m=200, d_bound=3, seed=2)
-        topology = [inst.clause_topology(j) for j in range(inst.m)]
-        assert all(len(t.support) == 2 * sum(map(len, t.pairs)) for t in topology)
+        assert all(len(support) == 2 * len(pairs) for support, pairs, _ in grouped_table(inst, np.arange(inst.m)))
         tables, neighborhoods = table_builds(monkeypatch), []
         real = analytic.build_neighborhood
         monkeypatch.setattr(analytic, "build_neighborhood", lambda *a: neighborhoods.append(a) or real(*a))
@@ -87,7 +88,7 @@ def table_builds(monkeypatch):
     return calls
 
 
-class TestTopologyBuiltOncePerInstance:
+class TestTableBuiltOncePerPlan:
     """An ensemble's one plan builds the table of its base instance once; a neighborhood reads its clause's."""
 
     @pytest.fixture
@@ -115,7 +116,7 @@ class TestTopologyBuiltOncePerInstance:
             assert builds == [[0, 1, 2, 4, 5, 6, 7]]
 
 
-class TestEnsemblesShareTopology:
+class TestEnsemblesShareOneTable:
     def test_exhaustive_matches_fresh_instances(self):
         gamma = 0.41
         base = base_instance(OCTET)
@@ -146,9 +147,9 @@ class TestEnsemblesShareTopology:
 
 
 class TestMismatchRefused:
-    """The topologies are read from an instance's own triples; its signs leave them unchanged."""
+    """The clause table is read from an instance's own triples; its signs leave it unchanged."""
 
-    def test_topology_ignores_signs(self, tiny_instance):
+    def test_clause_table_ignores_signs(self, tiny_instance):
         flipped = with_signs(tiny_instance, [1 - cl.rhs for cl in tiny_instance.clauses])
-        for j in range(tiny_instance.m):
-            assert tiny_instance.clause_topology(j) == flipped.clause_topology(j)
+        clauses = np.arange(tiny_instance.m)
+        assert grouped_table(tiny_instance, clauses) == grouped_table(flipped, clauses)
