@@ -170,7 +170,7 @@ class MomentReport:
 
 
 def build_neighborhood(instance: Instance, clause_index: int) -> Neighborhood:
-    """Clause ``clause_index``'s rows of ``Instance.clause_table``, each pair signed ``1 - 2*rhs[k]``."""
+    """One clause's :class:`Neighborhood`: its ``Instance.clause_table`` rows, each pair signed ``1 - 2*rhs[k]``."""
     support, pairs, cancelled = instance.clause_table([clause_index])
     rhs = instance.rhs_array
     pairs[:, 4] = 1 - 2 * rhs[pairs[:, 4]].astype(np.intp)  # each neighbor clause, read as its sign

@@ -45,7 +45,8 @@ from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, insta
 #: The largest count or variable index an instance file may hold.
 INDEX_MAX = int(np.iinfo(np.intp).max)
 
-GOLDEN_INSTANCES = sorted((Path(__file__).parent / "golden").glob("*.e3lin2"))
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INSTANCES = sorted(GOLDEN.glob("*.e3lin2"))
 
 
 class TestClause:
@@ -121,10 +122,17 @@ class TestInstance:
         assert tiny_instance.triples()[0] == (0, 1, 2)
         assert len(tiny_instance.triples()) == 5
 
-    @pytest.mark.parametrize("j", [-1, 5])
-    def test_clause_table_refuses_an_index_outside_the_clauses(self, tiny_instance, j):
-        with pytest.raises(IndexError, match=f"^clause_index {j} out of range for m=5$"):
-            tiny_instance.clause_table([j])
+    @pytest.mark.parametrize(
+        "clauses, first",
+        [([-1], -1), ([-2], -2), ([36], 36), ([0, 5, -2], -2), ([3, 36, -1], 36), ([-1, 0, 35, 36], -1)],
+    )
+    def test_clause_table_refuses_an_index_outside_the_clauses(self, clauses, first):
+        # on these 36 clauses, -2 once read clause 35's rows against clause 34's triple
+        inst = parse((GOLDEN / "entangled.e3lin2").read_text(encoding="utf-8"))
+        assert inst.m == 36
+        for indices in (clauses, np.array(clauses)):
+            with pytest.raises(IndexError, match=f"^clause_index {first} out of range for m=36$"):
+                inst.clause_table(indices)
 
 
 class TestArrays:
@@ -475,19 +483,6 @@ class TestClauseTable:
         want = reference_topologies(inst)
         assert want[0] == ((0, 1, 2), (4, 5), (((0, 1, 3), (0, 1, 5)), ((0, 1, 4),), ()), (2,))
         assert grouped_table(inst, list(range(inst.m))) == list(map(as_rows, want))
-
-    @pytest.mark.parametrize(
-        "clauses, first",
-        [([-1], -1), ([-2], -2), ([36], 36), ([0, 5, -2], -2), ([3, 36, -1], 36), ([-1, 0, 35, 36], -1)],
-    )
-    def test_refuses_the_first_index_outside_the_clauses(self, clauses, first):
-        # on 36 clauses, -2 once read clause 35's rows against clause 34's triple
-        inst = parse((Path(__file__).parent / "golden" / "entangled.e3lin2").read_text(encoding="utf-8"))
-        assert inst.m == 36
-        with pytest.raises(IndexError, match=f"^clause_index {first} out of range for m=36$"):
-            inst.clause_table(clauses)
-        with pytest.raises(IndexError, match=f"^clause_index {first} out of range for m=36$"):
-            inst.clause_table(np.array(clauses))
 
     @given(triples=st.one_of(crowded_triples, loose_triples), data=st.data())
     @settings(max_examples=200)
