@@ -10,13 +10,16 @@ import contextlib
 import io
 import itertools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import qaoa_e3lin2
 from qaoa_e3lin2.cli import main
 from qaoa_e3lin2.instance import Clause, Instance
 
@@ -39,6 +42,13 @@ class CliResult:
     def output(self) -> str:
         """What a terminal shows: stdout, then stderr."""
         return self.stdout + self.stderr
+
+
+def fresh_env(**extra) -> dict:
+    """The environment, plus ``extra``, of a new interpreter that imports this checkout's package."""
+    src = str(Path(qaoa_e3lin2.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 def run_cli(argv) -> CliResult:

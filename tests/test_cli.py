@@ -10,7 +10,6 @@ import sys
 import jsonschema
 import pytest
 
-import qaoa_e3lin2
 from qaoa_e3lin2 import cli, statevector
 from qaoa_e3lin2.analytic import ClauseTerm, ExpectationReport
 from qaoa_e3lin2.instance import parse
@@ -18,7 +17,8 @@ from qaoa_e3lin2.sampler import SampleReport, recommended_samples
 from qaoa_e3lin2.schedule import AngleSchedule, GuaranteeReport, ScanPoint
 from qaoa_e3lin2.typical import EnsembleReport
 
-from conftest import run_cli
+from conftest import fresh_env, run_cli
+from test_lazy_exports import fresh
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parents[1] / "docs" / "cli_schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -105,11 +105,9 @@ class TestGen:
     def test_an_n_above_2_to_the_32_exits_two_at_once(self, tmp_path, n, m, d):
         # in a new interpreter with a timeout, so that a draw loop that never
         # returns fails the test instead of holding the suite
-        src = str(pathlib.Path(qaoa_e3lin2.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "qaoa_e3lin2.cli", "gen", "-n", n, "-m", m, "-D", d, "-o", "x"],
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            cwd=tmp_path, env=fresh_env(),
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 2
@@ -456,14 +454,12 @@ class TestHelp:
 class TestAbnormalEnds:
     def test_a_closed_stdout_exits_one_without_a_traceback(self):
         # the reader of the pipe is gone before the command writes, as after `| head`
-        src = str(pathlib.Path(qaoa_e3lin2.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         read, write = os.pipe()
         os.close(read)
         try:
             result = subprocess.run(
                 [sys.executable, "-m", "qaoa_e3lin2.cli", "bounds", "-m", "10", "-D", "3"],
-                stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                stdout=write, stderr=subprocess.PIPE, env=fresh_env(),
                 text=True, timeout=60,
             )
         finally:
@@ -479,3 +475,37 @@ class TestAbnormalEnds:
         monkeypatch.setattr(schedule, "guarantee", interrupt)
         result = run_cli(["bounds", "-m", "10", "-D", "3"])
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+
+#: Run in a fresh interpreter with CALL replaced: the bounds command's exit code, the
+#: collector's freeze count once the call is over, and, from an atexit handler registered
+#: before the call and so run after every handler the call registers, the count at exit.
+FREEZE_PROBE = """
+import atexit, contextlib, gc, io, json, sys
+seen = {}
+atexit.register(lambda: print(json.dumps({**seen, "at_exit": gc.get_freeze_count()})))
+from qaoa_e3lin2 import cli
+sys.argv = ["qaoa-e3lin2", "bounds", "-m", "100", "-D", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        seen["code"] = CALL
+    except SystemExit as exc:
+        seen["code"] = exc.code
+seen["after_call"] = gc.get_freeze_count()
+"""
+
+
+class TestExitFreeze:
+    @pytest.mark.parametrize(
+        "call",
+        ["cli.main()", "cli.main.main(args=sys.argv[1:], prog_name='qaoa-e3lin2')"],
+        ids=["main", "shim"],
+    )
+    def test_the_process_command_line_freezes_the_collector_at_exit(self, call):
+        seen = fresh(FREEZE_PROBE.replace("CALL", call))
+        assert (seen["code"], seen["after_call"]) == (0, 0)
+        assert seen["at_exit"] > 0
+
+    def test_an_in_process_command_line_never_freezes_it(self):
+        seen = fresh(FREEZE_PROBE.replace("CALL", "cli.main(sys.argv[1:])"))
+        assert seen == {"code": 0, "after_call": 0, "at_exit": 0}

@@ -29,11 +29,12 @@ by ``gen -n 12 -m 14 -D 3 --seed 7``) and compared byte for byte. Every JSON
 golden also validates against ``docs/cli_schema.json``, with its keys in the
 schema's order. The outputs hold at any BLAS thread count; the ``eval_sv``
 commands run once more in a fresh process with OpenBLAS on one thread, where
-a dot split across threads would round differently.
+a dot split across threads would round differently. One golden of each
+command also runs as a ``python -m qaoa_e3lin2.cli`` process of its own,
+which freezes the garbage collector as it exits, so a lost flush fails here.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -41,10 +42,9 @@ from pathlib import Path
 
 import pytest
 
-import qaoa_e3lin2
 from qaoa_e3lin2 import cli
 
-from conftest import run_cli
+from conftest import fresh_env, run_cli
 from test_cli import SCHEMA, validate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,13 +127,37 @@ def test_gen_writes_the_golden_instance(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(name for name in CASES if "eval_sv" in name))
 def test_statevector_outputs_hold_on_one_blas_thread(name):
     """The expectation's sums do not depend on how many threads BLAS runs."""
-    src = str(Path(qaoa_e3lin2.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-m", "qaoa_e3lin2.cli", *CASES[name]],
-        cwd=GOLDEN, env=env, capture_output=True, timeout=120, check=True,
+        cwd=GOLDEN, env=fresh_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=120, check=True,
     )
+    assert result.stdout == (GOLDEN / name).read_bytes()
+
+
+#: One golden of each command, run again below as a process of its own.
+EXITS = {
+    "bounds": "bounds_m1000_d4.json",
+    "eval": "entangled_eval.json",
+    "gen": "demo.e3lin2",
+    "sample": "sample_seed5.csv",
+    "scan": "demo_scan.csv",
+    "typical": "ensemble10_typical.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_command_process_exits_with_its_golden_flushed(command, tmp_path):
+    """``python -m`` freezes the collector at exit; what the process prints and writes is whole."""
+    name = EXITS[command]
+    argv, cwd = (GENS[name], tmp_path) if command == "gen" else (CASES[name], GOLDEN)
+    result = subprocess.run(
+        [sys.executable, "-m", "qaoa_e3lin2.cli", *argv],
+        cwd=cwd, env=fresh_env(), capture_output=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    if command == "gen":
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        name = "gen_demo.json"
     assert result.stdout == (GOLDEN / name).read_bytes()
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -40,7 +39,7 @@ from qaoa_e3lin2.analytic import EvaluationPlan, Neighborhood, build_neighborhoo
 from qaoa_e3lin2.schedule import scan
 from qaoa_e3lin2.typical import base_instance
 
-from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, instances, run_cli
+from conftest import bit_vectors, dumb_neighborhood, dumb_satisfied_count, fresh_env, instances, run_cli
 
 #: The largest count or variable index an instance file may hold.
 INDEX_MAX = int(np.iinfo(np.intp).max)
@@ -972,11 +971,10 @@ class TestFileFormat:
         # in a new interpreter showing every warning, as a numpy warning would print one
         path = tmp_path / "bad.e3lin2"
         path.write_text("e3lin2 4 2\n0 1 2 0\n0 1 +3 0\n")
-        src = str(Path(instance_module.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-W", "default", "-m", "qaoa_e3lin2.cli", "scan", path.name],
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            env=fresh_env(),
             capture_output=True,
             text=True,
             timeout=60,

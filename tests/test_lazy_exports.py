@@ -6,7 +6,6 @@ interpreter, since the rest of the suite imports every module.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import qaoa_e3lin2
+
+from conftest import fresh_env
 
 COMMAND_MODULES = {
     "qaoa_e3lin2.sampler",
@@ -25,11 +26,9 @@ COMMAND_MODULES = {
 
 def fresh(code: str):
     """The JSON that ``code`` prints, run in a new interpreter on this checkout's package."""
-    src = str(Path(qaoa_e3lin2.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=fresh_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -12,15 +12,14 @@ value and a value given to a flag print the error line alone.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import qaoa_e3lin2
 from qaoa_e3lin2.instance import generate_random, serialize
+
+from conftest import fresh_env
 
 PROGRAMS = {"module": "python -m qaoa_e3lin2.cli", "script": "qaoa-e3lin2"}
 
@@ -198,8 +197,7 @@ def workdir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def outcomes(workdir):
     """{form: [(exit code, stdout, stderr) per case of CASES then UNKNOWN]}, one interpreter per form."""
-    src = str(Path(qaoa_e3lin2.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = fresh_env()
     argvs = [argv for argv, *_ in CASES] + [argv for argv, _ in UNKNOWN]
     before = sorted(p.name for p in workdir.iterdir())
     found = {}
