@@ -21,20 +21,21 @@ D instead of the instance size n.
 Enumeration works by tabulating the joint distribution of the integer
 triple (c1, c2, c3) over all support assignments (each form is bounded by
 its pair count, so the table is tiny) and then evaluating the four sines
-per distinct cell. A cell's key is linear in the pair signs. On a small
-support (q <= ``_WALK_MAX_Q``) the keys of all 2^q assignments are the exact
-parity grids of ``instance.parity_blocks``: the support splits into a high
-and a low half, the low half's +-1 pair-sign matrix is built once, and the
-keys of each block of high codes are one float64 product with it, counted
-with one ``np.bincount``. A larger support goes by the connected components
-of its pair graph, whose spins are independent: a tree's pair signs are
-independent and uniform, so its pairs add binomials, and only a component
-with a cycle is walked, over its own bits. The parts combine by exact int64
-convolutions of their key counts. The histogram depends only on the
-neighborhood, not on gamma, so a plan counts it once for all its angles.
-Histograms whose forms differ only in their signs share a pair layout (q
-and the pair positions): one set of terms and a (K, t) stack of weights,
-so the small supports of a layout are counted in one walk.
+per distinct cell. A cell's key is linear in the pair signs, and it is
+counted by the connected components of the support's pair graph, whose
+spins are independent: a tree's pair signs are independent and uniform, so
+its pairs add binomials, and only a component with a cycle is walked, over
+its own bits. A walk reads the exact parity grids of
+``instance.parity_blocks``: the bits split into a high and a low half, the
+low half's +-1 pair-sign matrix is built once, and the keys of each block
+of high codes are one float64 product with it, counted with one
+``np.bincount``. The parts combine by exact int64 convolutions of their key
+counts. The histogram depends only on the neighborhood, not on gamma, so a
+plan counts it once for all its angles. Histograms whose forms differ only
+in their signs share a pair layout (q and the pair positions): one set of
+terms and a (K, t) stack of weights, so the keys of a layout share one
+split into components, one set of binomials and one walk of each cyclic
+component.
 
 Clauses are routed in two steps, and both read the instance's table of the
 clause pairs that share a variable, each classified once by its overlap.
@@ -234,15 +235,6 @@ def combo_histogram(nbhd: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
     return _layout_histograms(nbhd.q_size, [_gauge_fixed(nbhd.q_size, nbhd.forms)])[0]
 
 
-#: Supports up to this size walk all 2^q codes; larger ones go by component.
-#: Read at call time. Per key over the enumerated keys of the benchmark's
-#: files (in-process on a 2-vCPU Xeon VM, BLAS on one thread, median of 15),
-#: the walk wins up to q = 11 and ties at q = 12 (124 vs 122 us); the
-#: component route wins from q = 13 (142 -> 119 us) and takes 0.18 ms
-#: against 9.2 ms at q = 21.
-_WALK_MAX_Q = 12
-
-
 def _walk_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
     """Counts of sum_t w_t (-1)^parity_t over all 2^width codes, at index value + sum_t |w_t|.
 
@@ -263,14 +255,15 @@ def _walk_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarr
 
 
 def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.ndarray:
-    """One row of :func:`_walk_counts`, built from the components of the pair graph.
+    """:func:`_walk_counts` of a (K, t) weight stack, built from the components of the pair graph.
 
-    Spins in different components are independent, so the counts are the
-    exact int64 convolution of the components' counts. A tree's V spins map
-    2-to-1 onto its V - 1 pair signs, which are independent and uniform, so
-    the f tree pairs of weight +-w add a binomial: 2kw with count C(f, k).
-    Only a component with a cycle is walked, over its own bits. The parts
-    count 2^(walked bits + tree pairs) codes; a final shift restores 2^width.
+    Spins in different components are independent, so each row's counts
+    are the exact int64 convolution of the components' counts. A tree's V
+    spins map 2-to-1 onto its V - 1 pair signs, which are independent and
+    uniform, so the f tree pairs of weight +-w add a binomial: 2kw with count
+    C(f, k), the same for every row. Only a component with a cycle is
+    walked, over its own bits and for the whole stack. The parts count
+    2^(walked bits + tree pairs) codes; a final shift restores 2^width.
     """
     root = list(range(width))
 
@@ -287,16 +280,17 @@ def _component_counts(terms: np.ndarray, weights: np.ndarray, width: int) -> np.
     bits = np.bincount(label, minlength=width)
     pairs = np.bincount(of_pair, minlength=width)
     cyclic = np.flatnonzero((pairs >= bits) & (pairs > 0))
-    hist = np.ones(1, dtype=np.int64)
-    for r in cyclic.tolist():
+    hist = np.ones((len(weights), 1), dtype=np.int64)
+    for i, r in enumerate(cyclic.tolist()):
         own_bits, own_pairs = np.flatnonzero(label == r), np.flatnonzero(of_pair == r)
         local = np.searchsorted(own_bits, terms[own_pairs])
-        hist = np.convolve(hist, _walk_counts(local, weights[None, own_pairs], own_bits.size)[0])
+        part = _walk_counts(local, weights[:, own_pairs], own_bits.size)
+        hist = part if i == 0 else np.stack([np.convolve(h, p) for h, p in zip(hist, part)])
     tree = (pairs < bits)[of_pair]
-    for w, f in Counter(np.abs(weights[tree]).astype(np.intp).tolist()).items():
-        out = np.zeros(hist.size + 2 * f * w, dtype=np.int64)
+    for w, f in Counter(np.abs(weights[0, tree]).astype(np.intp).tolist()).items():
+        out = np.zeros((len(hist), hist.shape[1] + 2 * f * w), dtype=np.int64)
         for k in range(f + 1):
-            out[2 * k * w : 2 * k * w + hist.size] += math.comb(f, k) * hist
+            out[:, 2 * k * w : 2 * k * w + hist.shape[1]] += math.comb(f, k) * hist
         hist = out
     return hist << (width - int(bits[cyclic].sum()) - int(tree.sum()))
 
@@ -307,7 +301,8 @@ def _layout_histograms(q_size: int, group: list) -> list[tuple[np.ndarray, np.nd
     The cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3) is (p1*d2 + p2)*d3 + p3
     = sum_t |w_t| plus c1*d2*d3 + c2*d3 + c3, a parity grid of the pairs
     weighted by their signs times their form's scale: one set of terms for
-    the group and a (K, t) stack of weights, counted in one walk.
+    the group and a (K, t) stack of weights, counted in one
+    :func:`_component_counts` call.
     """
     if q_size > 62:
         # a tree-only support of that size is quick to count, but its counts need not fit
@@ -317,10 +312,7 @@ def _layout_histograms(q_size: int, group: list) -> list[tuple[np.ndarray, np.nd
     terms = np.array([(a, b) for form in group[0] for a, b, _ in form], np.intp).reshape(-1, 2)
     scales = np.repeat([dims[1] * dims[2], dims[2], 1], (p1, p2, p3)).astype(np.float64)
     weights = np.array([[s for form in forms for _, _, s in form] for forms in group]) * scales
-    if q_size <= _WALK_MAX_Q:
-        hists = _walk_counts(terms, weights, q_size)
-    else:
-        hists = np.stack([_component_counts(terms, row, q_size) for row in weights])
+    hists = _component_counts(terms, weights, q_size)
     of_key, occupied = np.nonzero(hists)
     counts = hists[of_key, occupied]
     v1, rem = np.divmod(occupied, dims[1] * dims[2])
@@ -333,7 +325,7 @@ def _layout_histograms(q_size: int, group: list) -> list[tuple[np.ndarray, np.nd
 
 
 def _count_missing(keys, histograms: dict) -> None:
-    """Add to ``histograms`` each ``(q, forms)`` key it lacks, counted in one walk per pair layout."""
+    """Add to ``histograms`` each ``(q, forms)`` key it lacks, counted in one call per pair layout."""
     missed = defaultdict(list)
     for q_size, forms in dict.fromkeys(key for key in keys if key not in histograms):
         missed[q_size, _with_signs(forms, repeat(0))].append(forms)  # one layout: the forms, signs aside

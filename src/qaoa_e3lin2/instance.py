@@ -301,7 +301,10 @@ class Instance:
     """
 
     def __init__(self, n: int, clauses: Iterable[Clause | tuple[int, int, int, int]]):
-        rows = np.array([tuple(row) for row in clauses], dtype=np.intp).reshape(-1, 4)
+        rows = np.array([tuple(row) for row in clauses], dtype=np.intp)
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != 4):
+            raise ValueError(f"clauses must be (a, b, c, rhs) rows, an (m, 4) array; got shape {rows.shape}")
+        rows = rows.reshape(-1, 4)
         self._hold(n, rows[:, :3], rows[:, 3])
 
     @classmethod
@@ -309,6 +312,8 @@ class Instance:
         return cls.__new__(cls)._hold(n, triples, rhs)
 
     def _hold(self, n: int, triples: np.ndarray, rhs: np.ndarray) -> Instance:
+        if rhs.shape != (len(triples),):
+            raise ValueError(f"rhs must have shape ({len(triples)},), a bit per triple row; got {rhs.shape}")
         bad = rhs[(rhs != 0) & (rhs != 1)]
         if bad.size:
             raise ValueError(f"rhs must be 0 or 1, got {bad[0]}")

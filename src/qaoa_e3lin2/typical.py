@@ -83,7 +83,10 @@ def base_instance(triples: np.ndarray | Sequence[tuple[int, int, int]]) -> Insta
     """
     from .instance import Instance, validate
 
-    rows = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+    rows = np.asarray(triples, dtype=np.intp)
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
+        raise ValueError(f"triples must be an (m, 3) array; got shape {rows.shape}")
+    rows = rows.reshape(-1, 3)
     n = 1 + int(rows.max()) if rows.size else 3
     inst = Instance._from_arrays(n, rows, np.zeros(len(rows), dtype=np.uint8))
     problems = validate(inst)

@@ -438,12 +438,13 @@ class TestPerformanceShape:
         )
         first = EvaluationPlan(TWINS)
         want = first.total(0.3)
-        assert widths == []
-        # the next plan goes by components from its first histogram, with nothing to clear
-        monkeypatch.setattr(analytic, "_WALK_MAX_Q", -1)
+        # one call per pair layout
+        calls = len({(q, pair_layout(forms)) for q, forms in first._histograms})
+        assert len(widths) == calls > 0
+        # the next plan counts its own histograms from the first, with nothing to clear
         second = EvaluationPlan(TWINS)
         assert second.total(0.3) == want
-        assert len(widths) == len(second._histograms) > 0
-        # and the first plan still reads its own walked histograms
+        assert len(widths) == 2 * calls and second._histograms.keys() == first._histograms.keys()
+        # and each plan then reads the histograms it holds
         assert first.total(-0.3) == second.total(-0.3)
-        assert len(widths) == len(second._histograms)
+        assert len(widths) == 2 * calls

@@ -4,12 +4,13 @@ against the loops they replaced.
 ``loop_histogram`` and ``conftest.loop_eval_forms`` are the implementation
 the package used before every 2^q enumeration went through
 ``instance.parity_blocks``: about seven int64 passes over every code per pair.
-The tests require both routes, the walk over all 2^q codes and the
-component route above ``analytic._WALK_MAX_Q``, to reproduce them exactly,
-with equal dtypes, not within a tolerance, and the component route to agree
-with the statevector. The last class checks that the Monte Carlo clause
-term, the one enumeration-free path, refuses a run larger than physical
-memory before it draws a spin.
+The tests require the histograms, which the package counts by pair-graph
+component, and ``analytic._walk_counts`` over a whole support, which walks
+its cyclic components, to reproduce them exactly, with equal dtypes, not
+within a tolerance, and the component route to agree with the statevector.
+The last class checks that the Monte Carlo clause term, the one
+enumeration-free path, refuses a run larger than physical memory before it
+draws a spin.
 """
 
 import math
@@ -85,6 +86,13 @@ def neighborhoods(instance):
     return [build_neighborhood(instance, j) for j in range(instance.m)]
 
 
+def walked_histogram(q_size, forms):
+    """The histogram of ``forms`` from one walk of all 2^q codes, not by component."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_component_counts", analytic._walk_counts)
+        return analytic._layout_histograms(q_size, [forms])[0]
+
+
 @st.composite
 def grid_cases(draw):
     k = draw(st.sampled_from((2, 3)))
@@ -155,9 +163,8 @@ class TestHistogramAgainstLoop:
         want = loop_histogram(nbhd.q_size, nbhd.forms)
         for chunk in (1 << 10, 3000):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analytic, "_WALK_MAX_Q", nbhd.q_size)
                 mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
-                assert_same(combo_histogram(nbhd), want)
+                assert_same(walked_histogram(nbhd.q_size, nbhd.forms), want)
 
     def test_q_zero(self):
         nbhd = build_neighborhood(Instance(n=3, clauses=(Clause(0, 1, 2, 1),)), 0)
@@ -189,9 +196,8 @@ class TestHistogramAgainstLoop:
                 yield first, grid
 
         monkeypatch.setattr(analytic, "parity_blocks", spy)
-        monkeypatch.setattr(analytic, "_WALK_MAX_Q", nbhd.q_size)
         monkeypatch.setattr(instance_module, "_PARITY_BLOCK", 4096)
-        combo_histogram(nbhd)
+        walked_histogram(nbhd.q_size, nbhd.forms)
         assert sum(rows * cols for rows, cols in shapes) == 1 << nbhd.q_size
         assert len(shapes) > 1
         for rows, cols in shapes:
@@ -243,10 +249,8 @@ def cyclic_component_bits(q_size, forms):
     return sizes
 
 
-def routed_histogram(q_size, forms, walk_max_q):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analytic, "_WALK_MAX_Q", walk_max_q)
-        got = analytic._layout_histograms(q_size, [forms])[0]
+def routed_histogram(q_size, forms):
+    got = analytic._layout_histograms(q_size, [forms])[0]
     assert not got[0].flags.writeable and not got[1].flags.writeable
     return got
 
@@ -268,18 +272,19 @@ class TestComponentRoute:
         q_size, forms = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(instance_module, "_PARITY_BLOCK", chunk)
-            got = routed_histogram(q_size, forms, -1)
+            got = routed_histogram(q_size, forms)
         assert_same(got, loop_histogram(q_size, forms))
 
     @pytest.mark.parametrize("name", ["dense32", "entangled"])
     def test_every_key_of_the_bench_files(self, name):
         inst = generate_random(32, 48, 5, seed=1) if name == "dense32" else ENTANGLED
         keys = [key for key in EvaluationPlan(inst, "exact", 30).keys if not isinstance(key, int)]
-        assert max(q_size for q_size, _, _ in keys) > analytic._WALK_MAX_Q
+        assert min(q_size for q_size, _, _ in keys) <= 12 < max(q_size for q_size, _, _ in keys)
         for q_size, forms, _ in keys:
             want = loop_histogram(q_size, forms)
-            for walk_max_q in (-1, analytic._WALK_MAX_Q):
-                assert_same(routed_histogram(q_size, forms, walk_max_q), want)
+            assert_same(routed_histogram(q_size, forms), want)
+            if q_size <= 12:
+                assert_same(walked_histogram(q_size, forms), want)
 
     def test_walks_only_the_cyclic_components(self, monkeypatch):
         walked = []
@@ -294,7 +299,7 @@ class TestComponentRoute:
         codes = 0
         for nbhd in neighborhoods(ENTANGLED):
             walked.clear()
-            routed_histogram(nbhd.q_size, nbhd.forms, -1)
+            routed_histogram(nbhd.q_size, nbhd.forms)
             assert sum(walked) == sum(1 << size for size in cyclic_component_bits(nbhd.q_size, nbhd.forms))
             codes += sum(walked)
         assert 0 < codes < sum(1 << nbhd.q_size for nbhd in neighborhoods(ENTANGLED))
@@ -304,10 +309,10 @@ class TestComponentRoute:
         def path(q_size):
             return tuple((i, i + 1, 1) for i in range(q_size - 1)), (), ()
 
-        values, counts = routed_histogram(62, path(62), analytic._WALK_MAX_Q)
+        values, counts = routed_histogram(62, path(62))
         assert counts.min() > 0 and sum(counts.tolist()) == 1 << 62
         with pytest.raises(analytic.SupportTooLargeError, match="q=63"):
-            routed_histogram(63, path(63), analytic._WALK_MAX_Q)
+            routed_histogram(63, path(63))
 
 
 class TestComponentRouteAgainstStatevector:
@@ -315,7 +320,6 @@ class TestComponentRouteAgainstStatevector:
         inst = generate_random(18, 36, 5, seed=1)
         pairs_total, support = inst.pair_stats
         largest = int(support[support != 2 * pairs_total].max())
-        assert largest > analytic._WALK_MAX_Q
         widths = []
         counts = analytic._component_counts
         monkeypatch.setattr(

@@ -189,6 +189,23 @@ class TestArrays:
         with pytest.raises(ValueError, match="^rhs must be 0 or 1, got 2$"):
             with_signs(inst, [2, 0, 1, 0])
 
+    def test_rows_of_three_are_refused_not_reshaped(self):
+        # reshaped to (-1, 4), these four triples once read as three clauses with rhs from triple entries
+        message = r"^clauses must be \(a, b, c, rhs\) rows, an \(m, 4\) array; got shape \(4, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            Instance(6, [(0, 1, 2), (1, 3, 4), (0, 1, 5), (0, 2, 1)])
+        with pytest.raises(ValueError, match=r"got shape \(1, 5\)$"):
+            Instance(6, [(0, 1, 2, 0, 1)])
+        assert Instance(3, []).m == Instance(3, ()).m == 0
+
+    def test_an_rhs_array_of_the_wrong_shape_is_refused(self):
+        # a 2-D rhs once made m read 2m, and a plan then failed with an IndexError
+        inst = generate_random(n=10, m=4, d_bound=2, seed=2)
+        message = r"^rhs must have shape \(4,\), a bit per triple row; got \(4, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            with_signs(inst, np.zeros((4, 2), dtype=np.uint8))
+        assert with_signs(Instance(3, []), []).m == 0
+
     @pytest.mark.parametrize("rhs", [256, -1])
     def test_every_build_refuses_an_rhs_outside_0_and_1(self, rhs):
         # held as uint8, 256 would read 0 and -1 would read 255

@@ -5,14 +5,17 @@ The reference functions here are the evaluation the package used before:
 ``reference_walk_counts`` walks one row of weights, and ``reference_keys``
 walks every clause's gauge forest and decodes each clause's code bits on
 their own. The plan now evaluates all the keys of an angle with one bracket,
-counts the keys of one pair layout in one walk, and packs each clause's
-code bits into integers before one sort. Every value must come out bitwise
-equal (``==``, signs of zeros included), every histogram equal in dtype and
-entries, and every clause must read the same key.
+counts the keys of one pair layout in one ``_component_counts`` call, and
+packs each clause's code bits into integers before one sort. Every value
+must come out bitwise equal (``==``, signs of zeros included), every
+histogram equal in dtype and entries, and every clause must read the same
+key.
 """
 
 import math
 import tracemalloc
+from collections import Counter
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -33,11 +36,15 @@ from qaoa_e3lin2.instance import (
 from qaoa_e3lin2.typical import base_instance
 
 from conftest import instances
-from test_histogram_kernel import ENTANGLED, assert_same
+from test_histogram_kernel import ENTANGLED, assert_same, component_forms, loop_histogram
 from test_instance import reference_topologies
 from test_topology import OCTET
 
 GAMMAS = (0.0, 1e-7, -0.3, 0.33, math.pi / 2)
+
+#: Supports up to this size are walked whole by ``reference_histogram``; larger ones go by
+#: component, one weight row at a time.
+REFERENCE_MAX_WALKED_Q = 12
 
 #: Six variable-disjoint copies of the octet: 48 enumerated clauses in a few pair layouts.
 TILED = base_instance([(a + 8 * i, b + 8 * i, c + 8 * i) for i in range(6) for a, b, c in OCTET])
@@ -66,10 +73,10 @@ def reference_histogram(q_size, forms):
     p1, p2, p3 = (len(f) for f in forms)
     dims = (2 * p1 + 1, 2 * p2 + 1, 2 * p3 + 1)
     terms, weights = reference_pair_terms(forms, (dims[1] * dims[2], dims[2], 1))
-    if q_size <= analytic._WALK_MAX_Q:
+    if q_size <= REFERENCE_MAX_WALKED_Q:
         hist = reference_walk_counts(terms, weights, q_size)
     else:
-        hist = analytic._component_counts(terms, weights, q_size)
+        hist = analytic._component_counts(terms, weights[None, :], q_size)[0]
     occupied = np.nonzero(hist)[0]
     counts = hist[occupied]
     v1, rem = np.divmod(occupied, dims[1] * dims[2])
@@ -151,8 +158,8 @@ class TestKeyValues:
 
     def test_entangled_keys_cross_the_walk_cap(self):
         keys = every_sign_keys(ENTANGLED)
-        assert any(not isinstance(k, int) and k[0] > analytic._WALK_MAX_Q for k in keys)
-        assert any(not isinstance(k, int) and k[0] <= analytic._WALK_MAX_Q for k in keys)
+        assert any(not isinstance(k, int) and k[0] > REFERENCE_MAX_WALKED_Q for k in keys)
+        assert any(not isinstance(k, int) and k[0] <= REFERENCE_MAX_WALKED_Q for k in keys)
         want = {gamma: [reference_key_value(key, gamma) for key in keys] for gamma in GAMMAS}
         held = {}
         for gamma in GAMMAS:
@@ -174,7 +181,7 @@ class TestKeyValues:
 @st.composite
 def layout_stacks(draw):
     """(q, [forms, ...]): one pair layout under K sign rows."""
-    q_size = draw(st.integers(2, analytic._WALK_MAX_Q))
+    q_size = draw(st.integers(2, REFERENCE_MAX_WALKED_Q))
     pair = st.tuples(st.integers(0, q_size - 1), st.integers(0, q_size - 1)).filter(
         lambda p: p[0] < p[1]
     )
@@ -215,9 +222,9 @@ class TestStackedWalk:
         forms = (((0, 1, 1), (2, 3, 1)), ((1, 2, 1),), ((0, 3, 1), (1, 3, 1)))
         group = [_with_signs(forms, signs) for signs in ([1] * 5, [1, -1, 1, 1, -1], [-1] * 5)]
         walks = []
-        real = analytic._walk_counts
+        real = analytic._component_counts
         monkeypatch.setattr(
-            analytic, "_walk_counts", lambda t, w, q: walks.append(len(w)) or real(t, w, q)
+            analytic, "_component_counts", lambda t, w, q: walks.append(len(w)) or real(t, w, q)
         )
         held = {}
         analytic._count_missing([(4, f) for f in group + group[:1]], held)
@@ -226,12 +233,65 @@ class TestStackedWalk:
         analytic._count_missing([(4, f) for f in group], held)
         assert walks == [3] and held.keys() == first.keys()
         assert all(held[key] is first[key] for key in first)
-        # a layout that is new to the dict is walked once more, for its missing forms only
+        # a layout that is new to the dict is counted once more, for its missing forms only
         other = _with_signs((((0, 1, 1),), (), ()), [-1])
         analytic._count_missing([(4, group[1]), (2, other)], held)
         assert walks == [3, 1] and len(held) == 4
         for (q_size, forms), hist in held.items():
             assert_same(hist, reference_histogram(q_size, forms))
+
+
+@st.composite
+def component_stacks(draw):
+    """(q, [forms, ...]): the pair layout of one ``component_forms`` case under two to five sign rows."""
+    q_size, forms = draw(component_forms())
+    pairs = sum(map(len, forms))
+    signs = st.lists(st.sampled_from((1, -1)), min_size=pairs, max_size=pairs)
+    return q_size, [_with_signs(forms, row) for row in draw(st.lists(signs, min_size=2, max_size=5))]
+
+
+def cell_counts(values, counts, pair_counts):
+    """A histogram's counts on every cell key ((c1+p1)*d2 + (c2+p2))*d3 + (c3+p3), empty cells at 0."""
+    dims = [2 * p + 1 for p in pair_counts]
+    cells = np.zeros(math.prod(dims), dtype=np.int64)
+    cells[((values[:, 0] + pair_counts[0]) * dims[1] + values[:, 1] + pair_counts[1]) * dims[2]
+          + values[:, 2] + pair_counts[2]] = counts
+    return cells
+
+
+class TestStackedComponents:
+    @given(case=component_stacks(), block=st.sampled_from((1, 8, 64, 1 << 16)))
+    @settings(max_examples=60)
+    def test_each_row_counts_as_the_loop_alone(self, case, block):
+        q_size, group = case
+        p = [len(f) for f in group[0]]
+        scales = ((2 * p[1] + 1) * (2 * p[2] + 1), 2 * p[2] + 1, 1)
+        rows = [reference_pair_terms(forms, scales) for forms in group]
+        terms, stack = rows[0][0], np.array([weights for _, weights in rows]).reshape(len(group), -1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instance_module, "_PARITY_BLOCK", block)
+            got = analytic._component_counts(terms, stack, q_size)
+            alone = [analytic._component_counts(terms, stack[k : k + 1], q_size) for k in range(len(group))]
+        for k, forms in enumerate(group):
+            want = cell_counts(*loop_histogram(q_size, forms), p)
+            assert got.dtype == np.int64 and np.array_equal(got[k], want)
+            assert alone[k].dtype == np.int64 and np.array_equal(alone[k], want[None, :])
+        assert got.shape == (len(group), math.prod(2 * c + 1 for c in p))
+
+    def test_a_layout_above_q_12_costs_one_call(self, monkeypatch):
+        plan = EvaluationPlan(ENTANGLED, "exact")
+        plan.key_indices(np.array([resample_signs(ENTANGLED, seed=[2, t]).rhs_array for t in range(64)]))
+        held = dict.fromkeys(key[:2] for key in plan.keys if not isinstance(key, int))
+        layouts = Counter((q_size, _with_signs(forms, repeat(0))) for q_size, forms in held)
+        assert any(q_size > 12 and k >= 2 for (q_size, _), k in layouts.items())
+        calls = []
+        real = analytic._component_counts
+        monkeypatch.setattr(
+            analytic, "_component_counts", lambda t, w, q: calls.append((q, len(w))) or real(t, w, q)
+        )
+        plan.total(0.3)
+        assert sorted(calls) == sorted((q_size, k) for (q_size, _), k in layouts.items())
+        assert plan._histograms.keys() == held.keys()
 
 
 class TestPackedKeyCodes:

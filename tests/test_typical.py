@@ -137,6 +137,14 @@ class TestBaseInstance:
         with pytest.raises(ValueError):
             base_instance(((0, 1, 2), (0, 1, 2)))
 
+    def test_rejects_rows_that_are_not_triples(self):
+        # an (m, 4) row array was once reshaped to triples, which read rhs bits as variables and
+        # named a triple the caller never passed
+        rows = np.array([(0, 1, 2, 0), (1, 3, 4, 1), (0, 1, 5, 0)])
+        with pytest.raises(ValueError, match=r"^triples must be an \(m, 3\) array; got shape \(3, 4\)$"):
+            base_instance(rows)
+        assert base_instance([]).m == base_instance(np.zeros((0, 3), dtype=np.intp)).m == 0
+
 
 class TestClosedForm:
     def test_isolated_clause(self):
